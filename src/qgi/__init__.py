@@ -45,7 +45,6 @@ from .invariant import (
     QpeOutcome,
     char_poly,
     classical_histogram,
-    fingerprint,
     invariant_equal,
     invariant_json,
     max_independent_set,
@@ -108,7 +107,6 @@ __all__ = [
     "encode_graph6",
     "enumerate_classes",
     "export_qasm",
-    "fingerprint",
     "from_canonical_code",
     "induced_edge_count",
     "init_state",

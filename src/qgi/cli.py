@@ -25,11 +25,11 @@ from .graphs import (
 )
 from .invariant import (
     CHAR_POLY_MAX_VERTICES,
-    char_poly,
     classical_histogram,
     invariant_equal,
     invariant_json,
     quantum_histogram,
+    spectra_equal,
 )
 from .simulator import DEFAULT_MAX_QUBITS, dump_amplitudes, run
 from .survey import (
@@ -47,8 +47,10 @@ _SHOTS_HEADER = "#(edges)  %Probability  #(shots)"
 def _detect_format(text: str) -> str:
     if ";" in text:
         return "edgelist"
+    # graph6 never uses the characters 0 and 1, so all-0/1 tokens
+    # (a 1-vertex "0" included) can only be an adjacency matrix.
     toks = text.split()
-    if len(toks) > 1 and all(t in ("0", "1") for t in toks):
+    if toks and all(t in ("0", "1") for t in toks):
         return "adjacency"
     return "graph6"
 
@@ -80,7 +82,7 @@ def _print_table(header: str, rows: list[tuple[int, float, int]]) -> None:
 def cmd_invariant(args) -> int:
     g = load_graph(args.graph, args.format)
     if args.mode == "classical":
-        hist = classical_histogram(g, threads=args.threads)
+        hist = classical_histogram(g)
         counts = hist.counts
         probs = hist.probabilities
         source = "classical"
@@ -118,9 +120,9 @@ def cmd_invariant(args) -> int:
 def cmd_compare(args) -> int:
     g1 = load_graph(args.graph1, args.format)
     g2 = load_graph(args.graph2, args.format)
-    inv_eq = invariant_equal(g1, g2, threads=args.threads)
-    if g1.n <= CHAR_POLY_MAX_VERTICES and g2.n <= CHAR_POLY_MAX_VERTICES:
-        spec_eq = g1.n == g2.n and char_poly(g1).coeffs == char_poly(g2).coeffs
+    inv_eq = invariant_equal(g1, g2)
+    if max(g1.n, g2.n) <= CHAR_POLY_MAX_VERTICES:
+        spec_eq = spectra_equal(g1, g2)
     else:
         spec_eq = None
     iso = None
@@ -193,7 +195,7 @@ def cmd_survey(args) -> int:
         if cache:
             report = load_report(cache, n, args.source)
         if report is None:
-            report = run_survey(n, source=args.source, threads=args.threads)
+            report = run_survey(n, source=args.source)
             if cache:
                 save_report(report, cache)
         reports.append(report)
@@ -218,8 +220,8 @@ def _add_threads(sp) -> None:
     sp.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads for subset sweeps and the census",
+        default=1,
+        help="accepted for compatibility and ignored: every sweep runs on one thread",
     )
 
 
@@ -275,9 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("encode", help="emit the QPE circuit as OpenQASM 3")
     sp.add_argument("graph")
-    sp.add_argument(
-        "--export", choices=("qasm",), default="qasm", help="output format"
-    )
     sp.add_argument("--fuse", action="store_true", help="fuse controlled oracle powers")
     sp.add_argument(
         "--decompose-ccp",

@@ -6,25 +6,30 @@ off a phase-estimation circuit (quantum_histogram) or computed by a
 brute-force subset sweep (classical_histogram); both must agree
 exactly.  char_poly provides the classical spectral invariant used for
 comparison.
+
+Every subset sweep reads induced edge counts from one kernel,
+_edge_counts: one O(2^n) single-threaded pass in slices of 2^18 masks,
+so its temporaries stay small at any n.  threads keywords are ignored.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import PrecisionPlan, build_qpe, plan_precision
 from .errors import InputError, InternalCheckError, ResourceLimitError
-from .graphs import Graph, Permutation
+from .graphs import Graph, Permutation, induced_edge_count
 from .simulator import DEFAULT_MAX_QUBITS, marginal, run, sample
 
 # char_poly and prop1_check sweep 2^n subsets / n x n integer matrices.
 CHAR_POLY_MAX_VERTICES = 16
 SUBSET_CHECK_MAX_VERTICES = 16
 
-_CHUNK = 1 << 20
+# The edge-count kernel yields 2^_SLICE_BITS masks at a time.
+_SLICE_BITS = 18
 
 
 @dataclass(frozen=True)
@@ -93,39 +98,40 @@ class QpeOutcome:
     shot_counts: tuple[int, ...] | None = None
 
 
-def _edge_counts(g: Graph, masks: np.ndarray) -> np.ndarray:
-    """Induced edge count of every subset mask, vectorized (fits uint16)."""
-    acc = np.zeros(masks.shape, dtype=np.uint16)
-    for i, j in g.edges():
-        acc += ((masks >> i) & (masks >> j) & 1).astype(np.uint16)
-    return acc
+def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
+    """Induced edge count of every subset mask, in ascending slices.
 
-
-def _chunks(n: int) -> list[tuple[int, int]]:
-    total = 1 << n
-    return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+    Yields (start, e) where e[i] (uint16) is the edge count induced by
+    mask start + i; the slices cover 0 .. 2^n - 1 in order.  The counts
+    of the low _SLICE_BITS vertices are built once by subset doubling,
+    e(S + {k}) = e(S) + |adj[k] & S| for S below k.  A slice adds the
+    edges among its fixed high vertices, then one popcount pass per
+    high vertex for its edges into the low part.
+    """
+    bits = min(g.n, _SLICE_BITS)
+    low = np.arange(1 << bits, dtype=np.uint32)
+    base = np.zeros(1 << bits, dtype=np.uint16)
+    for k in range(1, bits):
+        half = 1 << k
+        base[half : 2 * half] = base[:half] + np.bitwise_count(low[:half] & g.adj[k])
+    for start in range(0, 1 << g.n, 1 << bits):
+        e = base + induced_edge_count(g, start)
+        for v in range(bits, g.n):
+            if start >> v & 1:
+                e += np.bitwise_count(low & g.adj[v])
+        yield start, e
 
 
 def classical_histogram(g: Graph, threads: int = 1) -> EdgeHistogram:
     """Brute-force oracle: sweep all 2^n subsets and tally edge counts.
 
-    The sweep is chunked; chunks may run on a thread pool but are
-    merged by summation, so the result is independent of threads.
+    threads is accepted for compatibility and ignored: the sweep is one
+    single-threaded pass.
     """
-    m = g.m
-
-    def tally(span: tuple[int, int]) -> np.ndarray:
-        idx = np.arange(span[0], span[1], dtype=np.uint32)
-        return np.bincount(_edge_counts(g, idx), minlength=m + 1)
-
-    spans = _chunks(g.n)
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(tally, spans))
-    else:
-        parts = [tally(s) for s in spans]
-    counts = np.sum(parts, axis=0)
-    return EdgeHistogram(n=g.n, m=m, counts=tuple(int(c) for c in counts))
+    counts = np.zeros(g.m + 1, dtype=np.int64)
+    for _, e in _edge_counts(g):
+        counts += np.bincount(e, minlength=g.m + 1)
+    return EdgeHistogram(n=g.n, m=g.m, counts=tuple(int(c) for c in counts))
 
 
 def quantum_histogram(
@@ -188,18 +194,14 @@ def quantum_histogram(
     )
 
 
-def fingerprint(g: Graph, threads: int = 1) -> str:
-    """Canonical text form of the invariant: "n=..;m=..;h=c0,c1,..."."""
-    hist = classical_histogram(g, threads=threads)
-    return f"n={g.n};m={g.m};h=" + ",".join(str(c) for c in hist.counts)
-
-
 def invariant_equal(g1: Graph, g2: Graph, threads: int = 1) -> bool:
-    """True iff both graphs have identical edge-count histograms."""
+    """True iff both graphs have identical edge-count histograms.
+
+    threads is accepted for compatibility and ignored."""
     if g1.n != g2.n or g1.m != g2.m:
         return False
-    h1 = classical_histogram(g1, threads=threads)
-    h2 = classical_histogram(g2, threads=threads)
+    h1 = classical_histogram(g1)
+    h2 = classical_histogram(g2)
     return h1.counts == h2.counts
 
 
@@ -249,14 +251,12 @@ def prop1_check(g1: Graph, g2: Graph, perm: Permutation) -> bool:
         )
     if sorted(perm) != list(range(n)):
         raise InputError(f"not a permutation of 0..{n - 1}: {perm}")
-    for lo, hi in _chunks(n):
-        masks = np.arange(lo, hi, dtype=np.uint32)
-        mapped = np.zeros_like(masks)
-        for i in range(n):
-            mapped |= ((masks >> i) & 1) << perm[i]
-        if not np.array_equal(_edge_counts(g1, masks), _edge_counts(g2, mapped)):
-            return False
-    return True
+    # e_G2(perm(s)) is the count of s in G2 relabelled by perm's inverse.
+    inverse = [0] * n
+    for i, p in enumerate(perm):
+        inverse[p] = i
+    pulled = _edge_counts(g2.permuted(tuple(inverse)))
+    return all(np.array_equal(a, b) for (_, a), (_, b) in zip(_edge_counts(g1), pulled))
 
 
 def max_independent_set(g: Graph) -> tuple[int, int]:
@@ -266,19 +266,17 @@ def max_independent_set(g: Graph) -> tuple[int, int]:
     """
     best_size = -1
     best_mask = 0
-    for lo, hi in _chunks(g.n):
-        masks = np.arange(lo, hi, dtype=np.uint32)
-        zero = _edge_counts(g, masks) == 0
-        if not np.any(zero):
+    for start, e in _edge_counts(g):
+        zero = np.flatnonzero(e == 0)
+        if zero.size == 0:
             continue
-        cand = masks[zero]
-        sizes = np.bitwise_count(cand)
-        top = int(sizes.max())
-        if top > best_size:
-            best_size = top
-            best_mask = int(cand[sizes == top].min())
-        elif top == best_size:
-            best_mask = min(best_mask, int(cand[sizes == top].min()))
+        # argmax picks the smallest mask of the largest size; slices
+        # ascend, so a later slice wins only with a strictly larger set.
+        sizes = np.bitwise_count(zero)
+        top = int(np.argmax(sizes))
+        size = int(sizes[top]) + start.bit_count()
+        if size > best_size:
+            best_size, best_mask = size, start + int(zero[top])
     return best_size, best_mask
 
 

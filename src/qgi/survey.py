@@ -4,7 +4,9 @@ isomorphism classes, and where does it collide?
 Classes are enumerated by extending each (n-1)-vertex representative
 with one new vertex over all 2^(n-1) neighborhoods, deduplicating by
 canonical code.  Representatives are rebuilt from sorted codes, so the
-output is deterministic regardless of thread count.
+output is deterministic.  Everything runs on one thread: the per-class
+work is many short numpy and pure-Python calls, and a thread pool won
+under a tenth on two cores.  threads keywords are accepted and ignored.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CacheError, InputError, InternalCheckError, ResourceLimitError
@@ -55,15 +56,10 @@ class SurveyReport:
         }
 
 
-def _map(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def enumerate_classes(n: int, threads: int = 1) -> GraphClassSet:
-    """All isomorphism classes on exactly n vertices (n <= 8)."""
+    """All isomorphism classes on exactly n vertices (n <= 8).
+
+    threads is accepted for compatibility and ignored."""
     if not 1 <= n <= SURVEY_MAX_CLASSICAL:
         raise ResourceLimitError(
             f"class enumeration supports 1 <= n <= {SURVEY_MAX_CLASSICAL}, got {n}"
@@ -77,7 +73,7 @@ def enumerate_classes(n: int, threads: int = 1) -> GraphClassSet:
                 rows = [base[i] | (((nb >> i) & 1) << (k - 1)) for i in range(k - 1)]
                 rows.append(nb)
                 candidates.append(Graph(k, tuple(rows)))
-        codes = set(_map(canonical_code, candidates, threads))
+        codes = {canonical_code(c) for c in candidates}
         reps = [from_canonical_code(k, c) for c in sorted(codes)]
     return GraphClassSet(n=n, representatives=tuple(reps))
 
@@ -86,7 +82,8 @@ def run_survey(n: int, source: str = "classical", threads: int = 1) -> SurveyRep
     """Histogram and spectrum statistics over all classes on n vertices.
 
     Every pair of representatives sharing a histogram is re-checked to
-    be non-isomorphic; a failure indicates an enumeration bug.
+    be non-isomorphic; a failure indicates an enumeration bug.  threads
+    is accepted for compatibility and ignored.
     """
     if source == "classical":
         cap = SURVEY_MAX_CLASSICAL
@@ -97,19 +94,15 @@ def run_survey(n: int, source: str = "classical", threads: int = 1) -> SurveyRep
     if not 1 <= n <= cap:
         raise ResourceLimitError(f"survey source {source} supports n <= {cap}, got {n}")
     start = time.perf_counter()
-    classes = enumerate_classes(n, threads=threads)
+    classes = enumerate_classes(n)
     reps = classes.representatives
 
     if source == "classical":
-        fingerprints = _map(
-            lambda g: classical_histogram(g).counts, reps, threads
-        )
+        fingerprints = [classical_histogram(g).counts for g in reps]
     else:
         # Fused controlled powers: identical outcome, far fewer gates.
-        fingerprints = _map(
-            lambda g: quantum_histogram(g, fuse=True).histogram.counts, reps, threads
-        )
-    spectra = _map(lambda g: char_poly(g).coeffs, reps, threads)
+        fingerprints = [quantum_histogram(g, fuse=True).histogram.counts for g in reps]
+    spectra = [char_poly(g).coeffs for g in reps]
 
     groups: dict[tuple[int, ...], list[int]] = {}
     for idx, fp in enumerate(fingerprints):

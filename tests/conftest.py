@@ -5,7 +5,16 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from hypothesis import settings
+
 from qgi import Graph
+
+# Property tests replay the same examples on every run, so the suite stays
+# deterministic and bounded in time.
+settings.register_profile(
+    "pinned", derandomize=True, max_examples=60, deadline=None, database=None
+)
+settings.load_profile("pinned")
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

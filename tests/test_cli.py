@@ -47,6 +47,14 @@ def test_load_graph_format_sniffing():
     assert forced.n == 3
 
 
+def test_invariant_single_vertex_adjacency(capsys):
+    # "0" is the 1x1 adjacency matrix; graph6 has no character 0.
+    code, out, err = run_cli(capsys, "invariant", "0", "--output", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["n"], doc["m"], doc["counts"]) == (1, 0, [2])
+
+
 # --- invariant command ---
 
 def test_invariant_c4_classical_table(capsys):

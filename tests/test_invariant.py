@@ -3,8 +3,11 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from conftest import random_graph, random_permutation, slow_char_poly, slow_histogram
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qgi import (
     CharPoly,
@@ -16,7 +19,6 @@ from qgi import (
     are_isomorphic,
     char_poly,
     classical_histogram,
-    fingerprint,
     induced_edge_count,
     invariant_equal,
     invariant_json,
@@ -27,6 +29,7 @@ from qgi import (
     quantum_histogram,
     spectra_equal,
 )
+from qgi.invariant import _SLICE_BITS, _edge_counts
 
 FROZEN_COUNTS = {
     "c4": [7, 4, 4, 0, 1],
@@ -90,12 +93,54 @@ def test_classical_histogram_threads_equal():
 
 
 def test_classical_histogram_multichunk_threads_equal():
-    # n = 21 spans two sweep chunks
+    # n = 21 spans eight sweep slices; threads is accepted and ignored
     path = Graph.from_edges(21, [(i, i + 1) for i in range(20)])
     a = classical_histogram(path, threads=2)
     b = classical_histogram(path, threads=1)
     assert a.counts == b.counts
     assert sum(a.counts) == 1 << 21
+
+
+@st.composite
+def graphs(draw, max_n: int = 10) -> Graph:
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph.from_edges(n, [p for k, p in enumerate(pairs) if chosen >> k & 1])
+
+
+@given(graphs())
+def test_classical_histogram_matches_per_mask_counts(g):
+    # The subset-doubling kernel against the independent per-mask count.
+    counts = [0] * (g.m + 1)
+    for mask in range(1 << g.n):
+        counts[induced_edge_count(g, mask)] += 1
+    assert list(classical_histogram(g).counts) == counts
+
+
+@pytest.mark.parametrize("n", [19, 21])
+def test_edge_counts_across_slice_boundaries(n):
+    rng = random.Random(308 + n)
+    g = random_graph(rng, n, p=0.3)
+    size = 1 << _SLICE_BITS
+    starts = []
+    for start, e in _edge_counts(g):
+        assert e.dtype == np.uint16 and len(e) == size
+        # The first and last mask of every slice: both sides of each boundary.
+        for offset in (0, 1, size - 2, size - 1, rng.randrange(size)):
+            assert int(e[offset]) == induced_edge_count(g, start + offset)
+        starts.append(start)
+    assert starts == list(range(0, 1 << n, size))
+
+
+def test_max_independent_set_skips_slices_without_edgeless_subsets():
+    # Every mask holding both vertices 18 and 19 induces their edge, so
+    # the slice with both high bits set has no edgeless subset at all.
+    g = Graph.from_edges(20, [(18, 19), (0, 1), (2, 3)])
+    size, mask = max_independent_set(g)
+    assert size == 17
+    assert mask == (1 << 20) - 1 - (1 << 1) - (1 << 3) - (1 << 19)
+    assert induced_edge_count(g, mask) == 0
 
 
 # --- quantum histogram ---
@@ -161,11 +206,7 @@ def test_quantum_plan_metadata():
     assert (outcome.plan.t, outcome.plan.oracle_calls) == (4, 15)
 
 
-# --- equality and fingerprints ---
-
-def test_fingerprint_c4():
-    assert fingerprint(named_graph("c4")) == "n=4;m=4;h=7,4,4,0,1"
-
+# --- equality ---
 
 def test_invariant_equal():
     assert invariant_equal(named_graph("m1"), named_graph("m2"))
