@@ -60,6 +60,7 @@ from .simulator import (
     dump_amplitudes,
     init_state,
     marginal,
+    peak_bytes,
     phase_table,
     run,
     sample,
@@ -122,6 +123,7 @@ __all__ = [
     "parse_edge_list",
     "parse_graph6",
     "parse_qasm",
+    "peak_bytes",
     "phase_table",
     "plan_precision",
     "prop1_check",

@@ -31,7 +31,7 @@ from .invariant import (
     quantum_histogram,
     spectra_equal,
 )
-from .simulator import DEFAULT_MAX_QUBITS, dump_amplitudes, run
+from .simulator import DEFAULT_MAX_QUBITS, dump_amplitudes
 from .survey import (
     SURVEY_MAX_CLASSICAL,
     SURVEY_MAX_QPE,
@@ -100,10 +100,9 @@ def cmd_invariant(args) -> int:
         counts = out.shot_counts if out.histogram is None else out.histogram.counts
         probs = out.probabilities
         source = out.source
-    if args.dump_state and args.mode != "classical" and g.m > 0:
-        state = run(build_qpe(g, fuse=args.fuse), max_qubits=args.max_qubits)
-        with open(args.dump_state, "w", encoding="utf-8") as fh:
-            json.dump(dump_amplitudes(state), fh)
+        if args.dump_state and out.state is not None:
+            with open(args.dump_state, "w", encoding="utf-8") as fh:
+                json.dump(dump_amplitudes(out.state), fh)
 
     if args.output == "json":
         print(json.dumps(invariant_json(g.n, g.m, counts, probs, source)))

@@ -15,14 +15,14 @@ so its temporaries stay small at any n.  threads keywords are ignored.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import PrecisionPlan, build_qpe, plan_precision
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .graphs import Graph, Permutation, induced_edge_count
-from .simulator import DEFAULT_MAX_QUBITS, marginal, run, sample
+from .simulator import DEFAULT_MAX_QUBITS, Statevector, marginal, run, sample
 
 # char_poly and prop1_check sweep 2^n subsets / n x n integer matrices.
 CHAR_POLY_MAX_VERTICES = 16
@@ -86,7 +86,8 @@ class QpeOutcome:
 
     probabilities are the estimation-register outcome probabilities for
     edge counts 0..m (exact mode: pre-rounding values; shot mode:
-    empirical frequencies).
+    empirical frequencies).  state is the simulated final statevector
+    (None for an edgeless graph, which is not simulated).
     """
 
     source: str
@@ -96,6 +97,7 @@ class QpeOutcome:
     shots: int | None = None
     seed: int | None = None
     shot_counts: tuple[int, ...] | None = None
+    state: Statevector | None = field(default=None, compare=False, repr=False)
 
 
 def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
@@ -174,7 +176,11 @@ def quantum_histogram(
             raise InternalCheckError("nonzero probability beyond m edges")
         hist = EdgeHistogram(n=g.n, m=g.m, counts=tuple(int(c) for c in counts[: g.m + 1]))
         return QpeOutcome(
-            "qpe-exact", plan, hist, tuple(float(x) for x in dist.probs[: g.m + 1])
+            "qpe-exact",
+            plan,
+            hist,
+            tuple(float(x) for x in dist.probs[: g.m + 1]),
+            state=state,
         )
     result = sample(state, circuit.est_register, shots=shots, seed=seed)
     tallies = [0] * (1 << plan.t)
@@ -191,6 +197,7 @@ def quantum_histogram(
         shots=shots,
         seed=seed,
         shot_counts=tuple(tallies[: g.m + 1]),
+        state=state,
     )
 
 

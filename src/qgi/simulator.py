@@ -2,18 +2,33 @@
 
 Amplitude indexing is little-endian: qubit i is bit i of the state
 index, so a graph-register basis state IS the vertex-subset mask.
-Gates are applied in place through reshaped views; only H needs a
-temporary copy of half the array.
+
+`run` compiles the gate list into segments before it touches any
+amplitude:
+- a leading layer of H gates on every qubit of |0...0> is only the
+  scale factor 2^(-w/2) of the uniform state;
+- each maximal run of phase gates (p, cp, ccp) whose turns are dyadic
+  with at most 16 bits is merged per qubit set by exact sums of turns,
+  accumulated as an integer phase index mod 2^T in a uint16 array, and
+  written by one lookup in a 2^T-entry exp table, block by block of
+  2^16 basis states;
+- a tail equal to the inverse QFT on the estimation register is one
+  in-place FFT along that register's axis.
+Every other gate goes through `apply_gate`, the gate-by-gate reference
+that the tests compare `run` against.  It works in place on reshaped
+views; H needs a temporary of the array's size and swap half of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .circuit import HARD_MAX_QUBITS, Circuit, Gate
+from .circuit import HARD_MAX_QUBITS, Circuit, Gate, _shifted, inverse_qft
 from .errors import InputError, InternalCheckError, ResourceLimitError
 
 # Default runtime ceiling; callers may raise it up to HARD_MAX_QUBITS.
@@ -31,9 +46,6 @@ class Statevector:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
-
-    def copy(self) -> Statevector:
-        return Statevector(self.n_qubits, self.amps.copy())
 
 
 @dataclass(frozen=True)
@@ -109,8 +121,198 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     return state
 
 
+# A phase run accumulates turns in units of 2^-T with T <= _PHASE_BITS,
+# so the integer phase index of every basis state fits in a uint16.
+_PHASE_BITS = 16
+_PHASE_KINDS = ("p", "cp", "ccp")
+# A phase run works on blocks of 2^_BLOCK_BITS basis states, so its phase
+# index and lookup temporaries stay in cache and small at any width.
+_BLOCK_BITS = 16
+
+# Bytes held at the peak of the compiled steps: per amplitude, the
+# complex128 amplitudes plus the largest temporary; per block element,
+# a phase run's uint16 index, its intp cast and a complex128 lookup.
+_AMP_BYTES = 16
+_GATE_TEMP_BYTES = {"h": 16, "swap": 8}  # apply_gate's copies
+_PROBS_BYTES = 8  # float64 |amp|^2 of the norm check and of marginal
+_BLOCK_TEMP_BYTES = 2 + 8 + 16
+
+
+@dataclass(frozen=True)
+class _PhaseRun:
+    """Merged phase gates: (sorted qubits, phase in units of 2^-bits
+    turns) per qubit set, each applied to the basis states with all of
+    those qubits set."""
+
+    bits: int
+    terms: tuple[tuple[tuple[int, ...], int], ...]
+
+
+@dataclass(frozen=True)
+class _Program:
+    """A circuit compiled for `run`: optional uniform start, the steps
+    in order, and whether an inverse QFT on the estimation register
+    ends it."""
+
+    width: int
+    uniform: bool
+    steps: tuple[Gate | _PhaseRun, ...]
+    fft_tail: bool
+
+
+def _dyadic_bits(turns: Fraction) -> int | None:
+    """Bits of the power-of-two denominator of turns, None if not dyadic."""
+    den = turns.denominator
+    return den.bit_length() - 1 if den & (den - 1) == 0 else None
+
+
+def _phase_run(gates: list[Gate]) -> _PhaseRun:
+    # Exact sums of the turns per qubit set, in units of 2^-_PHASE_BITS.
+    merged: dict[tuple[int, ...], int] = {}
+    for gate in gates:
+        key = tuple(sorted(gate.qubits))
+        units = gate.turns.numerator << (_PHASE_BITS - _dyadic_bits(gate.turns))
+        merged[key] = (merged.get(key, 0) + units) % (1 << _PHASE_BITS)
+    merged = {key: units for key, units in merged.items() if units}
+    # The coarsest unit that still expresses every merged phase.
+    shift = min(((units & -units).bit_length() - 1 for units in merged.values()), default=0)
+    terms = tuple((key, units >> shift) for key, units in merged.items())
+    return _PhaseRun(_PHASE_BITS - shift if terms else 0, terms)
+
+
+@functools.lru_cache(maxsize=32)
+def _iqft_tail(n_graph: int, n_est: int) -> tuple[Gate, ...]:
+    return _shifted(inverse_qft(n_est), n_graph)
+
+
+def _compile(circuit: Circuit) -> _Program:
+    gates = circuit.gates
+    w = circuit.width
+    lead: set[int] = set()
+    for gate in gates:
+        if gate.kind != "h" or gate.qubits[0] in lead:
+            break
+        lead.add(gate.qubits[0])
+    uniform = len(lead) == w
+    body = gates[w:] if uniform else gates
+    fft_tail = False
+    if circuit.n_est:
+        tail = _iqft_tail(circuit.n_graph, circuit.n_est)
+        if len(body) >= len(tail) and body[len(body) - len(tail) :] == tail:
+            fft_tail = True
+            body = body[: len(body) - len(tail)]
+    steps: list[Gate | _PhaseRun] = []
+    run_gates: list[Gate] = []
+    for gate in body:
+        if gate.kind in _PHASE_KINDS:
+            bits = _dyadic_bits(gate.turns)
+            if bits is not None and bits <= _PHASE_BITS:
+                run_gates.append(gate)
+                continue
+        if run_gates:
+            steps.append(_phase_run(run_gates))
+            run_gates = []
+        steps.append(gate)
+    if run_gates:
+        steps.append(_phase_run(run_gates))
+    return _Program(w, uniform, tuple(steps), fft_tail)
+
+
+def _program_peak_bytes(program: _Program) -> int:
+    extra = _PROBS_BYTES
+    block = 0
+    for step in program.steps:
+        if isinstance(step, _PhaseRun):
+            block = _BLOCK_TEMP_BYTES << min(program.width, _BLOCK_BITS)
+        else:
+            extra = max(extra, _GATE_TEMP_BYTES.get(step.kind, 0))
+    return ((_AMP_BYTES + extra) << program.width) + block
+
+
+def peak_bytes(circuit: Circuit) -> int:
+    """Estimated peak bytes of `run` on circuit followed by `marginal`.
+
+    Counts the complex128 amplitudes, the block temporaries of a phase
+    run (its uint16 phase index and the table lookup), the temporaries
+    of gates left to apply_gate, and the float64 probabilities of the
+    norm check and of marginal.
+    """
+    return _program_peak_bytes(_compile(circuit))
+
+
+def _mem_available() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes, None where unreadable."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
+    return None
+
+
+def _ones_view(arr: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """View of the entries of arr whose index has every bit in qubits
+    (sorted ascending) set."""
+    shape: list[int] = []
+    low = 0
+    for q in qubits:
+        shape[:0] = [2, 1 << (q - low)]
+        low = q + 1
+    key = (slice(None),) + (1, slice(None)) * len(qubits)
+    return arr.reshape([-1, *shape])[key]
+
+
+def _uniform(width: int) -> np.ndarray:
+    return np.full(1 << width, 2.0 ** (-width / 2), dtype=np.complex128)
+
+
+def _apply_phase_run(amps: np.ndarray | None, width: int, step: _PhaseRun) -> np.ndarray:
+    """amps times the run's phases, in place; amps None stands for the
+    uniform state, which is then written once from the phase table.
+
+    Block by block: a term's qubits below _BLOCK_BITS select entries of
+    the block's phase index, the ones above select the blocks it
+    reaches, so terms that share their low qubits add to the index as
+    one.
+    """
+    bits = min(width, _BLOCK_BITS)
+    size = 1 << bits
+    # low qubits -> [(mask of high qubits, phase units)]
+    split: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for qubits, k in step.terms:
+        low = tuple(q for q in qubits if q < bits)
+        high = sum(1 << q for q in qubits if q >= bits)
+        split.setdefault(low, []).append((high, k))
+    table = np.exp(2j * math.pi / (1 << step.bits) * np.arange(1 << step.bits))
+    uniform = amps is None
+    if uniform:
+        table *= 2.0 ** (-width / 2)
+        amps = np.empty(1 << width, dtype=np.complex128)
+    idx = np.empty(size, dtype=np.uint16)
+    for start in range(0, 1 << width, size):
+        idx.fill(0)
+        for low, parts in split.items():
+            units = sum(k for high, k in parts if start & high == high) % (1 << _PHASE_BITS)
+            if units:
+                _ones_view(idx, low)[...] += np.uint16(units)
+        if step.bits < _PHASE_BITS:
+            idx &= np.uint16((1 << step.bits) - 1)
+        block = amps[start : start + size]
+        if uniform:
+            np.take(table, idx, out=block)
+        else:
+            block *= table[idx]
+    return amps
+
+
 def run(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
-    """Simulate from |0...0>, returning the final statevector."""
+    """Simulate from |0...0>, returning the final statevector.
+
+    Raises ResourceLimitError before allocating when the width exceeds
+    max_qubits or peak_bytes exceeds the memory available.
+    """
     if max_qubits > HARD_MAX_QUBITS:
         raise ResourceLimitError(
             f"max_qubits {max_qubits} exceeds hard limit {HARD_MAX_QUBITS}"
@@ -119,9 +321,31 @@ def run(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
         raise ResourceLimitError(
             f"circuit width {circuit.width} exceeds limit {max_qubits}"
         )
-    state = init_state(circuit.width)
-    for gate in circuit.gates:
-        apply_gate(state, gate)
+    program = _compile(circuit)
+    need = _program_peak_bytes(program)
+    available = _mem_available()
+    if available is not None and need > available:
+        raise ResourceLimitError(
+            f"circuit width {circuit.width} needs about {need / 2**20:.1f} MiB, "
+            f"only {available / 2**20:.1f} MiB available"
+        )
+    w = circuit.width
+    # amps stays None while the state is the uniform one.
+    amps = None if program.uniform else init_state(w).amps
+    for step in program.steps:
+        if isinstance(step, _PhaseRun):
+            if step.terms:
+                amps = _apply_phase_run(amps, w, step)
+            continue
+        if amps is None:
+            amps = _uniform(w)
+        apply_gate(Statevector(w, amps), step)
+    if amps is None:
+        amps = _uniform(w)
+    if program.fft_tail:
+        v = amps.reshape(1 << circuit.n_est, -1)
+        np.fft.fft(v, axis=0, norm="ortho", out=v)
+    state = Statevector(w, amps)
     norm = state.norm_sq()
     if abs(norm - 1.0) > 1e-9:
         raise InternalCheckError(f"norm drifted to {norm!r} after {len(circuit.gates)} gates")

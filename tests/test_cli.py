@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+import qgi.cli
+import qgi.invariant
+import qgi.simulator
 from qgi import build_qpe, classical_histogram, named_graph, parse_qasm
 from qgi.cli import load_graph, main
 
@@ -135,6 +138,34 @@ def test_invariant_dump_state(capsys, tmp_path):
     assert norm == pytest.approx(1.0, abs=1e-9)
     indices = [i for i, _, _ in doc["amplitudes"]]
     assert len(set(indices)) == len(indices)
+
+
+def test_invariant_dump_state_simulates_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(run):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(qgi.invariant, "run", counted(qgi.invariant.run))
+    monkeypatch.setattr(qgi.cli, "run", counted(qgi.simulator.run), raising=False)
+    path = tmp_path / "state.json"
+    code, _, _ = run_cli(
+        capsys, "invariant", "m3", "--mode", "qpe", "--dump-state", str(path)
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(path.read_text())["qubits"] == 6
+
+
+def test_invariant_memory_refusal_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(qgi.simulator, "_mem_available", lambda: 1 << 10)
+    code, out, err = run_cli(capsys, "invariant", "c4", "--mode", "qpe")
+    assert code == 3
+    assert out == "" and "MiB available" in err
 
 
 def test_invariant_threads_flag(capsys):

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qgi import build_oracle, build_qpe, named_graph
-from qgi.circuit import Circuit, ccp, cp, h, p, swap
+import qgi.simulator
+from qgi import build_oracle, build_qpe, inverse_qft, named_graph
+from qgi.circuit import Circuit, Gate, ccp, cp, h, p, swap
 from qgi.errors import InputError, InternalCheckError, ResourceLimitError
 from qgi.simulator import (
     DEFAULT_MAX_QUBITS,
@@ -17,10 +20,13 @@ from qgi.simulator import (
     dump_amplitudes,
     init_state,
     marginal,
+    peak_bytes,
     phase_table,
     run,
     sample,
 )
+
+from conftest import random_graph
 
 # Induced edge counts of C4 by subset mask, frozen by hand.
 C4_EDGE_COUNTS = [0, 0, 0, 1, 0, 0, 1, 2, 0, 1, 0, 2, 1, 2, 2, 4]
@@ -187,6 +193,130 @@ def test_oracle_on_superposition_carries_edge_counts():
     for s, k in enumerate(C4_EDGE_COUNTS):
         expect = np.exp(1j * k * math.pi / 4) / 4.0
         assert abs(state.amps[s] - expect) < 1e-12, s
+
+
+# --- compiled run against the gate loop ---
+
+def _gate_loop(circuit: Circuit) -> np.ndarray:
+    """The reference: |0...0> and apply_gate for every gate, in order."""
+    state = init_state(circuit.width)
+    for gate in circuit.gates:
+        apply_gate(state, gate)
+    return state.amps
+
+
+def _iqft_on_est(n_graph: int, n_est: int) -> tuple[Gate, ...]:
+    return tuple(
+        Gate(g.kind, tuple(q + n_graph for q in g.qubits), g.turns)
+        for g in inverse_qft(n_est)
+    )
+
+
+# Dyadic turns of 1 to 17 bits (17 exceeds the phase index), and
+# non-dyadic ones: both kinds must reach the same amplitudes.
+_TURNS = st.one_of(
+    st.builds(
+        lambda k, bits: Fraction(2 * k + 1, 1 << bits),
+        st.integers(0, 1 << 16),
+        st.sampled_from([1, 3, 16, 17]),
+    ),
+    st.sampled_from([Fraction(1, 3), Fraction(2, 5), Fraction(7, 24)]),
+)
+
+
+@st.composite
+def _circuits(draw) -> Circuit:
+    n_graph = draw(st.integers(1, 6))
+    n_est = draw(st.integers(0, 8 - n_graph))
+    w = n_graph + n_est
+    lead = draw(st.sampled_from(("full", "partial", "none")))
+    gates: list[Gate] = []
+    if lead == "full":
+        gates += [h(q) for q in draw(st.permutations(range(w)))]
+    elif lead == "partial":
+        gates += [h(q) for q in draw(st.lists(st.integers(0, w - 1), max_size=2 * w))]
+    arity = {"p": 1, "cp": 2, "ccp": 3, "h": 1, "swap": 2}
+    kinds = [k for k, a in arity.items() if a <= w]
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = tuple(draw(st.permutations(range(w)))[: arity[kind]])
+        turns = draw(_TURNS) % 1 if kind in ("p", "cp", "ccp") else None
+        gates.append(Gate(kind, qubits, turns))
+    if n_est and draw(st.booleans()):
+        gates += _iqft_on_est(n_graph, n_est)
+    return Circuit(n_graph=n_graph, n_est=n_est, gates=tuple(gates))
+
+
+@pytest.mark.parametrize("block_bits", [qgi.simulator._BLOCK_BITS, 2])
+@given(circuit=_circuits())
+def test_compiled_run_matches_gate_loop(block_bits, circuit):
+    # Blocks of 4 states split phase terms between a block's index and
+    # the choice of blocks, as wide circuits do with the default blocks.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qgi.simulator, "_BLOCK_BITS", block_bits)
+        amps = run(circuit).amps
+    np.testing.assert_allclose(amps, _gate_loop(circuit), rtol=0, atol=1e-12)
+
+
+def test_compiled_run_matches_gate_loop_beyond_one_block():
+    circuit = build_qpe(random_graph(random.Random(413), 13, 0.3), fuse=True)
+    assert circuit.width > qgi.simulator._BLOCK_BITS
+    np.testing.assert_allclose(run(circuit).amps, _gate_loop(circuit), rtol=0, atol=1e-12)
+
+
+def test_fused_and_unfused_qpe_compile_alike():
+    rng = random.Random(411)
+    for g in (named_graph("petersen"), random_graph(rng, 7), random_graph(rng, 8)):
+        fused = build_qpe(g, fuse=True)
+        unfused = build_qpe(g, fuse=False)
+        amps = run(fused).amps
+        np.testing.assert_allclose(run(unfused).amps, amps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_gate_loop(fused), amps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_gate_loop(unfused), amps, rtol=0, atol=1e-12)
+
+
+def test_qpe_circuits_need_no_gate_loop(monkeypatch):
+    # Uniform fill, one phase run and the FFT tail cover every QPE gate.
+    applied = []
+    monkeypatch.setattr(qgi.simulator, "apply_gate", lambda s, g: applied.append(g))
+    rng = random.Random(412)
+    for g in (named_graph("c4"), named_graph("petersen"), random_graph(rng, 9)):
+        for fuse in (True, False):
+            run(build_qpe(g, fuse=fuse))
+    assert applied == []
+
+
+# --- memory admission ---
+
+def test_peak_bytes_counts_amplitudes_and_temporaries():
+    w = 5
+    uniform = tuple(h(q) for q in range(w))
+    # Amplitudes plus the float64 probabilities of marginal.
+    assert peak_bytes(Circuit(n_graph=w, n_est=0, gates=uniform)) == 24 << w
+    # A phase run adds its block temporaries: index, intp cast, lookup.
+    assert peak_bytes(build_qpe(named_graph("c4"))) == (24 << 7) + (26 << 7)
+    # A mid-circuit H copies as much as the whole array.
+    mid_h = uniform + (h(0),)
+    assert peak_bytes(Circuit(n_graph=w, n_est=0, gates=mid_h)) == 32 << w
+    # The estimate is pure arithmetic: width-28 circuits allocate nothing,
+    # and a phase run's temporaries stay one block of 2^16 states.
+    wide = tuple(h(q) for q in range(28))
+    assert peak_bytes(Circuit(n_graph=28, n_est=0, gates=wide + (h(3),))) == 32 << 28
+    phased = wide + (cp(0, 27, Fraction(1, 4)),)
+    assert peak_bytes(Circuit(n_graph=28, n_est=0, gates=phased)) == (24 << 28) + (26 << 16)
+
+
+def test_run_refuses_beyond_available_memory(monkeypatch):
+    qpe = build_qpe(named_graph("petersen"))
+    need = peak_bytes(qpe)
+    monkeypatch.setattr(qgi.simulator, "_mem_available", lambda: need - 1)
+    with pytest.raises(ResourceLimitError, match="MiB available"):
+        run(qpe)
+    monkeypatch.setattr(qgi.simulator, "_mem_available", lambda: need)
+    assert run(qpe).n_qubits == 14
+    # Where the available memory cannot be read, nothing is refused.
+    monkeypatch.setattr(qgi.simulator, "_mem_available", lambda: None)
+    assert run(qpe).n_qubits == 14
 
 
 # --- marginals ---
