@@ -46,7 +46,6 @@ from .invariant import (
     char_poly,
     classical_histogram,
     invariant_equal,
-    invariant_json,
     max_independent_set,
     prop1_check,
     quantum_histogram,
@@ -66,7 +65,6 @@ from .simulator import (
     sample,
 )
 from .survey import (
-    GraphClassSet,
     SurveyReport,
     enumerate_classes,
     load_report,
@@ -85,7 +83,6 @@ __all__ = [
     "FIXTURE_NAMES",
     "Gate",
     "Graph",
-    "GraphClassSet",
     "GraphParseError",
     "InputError",
     "InternalCheckError",
@@ -112,7 +109,6 @@ __all__ = [
     "induced_edge_count",
     "init_state",
     "invariant_equal",
-    "invariant_json",
     "inverse_qft",
     "is_fixture",
     "load_report",

@@ -306,7 +306,9 @@ def _angle_to_turns(tok: str) -> Fraction:
     try:
         angle = float(tok)
     except ValueError:
-        raise InputError(f"bad angle literal {tok!r}") from None
+        angle = math.nan  # rejected with nan, inf and overflowing literals
+    if not math.isfinite(angle):
+        raise InputError(f"bad angle literal {tok!r}")
     turns = Fraction(angle / math.tau).limit_denominator(1 << 16) % 1
     if abs(float(turns) * math.tau - angle % math.tau) > 1e-9:
         raise InputError(f"angle {tok} is not a recognized dyadic fraction of 2*pi")
@@ -326,8 +328,14 @@ def parse_qasm(text: str) -> Circuit:
     gates: list[Gate] = []
     meas: list[tuple[int, int]] = []
 
+    def num(tok: str) -> int:
+        # int() refuses digit strings past a few thousand digits.
+        if len(tok) > 9:
+            raise InputError(f"number {tok[:12]}... is too large")
+        return int(tok)
+
     def qb(reg: str, idx: str) -> int:
-        i = int(idx)
+        i = num(idx)
         if i >= sizes[reg]:
             raise InputError(f"qubit {reg}[{i}] outside declared register")
         return i if reg == "g" else sizes["g"] + i
@@ -336,7 +344,7 @@ def parse_qasm(text: str) -> Circuit:
         if line.startswith("include"):
             continue
         if mt := _DECL_RE.fullmatch(line):
-            sizes[mt.group(2)] = int(mt.group(1))
+            sizes[mt.group(2)] = num(mt.group(1))
         elif _BIT_RE.fullmatch(line):
             pass
         elif mt := _H_RE.fullmatch(line):
@@ -363,7 +371,7 @@ def parse_qasm(text: str) -> Circuit:
         elif mt := _SWAP_RE.fullmatch(line):
             gates.append(swap(qb(mt.group(1), mt.group(2)), qb(mt.group(3), mt.group(4))))
         elif mt := _MEAS_RE.fullmatch(line):
-            meas.append((int(mt.group(1)), qb(mt.group(2), mt.group(3))))
+            meas.append((num(mt.group(1)), qb(mt.group(2), mt.group(3))))
         else:
             raise InputError(f"unsupported statement: {line!r}")
     if sizes["g"] < 1:

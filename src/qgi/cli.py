@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .circuit import build_qpe, export_qasm, plan_precision
+from .circuit import build_qpe, export_qasm
 from .errors import InputError, InternalCheckError, QgiError, ResourceLimitError
 from .fixtures import FIXTURE_NAMES, is_fixture, named_graph
 from .graphs import (
@@ -27,7 +27,6 @@ from .invariant import (
     CHAR_POLY_MAX_VERTICES,
     classical_histogram,
     invariant_equal,
-    invariant_json,
     quantum_histogram,
     spectra_equal,
 )
@@ -88,9 +87,7 @@ def cmd_invariant(args) -> int:
         source = "classical"
     else:
         shots = args.shots if args.mode == "shots" else None
-        out = quantum_histogram(
-            g, shots=shots, seed=args.seed, fuse=args.fuse, max_qubits=args.max_qubits
-        )
+        out = quantum_histogram(g, shots=shots, seed=args.seed, max_qubits=args.max_qubits)
         plan = out.plan
         print(
             f"qpe: width={g.n + plan.t} graph_qubits={g.n} est_qubits={plan.t} "
@@ -105,7 +102,17 @@ def cmd_invariant(args) -> int:
                 json.dump(dump_amplitudes(out.state), fh)
 
     if args.output == "json":
-        print(json.dumps(invariant_json(g.n, g.m, counts, probs, source)))
+        print(
+            json.dumps(
+                {
+                    "n": g.n,
+                    "m": g.m,
+                    "counts": list(counts),
+                    "probabilities": list(probs),
+                    "source": source,
+                }
+            )
+        )
     elif args.output == "csv":
         print("edges,probability,count")
         for k in range(len(counts)):
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--fuse",
         action="store_true",
-        help="fuse controlled oracle powers into one gate per edge",
+        help="accepted for compatibility and ignored: QPE always runs the fused circuit",
     )
     sp.add_argument(
         "--max-qubits",

@@ -9,7 +9,7 @@ comparison.
 
 Every subset sweep reads induced edge counts from one kernel,
 _edge_counts: one O(2^n) single-threaded pass in slices of 2^18 masks,
-so its temporaries stay small at any n.  threads keywords are ignored.
+so its temporaries stay small at any n.
 """
 
 from __future__ import annotations
@@ -124,12 +124,8 @@ def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
         yield start, e
 
 
-def classical_histogram(g: Graph, threads: int = 1) -> EdgeHistogram:
-    """Brute-force oracle: sweep all 2^n subsets and tally edge counts.
-
-    threads is accepted for compatibility and ignored: the sweep is one
-    single-threaded pass.
-    """
+def classical_histogram(g: Graph) -> EdgeHistogram:
+    """Brute-force oracle: sweep all 2^n subsets and tally edge counts."""
     counts = np.zeros(g.m + 1, dtype=np.int64)
     for _, e in _edge_counts(g):
         counts += np.bincount(e, minlength=g.m + 1)
@@ -140,7 +136,6 @@ def quantum_histogram(
     g: Graph,
     shots: int | None = None,
     seed: int = 0,
-    fuse: bool = False,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> QpeOutcome:
     """Read the invariant off the phase-estimation circuit.
@@ -149,7 +144,9 @@ def quantum_histogram(
     integer subset counts p(x) * 2^n, verifying each is within 1e-6 of
     an integer and that outcomes above m have zero mass.  Shot mode
     reports sampled per-outcome counts without conversion.  An edgeless
-    graph short-circuits to the trivial histogram [2^n].
+    graph short-circuits to the trivial histogram [2^n].  The circuit is
+    the fused one: it compiles to the same phase program as the paper's
+    repeated oracle powers, in fewer gates.
     """
     plan = plan_precision(g.m)
     if g.m == 0:
@@ -159,7 +156,7 @@ def quantum_histogram(
         return QpeOutcome(
             "qpe-shots", plan, hist, (1.0,), shots=shots, seed=seed, shot_counts=(shots,)
         )
-    circuit = build_qpe(g, fuse=fuse)
+    circuit = build_qpe(g, fuse=True)
     state = run(circuit, max_qubits=max_qubits)
     if shots is None:
         dist = marginal(state, circuit.est_register)
@@ -201,10 +198,8 @@ def quantum_histogram(
     )
 
 
-def invariant_equal(g1: Graph, g2: Graph, threads: int = 1) -> bool:
-    """True iff both graphs have identical edge-count histograms.
-
-    threads is accepted for compatibility and ignored."""
+def invariant_equal(g1: Graph, g2: Graph) -> bool:
+    """True iff both graphs have identical edge-count histograms."""
     if g1.n != g2.n or g1.m != g2.m:
         return False
     h1 = classical_histogram(g1)
@@ -286,19 +281,3 @@ def max_independent_set(g: Graph) -> tuple[int, int]:
             best_size, best_mask = size, start + int(zero[top])
     return best_size, best_mask
 
-
-def invariant_json(
-    n: int,
-    m: int,
-    counts: tuple[int, ...] | None,
-    probabilities: tuple[float, ...],
-    source: str,
-) -> dict:
-    """The shared result schema emitted by the CLI in JSON mode."""
-    return {
-        "n": n,
-        "m": m,
-        "counts": None if counts is None else list(counts),
-        "probabilities": list(probabilities),
-        "source": source,
-    }

@@ -56,9 +56,6 @@ class MarginalDistribution:
     register: tuple[int, ...]
     probs: np.ndarray
 
-    def as_list(self) -> list[float]:
-        return [float(x) for x in self.probs]
-
 
 @dataclass(frozen=True)
 class ShotResult:
@@ -390,6 +387,8 @@ def sample(
     """
     if shots < 1:
         raise InputError(f"shots must be positive, got {shots}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     dist = marginal(state, register)
     cdf = np.cumsum(dist.probs)
     total = cdf[-1]

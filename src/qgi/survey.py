@@ -6,13 +6,15 @@ with one new vertex over all 2^(n-1) neighborhoods, deduplicating by
 canonical code.  Representatives are rebuilt from sorted codes, so the
 output is deterministic.  Everything runs on one thread: the per-class
 work is many short numpy and pure-Python calls, and a thread pool won
-under a tenth on two cores.  threads keywords are accepted and ignored.
+under a tenth on two cores.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass
 
@@ -25,15 +27,6 @@ SURVEY_MAX_CLASSICAL = 8
 SURVEY_MAX_QPE = 7
 
 CACHE_VERSION = 1
-
-
-@dataclass(frozen=True)
-class GraphClassSet:
-    """All isomorphism classes on n vertices, one representative each,
-    sorted by canonical code."""
-
-    n: int
-    representatives: tuple[Graph, ...]
 
 
 @dataclass(frozen=True)
@@ -56,10 +49,9 @@ class SurveyReport:
         }
 
 
-def enumerate_classes(n: int, threads: int = 1) -> GraphClassSet:
-    """All isomorphism classes on exactly n vertices (n <= 8).
-
-    threads is accepted for compatibility and ignored."""
+def enumerate_classes(n: int) -> tuple[Graph, ...]:
+    """One representative of every isomorphism class on exactly n
+    vertices (n <= 8), sorted by canonical code."""
     if not 1 <= n <= SURVEY_MAX_CLASSICAL:
         raise ResourceLimitError(
             f"class enumeration supports 1 <= n <= {SURVEY_MAX_CLASSICAL}, got {n}"
@@ -75,15 +67,14 @@ def enumerate_classes(n: int, threads: int = 1) -> GraphClassSet:
                 candidates.append(Graph(k, tuple(rows)))
         codes = {canonical_code(c) for c in candidates}
         reps = [from_canonical_code(k, c) for c in sorted(codes)]
-    return GraphClassSet(n=n, representatives=tuple(reps))
+    return tuple(reps)
 
 
-def run_survey(n: int, source: str = "classical", threads: int = 1) -> SurveyReport:
+def run_survey(n: int, source: str = "classical") -> SurveyReport:
     """Histogram and spectrum statistics over all classes on n vertices.
 
     Every pair of representatives sharing a histogram is re-checked to
-    be non-isomorphic; a failure indicates an enumeration bug.  threads
-    is accepted for compatibility and ignored.
+    be non-isomorphic; a failure indicates an enumeration bug.
     """
     if source == "classical":
         cap = SURVEY_MAX_CLASSICAL
@@ -94,14 +85,12 @@ def run_survey(n: int, source: str = "classical", threads: int = 1) -> SurveyRep
     if not 1 <= n <= cap:
         raise ResourceLimitError(f"survey source {source} supports n <= {cap}, got {n}")
     start = time.perf_counter()
-    classes = enumerate_classes(n)
-    reps = classes.representatives
+    reps = enumerate_classes(n)
 
     if source == "classical":
         fingerprints = [classical_histogram(g).counts for g in reps]
     else:
-        # Fused controlled powers: identical outcome, far fewer gates.
-        fingerprints = [quantum_histogram(g, fuse=True).histogram.counts for g in reps]
+        fingerprints = [quantum_histogram(g).histogram.counts for g in reps]
     spectra = [char_poly(g).coeffs for g in reps]
 
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -134,7 +123,11 @@ def _report_digest(payload: dict) -> str:
 
 
 def save_report(report: SurveyReport, path: str) -> None:
-    """Append/replace this report's line in a JSON-lines cache file."""
+    """Append/replace this report's line in a JSON-lines cache file.
+
+    The new file is written beside the old one and then renamed over
+    it, so an interrupted save leaves the previous file as it was.
+    """
     entries = _read_cache_lines(path, missing_ok=True)
     payload = report.to_json()
     line = {
@@ -151,9 +144,16 @@ def save_report(report: SurveyReport, path: str) -> None:
         if (e.get("n"), e.get("source"), e.get("version")) != key
     ]
     kept.append(line)
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in kept:
-            fh.write(json.dumps(e, sort_keys=True) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for e in kept:
+                fh.write(json.dumps(e, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_report(path: str, n: int, source: str) -> SurveyReport | None:

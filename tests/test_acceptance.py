@@ -123,7 +123,7 @@ def test_criterion_05_census():
             7: (1044, 1021, 988),
         }
         for n, (classes, dq, ds) in expect.items():
-            report = run_survey(n, threads=4)
+            report = run_survey(n)
             assert report.class_count == classes, n
             assert report.distinct_quantum == dq, n
             assert report.distinct_spectra == ds, n

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import random_graph
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qgi import (
     Circuit,
@@ -320,6 +322,68 @@ def test_parse_qasm_errors():
         parse_qasm("OPENQASM 3.0;\nqubit[2] g;\ncz g[0], g[1];")
     with pytest.raises(InputError, match="outside declared"):
         parse_qasm("OPENQASM 3.0;\nqubit[1] g;\nh g[3];")
+
+
+@pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "1e999"])
+def test_parse_qasm_rejects_non_finite_angles(literal):
+    with pytest.raises(InputError, match="bad angle literal"):
+        parse_qasm(f"OPENQASM 3.0;\nqubit[1] g;\np({literal}) g[0];")
+
+
+def test_parse_qasm_rejects_overlong_numbers():
+    # int() itself refuses a digit string this long with a ValueError.
+    with pytest.raises(InputError, match="too large"):
+        parse_qasm("OPENQASM 3.0;\nqubit[" + "9" * 5000 + "] g;")
+
+
+# Statements shaped like export_qasm's: a template and the kind of each
+# field in it (a: angle, i: index, r: register).
+_QASM_STATEMENTS = (
+    ("qubit[{}] {};", "ir"),
+    ("bit[{}] meas;", "i"),
+    ("h {}[{}];", "ri"),
+    ("p({}) {}[{}];", "ari"),
+    ("cp({}) {}[{}], {}[{}];", "ariri"),
+    ("ctrl @ cp({}) {}[{}], {}[{}], {}[{}];", "aririri"),
+    ("swap {}[{}], {}[{}];", "riri"),
+    ("meas[{}] = measure {}[{}];", "iri"),
+)
+_QASM_FIELDS = {
+    "a": st.one_of(
+        st.floats().map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "1e999", "pi", ""]),
+        st.text(max_size=8),
+    ),
+    "i": st.one_of(st.integers(0, 3).map(str), st.from_regex(r"[0-9]{1,12}", fullmatch=True)),
+    "r": st.sampled_from("geq"),
+}
+
+
+@st.composite
+def _qasm_text(draw) -> str:
+    """A QASM header, then statements of export_qasm's shape with
+    arbitrary fields, mixed with arbitrary lines."""
+    lines = ["OPENQASM 3.0;"]
+    # Mostly declared registers, so that statements reach their fields.
+    for reg in "ge":
+        if draw(st.integers(0, 3)):
+            lines.append(f"qubit[{draw(st.integers(1, 3))}] {reg};")
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.text(max_size=30)))
+        else:
+            template, kinds = draw(st.sampled_from(_QASM_STATEMENTS))
+            lines.append(template.format(*(draw(_QASM_FIELDS[k]) for k in kinds)))
+    return "\n".join(lines)
+
+
+@given(st.one_of(st.text(), _qasm_text()))
+def test_parse_qasm_raises_only_input_error(text):
+    try:
+        circuit = parse_qasm(text)
+    except InputError:
+        return
+    assert isinstance(circuit, Circuit)
 
 
 def test_measurement_roundtrip_order():

@@ -173,6 +173,31 @@ def test_invariant_threads_flag(capsys):
     assert json.loads(out)["counts"][0] == 76
 
 
+@pytest.mark.parametrize(
+    ("argv", "ignored"),
+    [
+        (("invariant", "petersen", "--mode", "qpe"), ("--threads", "1", "--fuse")),
+        (("compare", "c4", "m2"), ("--threads", "1")),
+        (("survey", "--n", "3"), ("--threads", "1")),
+    ],
+)
+def test_ignored_flags_leave_stdout_unchanged(capsys, monkeypatch, argv, ignored):
+    # The argv forms the benchmark (qgibench/execute.py) sends.  The
+    # flags can go in the benchmark change that stops sending them.
+    monkeypatch.delenv("QGI_CACHE_DIR", raising=False)
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, flagged, _ = run_cli(capsys, *argv, *ignored)
+    assert code == 0
+    assert flagged == plain
+
+
+def test_invariant_negative_seed_exit_2(capsys):
+    code, out, err = run_cli(capsys, "invariant", "c4", "--mode", "shots", "--seed", "-1")
+    assert code == 2
+    assert out == "" and err == "error: seed must be non-negative, got -1\n"
+
+
 # --- compare command ---
 
 def test_compare_isomorphic_pair(capsys):

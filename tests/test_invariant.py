@@ -17,16 +17,18 @@ from qgi import (
     InternalCheckError,
     ResourceLimitError,
     are_isomorphic,
+    build_qpe,
     char_poly,
     classical_histogram,
     induced_edge_count,
     invariant_equal,
-    invariant_json,
+    marginal,
     max_independent_set,
     named_graph,
     parse_edge_list,
     prop1_check,
     quantum_histogram,
+    run,
     spectra_equal,
 )
 from qgi.invariant import _SLICE_BITS, _edge_counts
@@ -85,20 +87,6 @@ def test_histogram_top_bin_counts_isolated_vertices():
     base = parse_edge_list("6; 0 1; 1 2; 0 2")  # triangle plus 3 isolated
     assert classical_histogram(base).counts[3] == 8
     assert classical_histogram(C4_PLUS_K1).counts[4] == 2
-
-
-def test_classical_histogram_threads_equal():
-    g = named_graph("petersen")
-    assert classical_histogram(g, threads=4).counts == classical_histogram(g).counts
-
-
-def test_classical_histogram_multichunk_threads_equal():
-    # n = 21 spans eight sweep slices; threads is accepted and ignored
-    path = Graph.from_edges(21, [(i, i + 1) for i in range(20)])
-    a = classical_histogram(path, threads=2)
-    b = classical_histogram(path, threads=1)
-    assert a.counts == b.counts
-    assert sum(a.counts) == 1 << 21
 
 
 @st.composite
@@ -164,12 +152,16 @@ def test_quantum_matches_classical_random():
 
 
 def test_quantum_fuse_equivalent():
+    # quantum_histogram runs the fused circuit; the paper's circuit, with
+    # the oracle applied 2^j times, must read the same histogram.
     for name in ("m3", "g2"):
         g = named_graph(name)
-        assert (
-            quantum_histogram(g, fuse=True).histogram.counts
-            == quantum_histogram(g, fuse=False).histogram.counts
-        )
+        circuit = build_qpe(g, fuse=False)
+        scaled = marginal(run(circuit), circuit.est_register).probs * (1 << g.n)
+        counts = np.rint(scaled).astype(np.int64)
+        np.testing.assert_allclose(scaled, counts, rtol=0, atol=1e-6)
+        assert counts[g.m + 1 :].sum() == 0
+        assert tuple(counts[: g.m + 1]) == quantum_histogram(g).histogram.counts
 
 
 def test_quantum_edgeless_short_circuit():
@@ -360,14 +352,3 @@ def test_char_poly_type_requires_monic():
     with pytest.raises(InternalCheckError, match="monic"):
         CharPoly(coeffs=())
 
-
-def test_invariant_json_schema():
-    doc = invariant_json(4, 4, (7, 4, 4, 0, 1), (0.4375, 0.25, 0.25, 0.0, 0.0625), "classical")
-    assert doc == {
-        "n": 4,
-        "m": 4,
-        "counts": [7, 4, 4, 0, 1],
-        "probabilities": [0.4375, 0.25, 0.25, 0.0, 0.0625],
-        "source": "classical",
-    }
-    assert invariant_json(2, 1, None, (0.5, 0.5), "qpe-shots")["counts"] is None

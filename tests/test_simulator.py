@@ -325,7 +325,7 @@ def test_marginal_c4_qpe_frozen():
     state = run(build_qpe(named_graph("c4")))
     dist = marginal(state, (4, 5, 6))
     expect = [0.4375, 0.25, 0.25, 0.0, 0.0625, 0.0, 0.0, 0.0]
-    assert dist.as_list() == pytest.approx(expect, abs=1e-12)
+    assert dist.probs.tolist() == pytest.approx(expect, abs=1e-12)
     # clamped entries are exact zeros, not tiny residue
     assert dist.probs[3] == 0.0 and all(x == 0.0 for x in dist.probs[5:])
 
@@ -333,24 +333,24 @@ def test_marginal_c4_qpe_frozen():
 def test_marginal_m3_qpe_frozen():
     state = run(build_qpe(named_graph("m3")))
     dist = marginal(state, (4, 5))
-    assert dist.as_list() == pytest.approx([0.5, 0.3125, 0.125, 0.0625], abs=1e-12)
+    assert dist.probs.tolist() == pytest.approx([0.5, 0.3125, 0.125, 0.0625], abs=1e-12)
 
 
 def test_marginal_register_order_semantics():
     # outcome bit p reads register[p]
     state = _basis(3, 0b011)
-    assert marginal(state, (0,)).as_list() == [0.0, 1.0]
-    assert marginal(state, (2,)).as_list() == [1.0, 0.0]
-    assert marginal(state, (1, 2)).as_list() == [0.0, 1.0, 0.0, 0.0]
-    assert marginal(state, (2, 1)).as_list() == [0.0, 0.0, 1.0, 0.0]
-    assert marginal(state, (0, 1, 2)).as_list()[0b011] == 1.0
+    assert marginal(state, (0,)).probs.tolist() == [0.0, 1.0]
+    assert marginal(state, (2,)).probs.tolist() == [1.0, 0.0]
+    assert marginal(state, (1, 2)).probs.tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert marginal(state, (2, 1)).probs.tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert marginal(state, (0, 1, 2)).probs.tolist()[0b011] == 1.0
 
 
 def test_marginal_traces_out_other_qubits():
     state = init_state(2)
     apply_gate(state, h(0))
     dist = marginal(state, (1,))
-    assert dist.as_list() == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert dist.probs.tolist() == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_marginal_input_validation():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 
 import pytest
 
@@ -19,6 +20,7 @@ from qgi import (
     save_report,
     verify_counterexample,
 )
+from qgi import survey
 from qgi.survey import CACHE_VERSION, _report_digest
 
 # number of isomorphism classes on exactly n vertices
@@ -29,12 +31,12 @@ CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 def test_class_counts():
     for n, expect in CLASS_COUNTS.items():
-        assert len(enumerate_classes(n).representatives) == expect, n
+        assert len(enumerate_classes(n)) == expect, n
 
 
 def test_representatives_are_distinct_classes():
     for n in range(1, 6):
-        reps = enumerate_classes(n).representatives
+        reps = enumerate_classes(n)
         assert all(g.n == n for g in reps)
         for a, b in itertools.combinations(reps, 2):
             assert are_isomorphic(a, b) is None
@@ -42,15 +44,9 @@ def test_representatives_are_distinct_classes():
 
 def test_representatives_sorted_by_canonical_code():
     for n in (4, 5, 6):
-        codes = [canonical_code(g) for g in enumerate_classes(n).representatives]
+        codes = [canonical_code(g) for g in enumerate_classes(n)]
         assert codes == sorted(codes)
         assert len(set(codes)) == len(codes)
-
-
-def test_enumeration_thread_count_is_immaterial():
-    a = enumerate_classes(5, threads=1).representatives
-    b = enumerate_classes(5, threads=4).representatives
-    assert a == b
 
 
 def test_enumeration_caps():
@@ -89,10 +85,6 @@ def test_survey_first_collisions_at_order_seven():
         a, b = parse_graph6(a6), parse_graph6(b6)
         assert are_isomorphic(a, b) is None
         assert classical_histogram(a).counts == classical_histogram(b).counts
-
-
-def test_survey_thread_count_is_immaterial():
-    assert run_survey(5, threads=3).to_json() == run_survey(5).to_json()
 
 
 def test_survey_qpe_source_agrees_with_classical():
@@ -151,6 +143,39 @@ def test_cache_preserves_other_entries(tmp_path):
     assert load_report(path, 4, "classical").class_count == 11
     with open(path, encoding="utf-8") as fh:
         assert len(fh.read().splitlines()) == 2
+
+
+def test_interrupted_save_keeps_previous_cache(tmp_path, monkeypatch):
+    path = str(tmp_path / "cache.jsonl")
+    old = [run_survey(n) for n in (1, 2, 3)]
+    for report in old:
+        save_report(report, path)
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    class Interrupted(Exception):
+        pass
+
+    real_dumps = json.dumps
+    lines = []
+
+    def dumps(obj, **kwargs):
+        # Fail while writing the second cache line.
+        if "sha256" in obj:
+            lines.append(obj)
+            if len(lines) == 2:
+                raise Interrupted
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(survey.json, "dumps", dumps)
+    with pytest.raises(Interrupted):
+        save_report(run_survey(4), path)
+    monkeypatch.undo()
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["cache.jsonl"]
+    for report in old:
+        assert load_report(path, report.n, "classical").to_json() == report.to_json()
 
 
 def test_cache_version_mismatch_is_a_miss(tmp_path):
