@@ -52,8 +52,6 @@ from .invariant import (
     spectra_equal,
 )
 from .simulator import (
-    MarginalDistribution,
-    ShotResult,
     Statevector,
     apply_gate,
     dump_amplitudes,
@@ -70,7 +68,6 @@ from .survey import (
     load_report,
     run_survey,
     save_report,
-    verify_counterexample,
 )
 
 __version__ = "0.1.0"
@@ -86,12 +83,10 @@ __all__ = [
     "GraphParseError",
     "InputError",
     "InternalCheckError",
-    "MarginalDistribution",
     "PrecisionPlan",
     "QgiError",
     "QpeOutcome",
     "ResourceLimitError",
-    "ShotResult",
     "Statevector",
     "SurveyReport",
     "apply_gate",
@@ -130,5 +125,4 @@ __all__ = [
     "sample",
     "save_report",
     "spectra_equal",
-    "verify_counterexample",
 ]

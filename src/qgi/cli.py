@@ -13,7 +13,7 @@ import os
 import sys
 
 from .circuit import build_qpe, export_qasm
-from .errors import InputError, InternalCheckError, QgiError, ResourceLimitError
+from .errors import GraphParseError, InputError, InternalCheckError, QgiError, ResourceLimitError
 from .fixtures import FIXTURE_NAMES, is_fixture, named_graph
 from .graphs import (
     ISOMORPHISM_MAX_VERTICES,
@@ -60,8 +60,11 @@ def load_graph(source: str, fmt: str = "auto") -> Graph:
         return named_graph(source)
     text = source
     if os.path.isfile(source):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(f"{source}: not UTF-8 text: {exc}") from None
     kind = _detect_format(text) if fmt == "auto" else fmt
     if kind == "graph6":
         return parse_graph6(text)

@@ -87,7 +87,7 @@ class QpeOutcome:
     probabilities are the estimation-register outcome probabilities for
     edge counts 0..m (exact mode: pre-rounding values; shot mode:
     empirical frequencies).  state is the simulated final statevector
-    (None for an edgeless graph, which is not simulated).
+    (None for an edgeless graph in exact mode, which is not simulated).
     """
 
     source: str
@@ -143,24 +143,21 @@ def quantum_histogram(
     Exact mode (shots=None) converts outcome probabilities p(x) to
     integer subset counts p(x) * 2^n, verifying each is within 1e-6 of
     an integer and that outcomes above m have zero mass.  Shot mode
-    reports sampled per-outcome counts without conversion.  An edgeless
-    graph short-circuits to the trivial histogram [2^n].  The circuit is
+    reports sampled per-outcome counts without conversion.  In exact
+    mode an edgeless graph short-circuits to the trivial histogram
+    [2^n]; shot mode samples its circuit like any other.  The circuit is
     the fused one: it compiles to the same phase program as the paper's
     repeated oracle powers, in fewer gates.
     """
     plan = plan_precision(g.m)
-    if g.m == 0:
+    if g.m == 0 and shots is None:
         hist = EdgeHistogram(n=g.n, m=0, counts=(1 << g.n,))
-        if shots is None:
-            return QpeOutcome("qpe-exact", plan, hist, (1.0,))
-        return QpeOutcome(
-            "qpe-shots", plan, hist, (1.0,), shots=shots, seed=seed, shot_counts=(shots,)
-        )
+        return QpeOutcome("qpe-exact", plan, hist, (1.0,))
     circuit = build_qpe(g, fuse=True)
     state = run(circuit, max_qubits=max_qubits)
     if shots is None:
-        dist = marginal(state, circuit.est_register)
-        scaled = dist.probs * (1 << g.n)
+        probs = marginal(state, circuit.est_register)
+        scaled = probs * (1 << g.n)
         rounded = np.rint(scaled)
         off = np.abs(scaled - rounded)
         if np.any(off > 1e-6):
@@ -176,24 +173,21 @@ def quantum_histogram(
             "qpe-exact",
             plan,
             hist,
-            tuple(float(x) for x in dist.probs[: g.m + 1]),
+            tuple(float(x) for x in probs[: g.m + 1]),
             state=state,
         )
-    result = sample(state, circuit.est_register, shots=shots, seed=seed)
-    tallies = [0] * (1 << plan.t)
-    for outcome, c in result.counts.items():
-        tallies[outcome] = c
-    if any(tallies[g.m + 1 :]):
+    tallies = sample(state, circuit.est_register, shots=shots, seed=seed)
+    if tallies[g.m + 1 :].any():
         raise InternalCheckError("sampled an outcome beyond m edges")
-    freqs = tuple(c / shots for c in tallies[: g.m + 1])
+    counts = tuple(int(c) for c in tallies[: g.m + 1])
     return QpeOutcome(
         "qpe-shots",
         plan,
         None,
-        freqs,
+        tuple(c / shots for c in counts),
         shots=shots,
         seed=seed,
-        shot_counts=tuple(tallies[: g.m + 1]),
+        shot_counts=counts,
         state=state,
     )
 

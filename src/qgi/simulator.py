@@ -3,18 +3,18 @@
 Amplitude indexing is little-endian: qubit i is bit i of the state
 index, so a graph-register basis state IS the vertex-subset mask.
 
-`run` compiles the gate list into segments before it touches any
-amplitude:
-- a leading layer of H gates on every qubit of |0...0> is only the
-  scale factor 2^(-w/2) of the uniform state;
-- each maximal run of phase gates (p, cp, ccp) whose turns are dyadic
-  with at most 16 bits is merged per qubit set by exact sums of turns,
+`run` compiles a circuit of the phase-estimation shape whole before it
+touches any amplitude:
+- an H on every qubit of |0...0> as its first gates is the uniform
+  state of amplitude 2^(-w/2);
+- the phase gates (p, cp, ccp) that follow, all with dyadic turns of at
+  most 16 bits, are merged per qubit set by exact sums of turns,
   accumulated as an integer phase index mod 2^T in a uint16 array, and
-  written by one lookup in a 2^T-entry exp table, block by block of
-  2^16 basis states;
-- a tail equal to the inverse QFT on the estimation register is one
-  in-place FFT along that register's axis.
-Every other gate goes through `apply_gate`, the gate-by-gate reference
+  written with the uniform amplitude by one lookup in a 2^T-entry exp
+  table, block by block of 2^16 basis states;
+- an optional tail equal to the inverse QFT on the estimation register
+  is one in-place FFT along that register's axis.
+Any other circuit runs gate by gate through `apply_gate`, the reference
 that the tests compare `run` against.  It works in place on reshaped
 views; H needs a temporary of the array's size and swap half of it.
 """
@@ -46,24 +46,6 @@ class Statevector:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
-
-
-@dataclass(frozen=True)
-class MarginalDistribution:
-    """Probability of each outcome of a measured register, outcome bit
-    p taken from register[p]."""
-
-    register: tuple[int, ...]
-    probs: np.ndarray
-
-
-@dataclass(frozen=True)
-class ShotResult:
-    """Counted outcomes of repeated measurement, reproducible per seed."""
-
-    shots: int
-    seed: int
-    counts: dict[int, int]
 
 
 def init_state(n_qubits: int) -> Statevector:
@@ -126,7 +108,7 @@ _PHASE_KINDS = ("p", "cp", "ccp")
 # index and lookup temporaries stay in cache and small at any width.
 _BLOCK_BITS = 16
 
-# Bytes held at the peak of the compiled steps: per amplitude, the
+# Bytes held at the peak of `run` and `marginal`: per amplitude, the
 # complex128 amplitudes plus the largest temporary; per block element,
 # a phase run's uint16 index, its intp cast and a complex128 lookup.
 _AMP_BYTES = 16
@@ -147,13 +129,10 @@ class _PhaseRun:
 
 @dataclass(frozen=True)
 class _Program:
-    """A circuit compiled for `run`: optional uniform start, the steps
-    in order, and whether an inverse QFT on the estimation register
-    ends it."""
+    """A compiled circuit: the uniform state times the phases of one
+    run, then an inverse QFT on the estimation register if fft_tail."""
 
-    width: int
-    uniform: bool
-    steps: tuple[Gate | _PhaseRun, ...]
+    phases: _PhaseRun
     fft_tail: bool
 
 
@@ -163,12 +142,17 @@ def _dyadic_bits(turns: Fraction) -> int | None:
     return den.bit_length() - 1 if den & (den - 1) == 0 else None
 
 
-def _phase_run(gates: list[Gate]) -> _PhaseRun:
+def _phase_run(gates: tuple[Gate, ...]) -> _PhaseRun | None:
+    """The gates merged into one run, None unless every gate is a phase
+    gate with dyadic turns of at most _PHASE_BITS bits."""
     # Exact sums of the turns per qubit set, in units of 2^-_PHASE_BITS.
     merged: dict[tuple[int, ...], int] = {}
     for gate in gates:
+        bits = _dyadic_bits(gate.turns) if gate.kind in _PHASE_KINDS else None
+        if bits is None or bits > _PHASE_BITS:
+            return None
         key = tuple(sorted(gate.qubits))
-        units = gate.turns.numerator << (_PHASE_BITS - _dyadic_bits(gate.turns))
+        units = gate.turns.numerator << (_PHASE_BITS - bits)
         merged[key] = (merged.get(key, 0) + units) % (1 << _PHASE_BITS)
     merged = {key: units for key, units in merged.items() if units}
     # The coarsest unit that still expresses every merged phase.
@@ -182,59 +166,44 @@ def _iqft_tail(n_graph: int, n_est: int) -> tuple[Gate, ...]:
     return _shifted(inverse_qft(n_est), n_graph)
 
 
-def _compile(circuit: Circuit) -> _Program:
-    gates = circuit.gates
+def _compile(circuit: Circuit) -> _Program | None:
+    """The program of a circuit of the phase-estimation shape: an H on
+    every qubit as its first gates, in any order, then only phase gates
+    that fit a phase run, then optionally the inverse QFT on the
+    estimation register.  None for any other circuit."""
     w = circuit.width
-    lead: set[int] = set()
-    for gate in gates:
-        if gate.kind != "h" or gate.qubits[0] in lead:
-            break
-        lead.add(gate.qubits[0])
-    uniform = len(lead) == w
-    body = gates[w:] if uniform else gates
+    gates = circuit.gates
+    if {g.qubits[0] for g in gates[:w] if g.kind == "h"} != set(range(w)):
+        return None
+    body = gates[w:]
     fft_tail = False
     if circuit.n_est:
         tail = _iqft_tail(circuit.n_graph, circuit.n_est)
-        if len(body) >= len(tail) and body[len(body) - len(tail) :] == tail:
+        if body[-len(tail) :] == tail:
             fft_tail = True
-            body = body[: len(body) - len(tail)]
-    steps: list[Gate | _PhaseRun] = []
-    run_gates: list[Gate] = []
-    for gate in body:
-        if gate.kind in _PHASE_KINDS:
-            bits = _dyadic_bits(gate.turns)
-            if bits is not None and bits <= _PHASE_BITS:
-                run_gates.append(gate)
-                continue
-        if run_gates:
-            steps.append(_phase_run(run_gates))
-            run_gates = []
-        steps.append(gate)
-    if run_gates:
-        steps.append(_phase_run(run_gates))
-    return _Program(w, uniform, tuple(steps), fft_tail)
+            body = body[: -len(tail)]
+    phases = _phase_run(body)
+    return None if phases is None else _Program(phases, fft_tail)
 
 
-def _program_peak_bytes(program: _Program) -> int:
-    extra = _PROBS_BYTES
-    block = 0
-    for step in program.steps:
-        if isinstance(step, _PhaseRun):
-            block = _BLOCK_TEMP_BYTES << min(program.width, _BLOCK_BITS)
-        else:
-            extra = max(extra, _GATE_TEMP_BYTES.get(step.kind, 0))
-    return ((_AMP_BYTES + extra) << program.width) + block
+def _need_bytes(circuit: Circuit, program: _Program | None) -> int:
+    w = circuit.width
+    if program is None:
+        temp = max((_GATE_TEMP_BYTES.get(g.kind, 0) for g in circuit.gates), default=0)
+        return (_AMP_BYTES + max(_PROBS_BYTES, temp)) << w
+    block = _BLOCK_TEMP_BYTES << min(w, _BLOCK_BITS) if program.phases.terms else 0
+    return ((_AMP_BYTES + _PROBS_BYTES) << w) + block
 
 
 def peak_bytes(circuit: Circuit) -> int:
     """Estimated peak bytes of `run` on circuit followed by `marginal`.
 
-    Counts the complex128 amplitudes, the block temporaries of a phase
-    run (its uint16 phase index and the table lookup), the temporaries
-    of gates left to apply_gate, and the float64 probabilities of the
-    norm check and of marginal.
+    Counts the complex128 amplitudes, the float64 probabilities of the
+    norm check and of marginal, and either the block temporaries of a
+    compiled phase run (its uint16 phase index and the table lookup) or
+    the largest temporary of a gate that apply_gate runs.
     """
-    return _program_peak_bytes(_compile(circuit))
+    return _need_bytes(circuit, _compile(circuit))
 
 
 def _mem_available() -> int | None:
@@ -261,19 +230,18 @@ def _ones_view(arr: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     return arr.reshape([-1, *shape])[key]
 
 
-def _uniform(width: int) -> np.ndarray:
-    return np.full(1 << width, 2.0 ** (-width / 2), dtype=np.complex128)
-
-
-def _apply_phase_run(amps: np.ndarray | None, width: int, step: _PhaseRun) -> np.ndarray:
-    """amps times the run's phases, in place; amps None stands for the
-    uniform state, which is then written once from the phase table.
+def _phase_fill(width: int, step: _PhaseRun) -> np.ndarray:
+    """The uniform state on width qubits times the run's phases.
 
     Block by block: a term's qubits below _BLOCK_BITS select entries of
     the block's phase index, the ones above select the blocks it
     reaches, so terms that share their low qubits add to the index as
-    one.
+    one.  A run without terms is the uniform state itself.
     """
+    amps = np.empty(1 << width, dtype=np.complex128)
+    if not step.terms:
+        amps.fill(2.0 ** (-width / 2))
+        return amps
     bits = min(width, _BLOCK_BITS)
     size = 1 << bits
     # low qubits -> [(mask of high qubits, phase units)]
@@ -283,10 +251,7 @@ def _apply_phase_run(amps: np.ndarray | None, width: int, step: _PhaseRun) -> np
         high = sum(1 << q for q in qubits if q >= bits)
         split.setdefault(low, []).append((high, k))
     table = np.exp(2j * math.pi / (1 << step.bits) * np.arange(1 << step.bits))
-    uniform = amps is None
-    if uniform:
-        table *= 2.0 ** (-width / 2)
-        amps = np.empty(1 << width, dtype=np.complex128)
+    table *= 2.0 ** (-width / 2)
     idx = np.empty(size, dtype=np.uint16)
     for start in range(0, 1 << width, size):
         idx.fill(0)
@@ -296,19 +261,17 @@ def _apply_phase_run(amps: np.ndarray | None, width: int, step: _PhaseRun) -> np
                 _ones_view(idx, low)[...] += np.uint16(units)
         if step.bits < _PHASE_BITS:
             idx &= np.uint16((1 << step.bits) - 1)
-        block = amps[start : start + size]
-        if uniform:
-            np.take(table, idx, out=block)
-        else:
-            block *= table[idx]
+        np.take(table, idx, out=amps[start : start + size])
     return amps
 
 
 def run(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
     """Simulate from |0...0>, returning the final statevector.
 
-    Raises ResourceLimitError before allocating when the width exceeds
-    max_qubits or peak_bytes exceeds the memory available.
+    A circuit of the phase-estimation shape runs compiled, any other
+    runs gate by gate through apply_gate.  Raises ResourceLimitError
+    before allocating when the width exceeds max_qubits or peak_bytes
+    exceeds the memory available.
     """
     if max_qubits > HARD_MAX_QUBITS:
         raise ResourceLimitError(
@@ -319,7 +282,7 @@ def run(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
             f"circuit width {circuit.width} exceeds limit {max_qubits}"
         )
     program = _compile(circuit)
-    need = _program_peak_bytes(program)
+    need = _need_bytes(circuit, program)
     available = _mem_available()
     if available is not None and need > available:
         raise ResourceLimitError(
@@ -327,32 +290,25 @@ def run(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
             f"only {available / 2**20:.1f} MiB available"
         )
     w = circuit.width
-    # amps stays None while the state is the uniform one.
-    amps = None if program.uniform else init_state(w).amps
-    for step in program.steps:
-        if isinstance(step, _PhaseRun):
-            if step.terms:
-                amps = _apply_phase_run(amps, w, step)
-            continue
-        if amps is None:
-            amps = _uniform(w)
-        apply_gate(Statevector(w, amps), step)
-    if amps is None:
-        amps = _uniform(w)
-    if program.fft_tail:
-        v = amps.reshape(1 << circuit.n_est, -1)
-        np.fft.fft(v, axis=0, norm="ortho", out=v)
-    state = Statevector(w, amps)
+    if program is None:
+        state = init_state(w)
+        for gate in circuit.gates:
+            apply_gate(state, gate)
+    else:
+        state = Statevector(w, _phase_fill(w, program.phases))
+        if program.fft_tail:
+            v = state.amps.reshape(1 << circuit.n_est, -1)
+            np.fft.fft(v, axis=0, norm="ortho", out=v)
     norm = state.norm_sq()
     if abs(norm - 1.0) > 1e-9:
         raise InternalCheckError(f"norm drifted to {norm!r} after {len(circuit.gates)} gates")
     return state
 
 
-def marginal(state: Statevector, register: tuple[int, ...]) -> MarginalDistribution:
+def marginal(state: Statevector, register: tuple[int, ...]) -> np.ndarray:
     """Measurement distribution of the given qubits, all others traced
-    out.  Outcome bit p comes from register[p].  Probabilities below
-    1e-12 are clamped to zero."""
+    out: probs[x] for outcome x, whose bit p comes from register[p].
+    Probabilities below 1e-12 are clamped to zero."""
     k = len(register)
     if k == 0:
         raise InputError("empty measurement register")
@@ -374,13 +330,12 @@ def marginal(state: Statevector, register: tuple[int, ...]) -> MarginalDistribut
     perm = [pos[n - 1 - register[bit]] for bit in range(k - 1, -1, -1)]
     out = probs.transpose(perm).reshape(-1).copy()
     out[out < 1e-12] = 0.0
-    return MarginalDistribution(register=tuple(register), probs=out)
+    return out
 
 
-def sample(
-    state: Statevector, register: tuple[int, ...], shots: int, seed: int
-) -> ShotResult:
-    """Draw measurement shots by inverse-CDF lookup on the marginal.
+def sample(state: Statevector, register: tuple[int, ...], shots: int, seed: int) -> np.ndarray:
+    """Draw measurement shots by inverse-CDF lookup on the marginal and
+    return how often each outcome was drawn, indexed like `marginal`.
 
     PCG64 with an explicit seed; identical (state, register, shots,
     seed) give identical counts on any platform.
@@ -389,8 +344,8 @@ def sample(
         raise InputError(f"shots must be positive, got {shots}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    dist = marginal(state, register)
-    cdf = np.cumsum(dist.probs)
+    probs = marginal(state, register)
+    cdf = np.cumsum(probs)
     total = cdf[-1]
     if abs(total - 1.0) > 1e-9:
         raise InternalCheckError(f"marginal mass {total!r} is not 1")
@@ -398,9 +353,7 @@ def sample(
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.random(shots)
     outcomes = np.searchsorted(cdf, draws, side="right")
-    tallies = np.bincount(outcomes, minlength=len(dist.probs))
-    counts = {int(x): int(c) for x, c in enumerate(tallies) if c}
-    return ShotResult(shots=shots, seed=seed, counts=counts)
+    return np.bincount(outcomes, minlength=len(probs))
 
 
 def phase_table(state: Statevector, theta: float, atol: float = 1e-6) -> dict[int, int]:

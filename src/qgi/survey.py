@@ -196,6 +196,8 @@ def _read_cache_lines(path: str, missing_ok: bool) -> list[dict]:
         if missing_ok:
             return []
         raise
+    except UnicodeDecodeError as exc:
+        raise CacheError(f"{path}: not UTF-8 text: {exc}") from None
     entries = []
     for ln, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
@@ -209,23 +211,3 @@ def _read_cache_lines(path: str, missing_ok: bool) -> list[dict]:
         entries.append(obj)
     return entries
 
-
-def verify_counterexample() -> dict:
-    """Re-derive the order-7 pair witnessing that the invariant is not
-    complete: non-isomorphic graphs with identical histograms."""
-    from .fixtures import named_graph
-
-    g1 = named_graph("g1")
-    g2 = named_graph("g2")
-    if are_isomorphic(g1, g2) is not None:
-        raise InternalCheckError("counterexample graphs must be non-isomorphic")
-    h1 = classical_histogram(g1)
-    h2 = classical_histogram(g2)
-    if h1.counts != h2.counts:
-        raise InternalCheckError("counterexample graphs must share a histogram")
-    return {
-        "isomorphic": False,
-        "histograms_equal": True,
-        "counts": list(h1.counts),
-        "probabilities": list(h1.probabilities),
-    }

@@ -13,12 +13,10 @@ PUBLIC = {
     "GraphParseError",
     "InputError",
     "InternalCheckError",
-    "MarginalDistribution",
     "PrecisionPlan",
     "QgiError",
     "QpeOutcome",
     "ResourceLimitError",
-    "ShotResult",
     "Statevector",
     "SurveyReport",
     "apply_gate",
@@ -57,7 +55,6 @@ PUBLIC = {
     "sample",
     "save_report",
     "spectra_equal",
-    "verify_counterexample",
 }
 
 

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import qgi.cli
 import qgi.invariant
 import qgi.simulator
-from qgi import build_qpe, classical_histogram, named_graph, parse_qasm
+from qgi import InputError, build_qpe, classical_histogram, named_graph, parse_qasm
 from qgi.cli import load_graph, main
 
 C4_TABLE = """\
@@ -38,6 +41,24 @@ def test_load_graph_fixture_file_and_inline(tmp_path):
     from_file = load_graph(str(path))
     assert classical_histogram(from_file).counts == classical_histogram(named_graph("c4")).counts
     assert load_graph("petersen").m == 15
+
+
+@pytest.mark.parametrize("fmt", ["auto", "graph6", "adjacency", "edgelist"])
+@given(
+    text=st.one_of(
+        st.text(),
+        st.text(alphabet="0123456789 ;\n-"),
+        st.text(alphabet=[chr(c) for c in range(62, 127)]),
+    )
+)
+def test_load_graph_raises_only_input_error(fmt, text):
+    # Any text is a graph or a clean rejection (GraphParseError is an
+    # InputError), never a crash.
+    assume(not os.path.isfile(text))
+    try:
+        load_graph(text, fmt)
+    except InputError:
+        pass
 
 
 def test_load_graph_format_sniffing():
@@ -196,6 +217,28 @@ def test_invariant_negative_seed_exit_2(capsys):
     code, out, err = run_cli(capsys, "invariant", "c4", "--mode", "shots", "--seed", "-1")
     assert code == 2
     assert out == "" and err == "error: seed must be non-negative, got -1\n"
+
+
+def test_invariant_edgeless_shots_are_sampled(capsys):
+    argv = ("invariant", "3;", "--mode", "shots")
+    code, out, err = run_cli(capsys, *argv, "--shots", "100", "--output", "json")
+    assert code == 0, err
+    assert json.loads(out) == {
+        "n": 3, "m": 0, "counts": [100], "probabilities": [1.0], "source": "qpe-shots"
+    }
+    code, out, err = run_cli(capsys, *argv, "--shots", "-5", "--seed", "-1")
+    assert code == 2
+    assert out == "" and err == "error: shots must be positive, got -5\n"
+
+
+def test_non_utf8_files_exit_2(capsys, tmp_path):
+    path = tmp_path / "bytes.bin"
+    path.write_bytes(b"\xff\xfe")
+    for argv in (("invariant", str(path)), ("survey", "--n", "3", "--cache", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith(f"error: {path}: not UTF-8 text: ")
+    assert path.read_bytes() == b"\xff\xfe"
 
 
 # --- compare command ---

@@ -157,7 +157,7 @@ def test_quantum_fuse_equivalent():
     for name in ("m3", "g2"):
         g = named_graph(name)
         circuit = build_qpe(g, fuse=False)
-        scaled = marginal(run(circuit), circuit.est_register).probs * (1 << g.n)
+        scaled = marginal(run(circuit), circuit.est_register) * (1 << g.n)
         counts = np.rint(scaled).astype(np.int64)
         np.testing.assert_allclose(scaled, counts, rtol=0, atol=1e-6)
         assert counts[g.m + 1 :].sum() == 0
@@ -170,8 +170,10 @@ def test_quantum_edgeless_short_circuit():
     assert outcome.histogram.counts == (8,)
     assert outcome.probabilities == (1.0,)
     assert outcome.plan.t == 1
+    # Shot mode samples the width-4 circuit like any other graph.
     shot = quantum_histogram(g, shots=100, seed=3)
     assert shot.shot_counts == (100,) and shot.source == "qpe-shots"
+    assert shot.histogram is None and shot.state.n_qubits == 4
 
 
 def test_quantum_shots_mode():

@@ -212,50 +212,92 @@ def _iqft_on_est(n_graph: int, n_est: int) -> tuple[Gate, ...]:
     )
 
 
-# Dyadic turns of 1 to 17 bits (17 exceeds the phase index), and
-# non-dyadic ones: both kinds must reach the same amplitudes.
-_TURNS = st.one_of(
-    st.builds(
-        lambda k, bits: Fraction(2 * k + 1, 1 << bits),
-        st.integers(0, 1 << 16),
-        st.sampled_from([1, 3, 16, 17]),
-    ),
-    st.sampled_from([Fraction(1, 3), Fraction(2, 5), Fraction(7, 24)]),
+# Dyadic turns of 1 to 16 bits: the phases a compiled run takes.
+_DYADIC = st.builds(
+    lambda k, bits: Fraction(2 * k + 1, 1 << bits) % 1,
+    st.integers(0, 1 << 15),
+    st.integers(1, 16),
 )
+# Turns no phase index holds: 17 bits, or not dyadic at all.
+_OFF_GRID = st.sampled_from(
+    [Fraction(1, 1 << 17), Fraction(1, 3), Fraction(2, 5), Fraction(7, 24)]
+)
+_ARITY = {"p": 1, "cp": 2, "ccp": 3}
 
 
 @st.composite
-def _circuits(draw) -> Circuit:
+def _qpe_shaped(draw) -> Circuit:
+    """An H on every qubit in any order, dyadic phase gates, and an
+    optional inverse QFT on the estimation register."""
     n_graph = draw(st.integers(1, 6))
     n_est = draw(st.integers(0, 8 - n_graph))
+    tail = n_est > 0 and draw(st.booleans())
     w = n_graph + n_est
-    lead = draw(st.sampled_from(("full", "partial", "none")))
-    gates: list[Gate] = []
-    if lead == "full":
-        gates += [h(q) for q in draw(st.permutations(range(w)))]
-    elif lead == "partial":
-        gates += [h(q) for q in draw(st.lists(st.integers(0, w - 1), max_size=2 * w))]
-    arity = {"p": 1, "cp": 2, "ccp": 3, "h": 1, "swap": 2}
-    kinds = [k for k, a in arity.items() if a <= w]
+    gates = [h(q) for q in draw(st.permutations(range(w)))]
+    kinds = [k for k, a in _ARITY.items() if a <= w]
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(kinds))
-        qubits = tuple(draw(st.permutations(range(w)))[: arity[kind]])
-        turns = draw(_TURNS) % 1 if kind in ("p", "cp", "ccp") else None
-        gates.append(Gate(kind, qubits, turns))
-    if n_est and draw(st.booleans()):
+        qubits = tuple(draw(st.permutations(range(w)))[: _ARITY[kind]])
+        gates.append(Gate(kind, qubits, draw(_DYADIC)))
+    if tail:
         gates += _iqft_on_est(n_graph, n_est)
     return Circuit(n_graph=n_graph, n_est=n_est, gates=tuple(gates))
 
 
+@st.composite
+def _off_shape(draw) -> Circuit:
+    """A QPE-shaped circuit broken one way: the H of a graph qubit is
+    missing from the leading layer, or an H on a graph qubit, a swap or
+    a phase off the 16-bit grid is inserted after it.  None of these
+    gates can be mistaken for part of the inverse-QFT tail."""
+    shaped = draw(_qpe_shaped())
+    w = shaped.width
+    gates = list(shaped.gates)
+    qubits = draw(st.permutations(range(w)))
+    graph_qubit = draw(st.integers(0, shaped.n_graph - 1))
+    breaks = ["lead", "h", "phase"] + (["swap"] if w >= 2 else [])
+    broken = draw(st.sampled_from(breaks))
+    if broken == "lead":
+        gates.remove(h(graph_qubit))
+    else:
+        if broken == "h":
+            gate = h(graph_qubit)
+        elif broken == "swap":
+            gate = swap(*qubits[:2])
+        else:
+            phase = draw(st.sampled_from([k for k, a in _ARITY.items() if a <= w]))
+            gate = Gate(phase, tuple(qubits[: _ARITY[phase]]), draw(_OFF_GRID))
+        gates.insert(draw(st.integers(w, len(gates))), gate)
+    return Circuit(n_graph=shaped.n_graph, n_est=shaped.n_est, gates=tuple(gates))
+
+
 @pytest.mark.parametrize("block_bits", [qgi.simulator._BLOCK_BITS, 2])
-@given(circuit=_circuits())
+@given(circuit=_qpe_shaped())
 def test_compiled_run_matches_gate_loop(block_bits, circuit):
+    assert qgi.simulator._compile(circuit) is not None
     # Blocks of 4 states split phase terms between a block's index and
     # the choice of blocks, as wide circuits do with the default blocks.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qgi.simulator, "_BLOCK_BITS", block_bits)
         amps = run(circuit).amps
     np.testing.assert_allclose(amps, _gate_loop(circuit), rtol=0, atol=1e-12)
+
+
+@given(circuit=_off_shape())
+def test_other_circuits_run_gate_by_gate(circuit):
+    # No part of such a circuit is compiled: every gate, in order, goes
+    # through apply_gate, so the two paths never mix.
+    assert qgi.simulator._compile(circuit) is None
+    applied = []
+
+    def counted(state, gate):
+        applied.append(gate)
+        return apply_gate(state, gate)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qgi.simulator, "apply_gate", counted)
+        run(circuit)
+    assert applied == list(circuit.gates)
 
 
 def test_compiled_run_matches_gate_loop_beyond_one_block():
@@ -323,34 +365,34 @@ def test_run_refuses_beyond_available_memory(monkeypatch):
 
 def test_marginal_c4_qpe_frozen():
     state = run(build_qpe(named_graph("c4")))
-    dist = marginal(state, (4, 5, 6))
+    probs = marginal(state, (4, 5, 6))
     expect = [0.4375, 0.25, 0.25, 0.0, 0.0625, 0.0, 0.0, 0.0]
-    assert dist.probs.tolist() == pytest.approx(expect, abs=1e-12)
+    assert probs.tolist() == pytest.approx(expect, abs=1e-12)
     # clamped entries are exact zeros, not tiny residue
-    assert dist.probs[3] == 0.0 and all(x == 0.0 for x in dist.probs[5:])
+    assert probs[3] == 0.0 and all(x == 0.0 for x in probs[5:])
 
 
 def test_marginal_m3_qpe_frozen():
     state = run(build_qpe(named_graph("m3")))
-    dist = marginal(state, (4, 5))
-    assert dist.probs.tolist() == pytest.approx([0.5, 0.3125, 0.125, 0.0625], abs=1e-12)
+    probs = marginal(state, (4, 5))
+    assert probs.tolist() == pytest.approx([0.5, 0.3125, 0.125, 0.0625], abs=1e-12)
 
 
 def test_marginal_register_order_semantics():
     # outcome bit p reads register[p]
     state = _basis(3, 0b011)
-    assert marginal(state, (0,)).probs.tolist() == [0.0, 1.0]
-    assert marginal(state, (2,)).probs.tolist() == [1.0, 0.0]
-    assert marginal(state, (1, 2)).probs.tolist() == [0.0, 1.0, 0.0, 0.0]
-    assert marginal(state, (2, 1)).probs.tolist() == [0.0, 0.0, 1.0, 0.0]
-    assert marginal(state, (0, 1, 2)).probs.tolist()[0b011] == 1.0
+    assert marginal(state, (0,)).tolist() == [0.0, 1.0]
+    assert marginal(state, (2,)).tolist() == [1.0, 0.0]
+    assert marginal(state, (1, 2)).tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert marginal(state, (2, 1)).tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert marginal(state, (0, 1, 2)).tolist()[0b011] == 1.0
 
 
 def test_marginal_traces_out_other_qubits():
     state = init_state(2)
     apply_gate(state, h(0))
-    dist = marginal(state, (1,))
-    assert dist.probs.tolist() == pytest.approx([1.0, 0.0], abs=1e-12)
+    probs = marginal(state, (1,))
+    assert probs.tolist() == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_marginal_input_validation():
@@ -367,9 +409,9 @@ def test_marginal_input_validation():
 
 def test_sample_point_mass():
     state = init_state(3)
-    result = sample(state, (0, 1, 2), shots=500, seed=1)
-    assert result.counts == {0: 500}
-    assert result.shots == 500 and result.seed == 1
+    counts = sample(state, (0, 1, 2), shots=500, seed=1)
+    assert counts.tolist() == [500, 0, 0, 0, 0, 0, 0, 0]
+    assert counts.dtype == np.int64
 
 
 def test_sample_reproducible_and_seed_sensitive():
@@ -377,18 +419,18 @@ def test_sample_reproducible_and_seed_sensitive():
     a = sample(state, (4, 5), shots=2000, seed=42)
     b = sample(state, (4, 5), shots=2000, seed=42)
     c = sample(state, (4, 5), shots=2000, seed=43)
-    assert a.counts == b.counts
-    assert a.counts != c.counts
+    assert a.tolist() == b.tolist()
+    assert a.tolist() != c.tolist()
 
 
 def test_sample_five_sigma():
     state = run(build_qpe(named_graph("m3")))
     shots = 100_000
-    result = sample(state, (4, 5), shots=shots, seed=7)
-    assert sum(result.counts.values()) == shots
+    counts = sample(state, (4, 5), shots=shots, seed=7)
+    assert counts.sum() == shots
     for outcome, prob in enumerate([0.5, 0.3125, 0.125, 0.0625]):
         sigma = math.sqrt(shots * prob * (1 - prob))
-        assert abs(result.counts.get(outcome, 0) - shots * prob) <= 5 * sigma
+        assert abs(counts[outcome] - shots * prob) <= 5 * sigma
 
 
 def test_sample_rejects_bad_shots():

@@ -18,7 +18,6 @@ from qgi import (
     parse_graph6,
     run_survey,
     save_report,
-    verify_counterexample,
 )
 from qgi import survey
 from qgi.survey import CACHE_VERSION, _report_digest
@@ -229,13 +228,3 @@ def test_cache_rejects_malformed_report(tmp_path):
     with pytest.raises(CacheError, match="malformed"):
         load_report(path, 3, "classical")
 
-
-# --- counterexample ---
-
-def test_verify_counterexample():
-    doc = verify_counterexample()
-    assert doc["isomorphic"] is False
-    assert doc["histograms_equal"] is True
-    assert doc["counts"] == [26, 33, 27, 18, 13, 5, 5, 0, 1]
-    assert doc["probabilities"][0] == pytest.approx(26 / 128)
-    assert len(doc["probabilities"]) == 9
