@@ -59,6 +59,7 @@ from .simulator import (
     marginal,
     peak_bytes,
     phase_table,
+    readout,
     run,
     sample,
 )
@@ -120,6 +121,7 @@ __all__ = [
     "prop1_check",
     "qft",
     "quantum_histogram",
+    "readout",
     "run",
     "run_survey",
     "sample",

@@ -30,7 +30,7 @@ from .invariant import (
     quantum_histogram,
     spectra_equal,
 )
-from .simulator import DEFAULT_MAX_QUBITS, dump_amplitudes
+from .simulator import DEFAULT_MAX_QUBITS, dump_amplitudes, run
 from .survey import (
     SURVEY_MAX_CLASSICAL,
     SURVEY_MAX_QPE,
@@ -100,9 +100,11 @@ def cmd_invariant(args) -> int:
         counts = out.shot_counts if out.histogram is None else out.histogram.counts
         probs = out.probabilities
         source = out.source
-        if args.dump_state and out.state is not None:
+        if args.dump_state:
+            # The one QPE path that holds all 2^w amplitudes: `run` admits it.
+            state = run(build_qpe(g, fuse=True), max_qubits=args.max_qubits)
             with open(args.dump_state, "w", encoding="utf-8") as fh:
-                json.dump(dump_amplitudes(out.state), fh)
+                json.dump(dump_amplitudes(state), fh)
 
     if args.output == "json":
         print(

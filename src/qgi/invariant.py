@@ -15,14 +15,14 @@ so its temporaries stay small at any n.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import PrecisionPlan, build_qpe, plan_precision
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .graphs import Graph, Permutation, induced_edge_count
-from .simulator import DEFAULT_MAX_QUBITS, Statevector, marginal, run, sample
+from .simulator import DEFAULT_MAX_QUBITS, readout, sample
 
 # char_poly and prop1_check sweep 2^n subsets / n x n integer matrices.
 CHAR_POLY_MAX_VERTICES = 16
@@ -86,8 +86,7 @@ class QpeOutcome:
 
     probabilities are the estimation-register outcome probabilities for
     edge counts 0..m (exact mode: pre-rounding values; shot mode:
-    empirical frequencies).  state is the simulated final statevector
-    (None for an edgeless graph in exact mode, which is not simulated).
+    empirical frequencies).
     """
 
     source: str
@@ -97,7 +96,6 @@ class QpeOutcome:
     shots: int | None = None
     seed: int | None = None
     shot_counts: tuple[int, ...] | None = None
-    state: Statevector | None = field(default=None, compare=False, repr=False)
 
 
 def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
@@ -147,16 +145,17 @@ def quantum_histogram(
     mode an edgeless graph short-circuits to the trivial histogram
     [2^n]; shot mode samples its circuit like any other.  The circuit is
     the fused one: it compiles to the same phase program as the paper's
-    repeated oracle powers, in fewer gates.
+    repeated oracle powers, in fewer gates.  Both modes read the
+    estimation register with `readout`, which never holds the 2^w
+    statevector.
     """
     plan = plan_precision(g.m)
     if g.m == 0 and shots is None:
         hist = EdgeHistogram(n=g.n, m=0, counts=(1 << g.n,))
         return QpeOutcome("qpe-exact", plan, hist, (1.0,))
     circuit = build_qpe(g, fuse=True)
-    state = run(circuit, max_qubits=max_qubits)
+    probs = readout(circuit, max_qubits=max_qubits)
     if shots is None:
-        probs = marginal(state, circuit.est_register)
         scaled = probs * (1 << g.n)
         rounded = np.rint(scaled)
         off = np.abs(scaled - rounded)
@@ -169,14 +168,8 @@ def quantum_histogram(
         if np.any(counts[g.m + 1 :] != 0):
             raise InternalCheckError("nonzero probability beyond m edges")
         hist = EdgeHistogram(n=g.n, m=g.m, counts=tuple(int(c) for c in counts[: g.m + 1]))
-        return QpeOutcome(
-            "qpe-exact",
-            plan,
-            hist,
-            tuple(float(x) for x in probs[: g.m + 1]),
-            state=state,
-        )
-    tallies = sample(state, circuit.est_register, shots=shots, seed=seed)
+        return QpeOutcome("qpe-exact", plan, hist, tuple(float(x) for x in probs[: g.m + 1]))
+    tallies = sample(probs, shots=shots, seed=seed)
     if tallies[g.m + 1 :].any():
         raise InternalCheckError("sampled an outcome beyond m edges")
     counts = tuple(int(c) for c in tallies[: g.m + 1])
@@ -188,7 +181,6 @@ def quantum_histogram(
         shots=shots,
         seed=seed,
         shot_counts=counts,
-        state=state,
     )
 
 

@@ -3,17 +3,21 @@
 Amplitude indexing is little-endian: qubit i is bit i of the state
 index, so a graph-register basis state IS the vertex-subset mask.
 
-`run` compiles a circuit of the phase-estimation shape whole before it
-touches any amplitude:
+A circuit of the phase-estimation shape is compiled whole before any
+amplitude is touched:
 - an H on every qubit of |0...0> as its first gates is the uniform
   state of amplitude 2^(-w/2);
 - the phase gates (p, cp, ccp) that follow, all with dyadic turns of at
-  most 16 bits, are merged per qubit set by exact sums of turns,
-  accumulated as an integer phase index mod 2^T in a uint16 array, and
-  written with the uniform amplitude by one lookup in a 2^T-entry exp
-  table, block by block of 2^16 basis states;
+  most 16 bits, are merged per qubit set by exact sums of turns into
+  one integer phase index mod 2^T, written with the uniform amplitude
+  by one lookup in a 2^T-entry exp table;
 - an optional tail equal to the inverse QFT on the estimation register
-  is one in-place FFT along that register's axis.
+  is one FFT along that register's axis.
+Each op before the FFT is diagonal and the FFT acts on the estimation
+register alone, so a slab (all 2^t estimation rows of a run of graph
+basis states) evolves on its own.  `_slabs` yields the final slabs one
+at a time, which `readout` sums into the estimation-register marginal
+and `run` writes into the statevector.
 Any other circuit runs gate by gate through `apply_gate`, the reference
 that the tests compare `run` against.  It works in place on reshaped
 views; H needs a temporary of the array's size and swap half of it.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +50,7 @@ class Statevector:
     amps: np.ndarray
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+        return float(np.vdot(self.amps, self.amps).real)
 
 
 def init_state(n_qubits: int) -> Statevector:
@@ -104,16 +109,17 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 # so the integer phase index of every basis state fits in a uint16.
 _PHASE_BITS = 16
 _PHASE_KINDS = ("p", "cp", "ccp")
-# A phase run works on blocks of 2^_BLOCK_BITS basis states, so its phase
-# index and lookup temporaries stay in cache and small at any width.
+# Slabs and marginal chunks hold about 2^_BLOCK_BITS amplitudes, so their
+# temporaries stay in cache and small at any width.
 _BLOCK_BITS = 16
+# `sample` draws its shots this many at a time.
+_SHOT_CHUNK = 1 << 20
 
-# Bytes held at the peak of `run` and `marginal`: per amplitude, the
-# complex128 amplitudes plus the largest temporary; per block element,
-# a phase run's uint16 index, its intp cast and a complex128 lookup.
+# Bytes at the peak of `run` and `marginal`: the complex128 amplitudes
+# plus the largest temporary, a copy that apply_gate makes, or per block
+# element a slab's uint16 index, intp cast and complex128 lookup.
 _AMP_BYTES = 16
-_GATE_TEMP_BYTES = {"h": 16, "swap": 8}  # apply_gate's copies
-_PROBS_BYTES = 8  # float64 |amp|^2 of the norm check and of marginal
+_GATE_TEMP_BYTES = {"h": 16, "swap": 8}
 _BLOCK_TEMP_BYTES = 2 + 8 + 16
 
 
@@ -188,22 +194,28 @@ def _compile(circuit: Circuit) -> _Program | None:
 
 def _need_bytes(circuit: Circuit, program: _Program | None) -> int:
     w = circuit.width
+    temp = _BLOCK_TEMP_BYTES << min(w, _BLOCK_BITS)
     if program is None:
-        temp = max((_GATE_TEMP_BYTES.get(g.kind, 0) for g in circuit.gates), default=0)
-        return (_AMP_BYTES + max(_PROBS_BYTES, temp)) << w
-    block = _BLOCK_TEMP_BYTES << min(w, _BLOCK_BITS) if program.phases.terms else 0
-    return ((_AMP_BYTES + _PROBS_BYTES) << w) + block
+        gate = max((_GATE_TEMP_BYTES.get(g.kind, 0) for g in circuit.gates), default=0)
+        temp = max(temp, gate << w)
+    return (_AMP_BYTES << w) + temp
 
 
 def peak_bytes(circuit: Circuit) -> int:
     """Estimated peak bytes of `run` on circuit followed by `marginal`.
 
-    Counts the complex128 amplitudes, the float64 probabilities of the
-    norm check and of marginal, and either the block temporaries of a
-    compiled phase run (its uint16 phase index and the table lookup) or
-    the largest temporary of a gate that apply_gate runs.
+    Counts the complex128 amplitudes and the largest temporary: the
+    block temporaries of a slab or of a marginal chunk, or the copy of
+    a gate that apply_gate runs.
     """
     return _need_bytes(circuit, _compile(circuit))
+
+
+def _check_width(circuit: Circuit, max_qubits: int) -> None:
+    if max_qubits > HARD_MAX_QUBITS:
+        raise ResourceLimitError(f"max_qubits {max_qubits} exceeds hard limit {HARD_MAX_QUBITS}")
+    if circuit.width > max_qubits:
+        raise ResourceLimitError(f"circuit width {circuit.width} exceeds limit {max_qubits}")
 
 
 def _mem_available() -> int | None:
@@ -219,68 +231,84 @@ def _mem_available() -> int | None:
 
 
 def _ones_view(arr: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """View of the entries of arr whose index has every bit in qubits
-    (sorted ascending) set."""
+    """View of the rows of arr (its entries, if 1-D) whose index along
+    axis 0 has every bit in qubits (sorted ascending) set."""
     shape: list[int] = []
     low = 0
     for q in qubits:
         shape[:0] = [2, 1 << (q - low)]
         low = q + 1
     key = (slice(None),) + (1, slice(None)) * len(qubits)
-    return arr.reshape([-1, *shape])[key]
+    return arr.reshape([-1, *shape, *arr.shape[1:]])[key]
 
 
-def _phase_fill(width: int, step: _PhaseRun) -> np.ndarray:
-    """The uniform state on width qubits times the run's phases.
+def _slabs(circuit: Circuit, program: _Program) -> Iterator[tuple[int, np.ndarray]]:
+    """Yields (start, slab) in ascending start: slab[r, c] is the final
+    amplitude of estimation value r and graph basis state start + c, for
+    2^t rows and 2^cb columns, about 2^_BLOCK_BITS amplitudes in all.
 
-    Block by block: a term's qubits below _BLOCK_BITS select entries of
-    the block's phase index, the ones above select the blocks it
-    reaches, so terms that share their low qubits add to the index as
-    one.  A run without terms is the uniform state itself.
-    """
-    amps = np.empty(1 << width, dtype=np.complex128)
-    if not step.terms:
-        amps.fill(2.0 ** (-width / 2))
-        return amps
-    bits = min(width, _BLOCK_BITS)
-    size = 1 << bits
-    # low qubits -> [(mask of high qubits, phase units)]
-    split: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    Phase terms are grouped by their estimation qubits E; a group's
+    column units come from its graph qubits below cb, gated on the ones
+    above against start.  Row r's phase index sums the groups with E in
+    r's bits, by subset doubling over the estimation bits: a group joins
+    when its top bit's half is built, and later halves copy it."""
+    n, t = circuit.n_graph, circuit.n_est
+    step = program.phases
+    cb = max(0, min(n, _BLOCK_BITS - t))
+    cols = 1 << cb
+    # estimation bits -> graph qubits below cb -> [(mask of the rest, units)]
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], list[tuple[int, int]]]] = {}
     for qubits, k in step.terms:
-        low = tuple(q for q in qubits if q < bits)
-        high = sum(1 << q for q in qubits if q >= bits)
-        split.setdefault(low, []).append((high, k))
-    table = np.exp(2j * math.pi / (1 << step.bits) * np.arange(1 << step.bits))
-    table *= 2.0 ** (-width / 2)
-    idx = np.empty(size, dtype=np.uint16)
-    for start in range(0, 1 << width, size):
-        idx.fill(0)
+        est = tuple(q - n for q in qubits if q >= n)
+        low = tuple(q for q in qubits if q < cb)
+        high = sum(1 << q for q in qubits if cb <= q < n)
+        groups.setdefault(est, {}).setdefault(low, []).append((high, k))
+    # Each group's units: the ungated terms once, in base; per slab, the
+    # gated ones through views of the group's units fixed here.
+    units: dict[tuple[int, ...], np.ndarray] = {}
+    base, gated = {}, []
+    for est, split in groups.items():
+        u = units[est] = np.zeros(cols, dtype=np.uint16)
         for low, parts in split.items():
-            units = sum(k for high, k in parts if start & high == high) % (1 << _PHASE_BITS)
-            if units:
-                _ones_view(idx, low)[...] += np.uint16(units)
-        if step.bits < _PHASE_BITS:
-            idx &= np.uint16((1 << step.bits) - 1)
-        np.take(table, idx, out=amps[start : start + size])
-    return amps
+            view = _ones_view(u, low)
+            view += np.uint16(sum(k for high, k in parts if not high) % (1 << _PHASE_BITS))
+            if any(high for high, _ in parts):
+                gated.append((view, [(high, k) for high, k in parts if high]))
+        base[est] = u.copy()
+    table = np.exp(2j * math.pi / (1 << step.bits) * np.arange(1 << step.bits))
+    table *= 2.0 ** (-circuit.width / 2)
+    idx = np.empty((1 << t, cols), dtype=np.uint16)
+    for start in range(0, 1 << n, cols):
+        for est, u in units.items():
+            u[...] = base[est]
+        for view, parts in gated:
+            k = sum(k for high, k in parts if start & high == high) % (1 << _PHASE_BITS)
+            if k:
+                view += np.uint16(k)
+        idx[0] = units.get((), 0)
+        for j in range(t):
+            h = 1 << j
+            np.add(idx[:h], units.get((j,), 0), out=idx[h : 2 * h])
+            for est, u in units.items():
+                if len(est) > 1 and est[-1] == j:
+                    _ones_view(idx[h : 2 * h], est[:-1])[...] += u
+        idx &= np.uint16((1 << step.bits) - 1)
+        # Every index is below len(table): "clip" skips the bounds check.
+        slab = np.take(table, idx, mode="clip")
+        if program.fft_tail:
+            np.fft.fft(slab, axis=0, norm="ortho", out=slab)
+        yield start, slab
 
 
 def run(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
     """Simulate from |0...0>, returning the final statevector.
 
-    A circuit of the phase-estimation shape runs compiled, any other
-    runs gate by gate through apply_gate.  Raises ResourceLimitError
-    before allocating when the width exceeds max_qubits or peak_bytes
-    exceeds the memory available.
+    A circuit of the phase-estimation shape is written slab by slab,
+    any other runs gate by gate through apply_gate.  Raises
+    ResourceLimitError before allocating when the width exceeds
+    max_qubits or peak_bytes exceeds the memory available.
     """
-    if max_qubits > HARD_MAX_QUBITS:
-        raise ResourceLimitError(
-            f"max_qubits {max_qubits} exceeds hard limit {HARD_MAX_QUBITS}"
-        )
-    if circuit.width > max_qubits:
-        raise ResourceLimitError(
-            f"circuit width {circuit.width} exceeds limit {max_qubits}"
-        )
+    _check_width(circuit, max_qubits)
     program = _compile(circuit)
     need = _need_bytes(circuit, program)
     available = _mem_available()
@@ -295,20 +323,45 @@ def run(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
         for gate in circuit.gates:
             apply_gate(state, gate)
     else:
-        state = Statevector(w, _phase_fill(w, program.phases))
-        if program.fft_tail:
-            v = state.amps.reshape(1 << circuit.n_est, -1)
-            np.fft.fft(v, axis=0, norm="ortho", out=v)
+        state = Statevector(w, np.empty(1 << w, dtype=np.complex128))
+        rows = state.amps.reshape(1 << circuit.n_est, -1)
+        for start, slab in _slabs(circuit, program):
+            rows[:, start : start + slab.shape[1]] = slab
     norm = state.norm_sq()
     if abs(norm - 1.0) > 1e-9:
         raise InternalCheckError(f"norm drifted to {norm!r} after {len(circuit.gates)} gates")
     return state
 
 
+def readout(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
+    """`marginal` of circuit.est_register after running circuit.
+
+    A compiled circuit adds up each slab's |amp|^2 by row, so it holds
+    one slab at any width and needs no memory admission; any other is
+    `marginal` of `run`.  Raises InternalCheckError unless the total
+    mass is within 1e-9 of 1."""
+    _check_width(circuit, max_qubits)
+    if not circuit.n_est:
+        raise InputError("empty measurement register")
+    program = _compile(circuit)
+    if program is None:
+        return marginal(run(circuit, max_qubits=max_qubits), circuit.est_register)
+    probs = np.zeros(1 << circuit.n_est)
+    for _, slab in _slabs(circuit, program):
+        probs += (np.abs(slab) ** 2).sum(axis=1)
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise InternalCheckError(f"read-out mass drifted to {total!r}")
+    probs[probs < 1e-12] = 0.0
+    return probs
+
+
 def marginal(state: Statevector, register: tuple[int, ...]) -> np.ndarray:
     """Measurement distribution of the given qubits, all others traced
     out: probs[x] for outcome x, whose bit p comes from register[p].
-    Probabilities below 1e-12 are clamped to zero."""
+    Probabilities below 1e-12 are clamped to zero.  Sums by chunks of
+    2^_BLOCK_BITS amplitudes: the register qubits inside a chunk rank
+    the outcomes it reaches, those above it fix an offset."""
     k = len(register)
     if k == 0:
         raise InputError("empty measurement register")
@@ -316,44 +369,46 @@ def marginal(state: Statevector, register: tuple[int, ...]) -> np.ndarray:
         raise InputError(f"duplicate qubits in register {register}")
     for q in register:
         _check_qubit(state, q)
-    n = state.n_qubits
-    probs = (np.abs(state.amps) ** 2).reshape((2,) * n)
-    # ndarray axis a holds qubit n-1-a (C order, row-major).
-    keep = {n - 1 - q for q in register}
-    drop = tuple(a for a in range(n) if a not in keep)
-    if drop:
-        probs = probs.sum(axis=drop)
-    # Remaining axes are sorted by original axis number; transpose so
-    # axis 0 is register[k-1] (MSB) down to register[0] (LSB).
-    kept_sorted = sorted(keep)
-    pos = {a: i for i, a in enumerate(kept_sorted)}
-    perm = [pos[n - 1 - register[bit]] for bit in range(k - 1, -1, -1)]
-    out = probs.transpose(perm).reshape(-1).copy()
-    out[out < 1e-12] = 0.0
-    return out
+    bits = min(state.n_qubits, _BLOCK_BITS)
+    inner = [(p, q) for p, q in enumerate(register) if q < bits]
+    outer = [(p, q) for p, q in enumerate(register) if q >= bits]
+    i = np.arange(1 << bits)
+    rank = sum((((i >> q) & 1) << r for r, (_, q) in enumerate(inner)), np.zeros_like(i))
+    j = np.arange(1 << len(inner))
+    reach = sum((((j >> r) & 1) << p for r, (p, _) in enumerate(inner)), np.zeros_like(j))
+    probs = np.zeros(1 << k)
+    for start in range(0, len(state.amps), 1 << bits):
+        chunk = state.amps[start : start + (1 << bits)]
+        offset = sum(((start >> q) & 1) << p for p, q in outer)
+        weights = chunk.real**2 + chunk.imag**2
+        probs[reach + offset] += np.bincount(rank, weights=weights, minlength=len(reach))
+    probs[probs < 1e-12] = 0.0
+    return probs
 
 
-def sample(state: Statevector, register: tuple[int, ...], shots: int, seed: int) -> np.ndarray:
-    """Draw measurement shots by inverse-CDF lookup on the marginal and
-    return how often each outcome was drawn, indexed like `marginal`.
+def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """How often each outcome of probs (as `readout` returns) is drawn
+    in shots inverse-CDF draws, _SHOT_CHUNK at a time.
 
-    PCG64 with an explicit seed; identical (state, register, shots,
-    seed) give identical counts on any platform.
+    PCG64 with an explicit seed; identical (probs, shots, seed) give
+    identical counts on any platform and for any chunk size.
     """
     if shots < 1:
         raise InputError(f"shots must be positive, got {shots}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    probs = marginal(state, register)
     cdf = np.cumsum(probs)
     total = cdf[-1]
     if abs(total - 1.0) > 1e-9:
         raise InternalCheckError(f"marginal mass {total!r} is not 1")
     cdf /= total
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.random(shots)
-    outcomes = np.searchsorted(cdf, draws, side="right")
-    return np.bincount(outcomes, minlength=len(probs))
+    counts = np.zeros(len(probs), dtype=np.int64)
+    for done in range(0, shots, _SHOT_CHUNK):
+        draws = rng.random(min(_SHOT_CHUNK, shots - done))
+        outcomes = np.searchsorted(cdf, draws, side="right")
+        counts += np.bincount(outcomes, minlength=len(probs))
+    return counts
 
 
 def phase_table(state: Statevector, theta: float, atol: float = 1e-6) -> dict[int, int]:

@@ -50,6 +50,7 @@ PUBLIC = {
     "prop1_check",
     "qft",
     "quantum_histogram",
+    "readout",
     "run",
     "run_survey",
     "sample",

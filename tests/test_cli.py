@@ -171,8 +171,8 @@ def test_invariant_dump_state_simulates_once(capsys, tmp_path, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(qgi.invariant, "run", counted(qgi.invariant.run))
-    monkeypatch.setattr(qgi.cli, "run", counted(qgi.simulator.run), raising=False)
+    monkeypatch.setattr(qgi.cli, "run", counted(qgi.simulator.run))
+    monkeypatch.setattr(qgi.simulator, "run", counted(qgi.simulator.run))
     path = tmp_path / "state.json"
     code, _, _ = run_cli(
         capsys, "invariant", "m3", "--mode", "qpe", "--dump-state", str(path)
@@ -182,11 +182,16 @@ def test_invariant_dump_state_simulates_once(capsys, tmp_path, monkeypatch):
     assert json.loads(path.read_text())["qubits"] == 6
 
 
-def test_invariant_memory_refusal_exit_3(capsys, monkeypatch):
+def test_invariant_memory_refusal_exit_3(capsys, monkeypatch, tmp_path):
+    # Only --dump-state holds all 2^w amplitudes, so only it is refused.
     monkeypatch.setattr(qgi.simulator, "_mem_available", lambda: 1 << 10)
-    code, out, err = run_cli(capsys, "invariant", "c4", "--mode", "qpe")
+    path = tmp_path / "state.json"
+    code, out, err = run_cli(capsys, "invariant", "c4", "--mode", "qpe", "--dump-state", str(path))
     assert code == 3
     assert out == "" and "MiB available" in err
+    assert not path.exists()
+    code, out, _ = run_cli(capsys, "invariant", "c4", "--mode", "qpe")
+    assert code == 0 and out == C4_TABLE
 
 
 def test_invariant_threads_flag(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from conftest import random_graph, random_permutation, slow_char_poly, slow_hist
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qgi.invariant
+import qgi.simulator
 from qgi import (
     CharPoly,
     EdgeHistogram,
@@ -28,6 +31,7 @@ from qgi import (
     parse_edge_list,
     prop1_check,
     quantum_histogram,
+    readout,
     run,
     spectra_equal,
 )
@@ -164,16 +168,55 @@ def test_quantum_fuse_equivalent():
         assert tuple(counts[: g.m + 1]) == quantum_histogram(g).histogram.counts
 
 
-def test_quantum_edgeless_short_circuit():
+def test_quantum_edgeless_short_circuit(monkeypatch):
+    widths = []
+
+    def recorded(circuit, **kwargs):
+        widths.append(circuit.width)
+        return readout(circuit, **kwargs)
+
+    monkeypatch.setattr(qgi.invariant, "readout", recorded)
     g = parse_edge_list("3;")
     outcome = quantum_histogram(g)
     assert outcome.histogram.counts == (8,)
     assert outcome.probabilities == (1.0,)
     assert outcome.plan.t == 1
+    assert widths == []
     # Shot mode samples the width-4 circuit like any other graph.
     shot = quantum_histogram(g, shots=100, seed=3)
     assert shot.shot_counts == (100,) and shot.source == "qpe-shots"
-    assert shot.histogram is None and shot.state.n_qubits == 4
+    assert shot.histogram is None and widths == [4]
+
+
+@pytest.mark.parametrize("block_bits", [qgi.simulator._BLOCK_BITS, 2])
+@given(g=graphs(max_n=8))
+def test_quantum_matches_sweep_on_random_graphs(block_bits, g):
+    # With blocks of 4 amplitudes the high graph qubits gate each slab's
+    # phase terms, as every graph qubit above 16 - t does by default.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qgi.simulator, "_BLOCK_BITS", block_bits)
+        assert quantum_histogram(g).histogram.counts == classical_histogram(g).counts
+
+
+def test_quantum_histogram_streams_without_the_statevector(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full-state path ran")
+
+    # Neither `run` nor its memory admission: the read-out holds a slab.
+    monkeypatch.setattr(qgi.simulator, "run", refuse)
+    monkeypatch.setattr(qgi.simulator, "_mem_available", refuse)
+    rng = random.Random(310)
+    pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+    g = Graph.from_edges(16, rng.sample(pairs, 24))  # width 16 + 5
+    tracemalloc.start()
+    try:
+        outcome = quantum_histogram(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.histogram.counts == classical_histogram(g).counts
+    assert peak < 16 << 20  # the 2^21 amplitudes alone are 32 MiB
+    assert sum(quantum_histogram(g, shots=1000, seed=1).shot_counts) == 1000
 
 
 def test_quantum_shots_mode():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from qgi.simulator import (
     marginal,
     peak_bytes,
     phase_table,
+    readout,
     run,
     sample,
 )
@@ -197,12 +199,16 @@ def test_oracle_on_superposition_carries_edge_counts():
 
 # --- compiled run against the gate loop ---
 
-def _gate_loop(circuit: Circuit) -> np.ndarray:
+def _gate_loop_state(circuit: Circuit) -> Statevector:
     """The reference: |0...0> and apply_gate for every gate, in order."""
     state = init_state(circuit.width)
     for gate in circuit.gates:
         apply_gate(state, gate)
-    return state.amps
+    return state
+
+
+def _gate_loop(circuit: Circuit) -> np.ndarray:
+    return _gate_loop_state(circuit).amps
 
 
 def _iqft_on_est(n_graph: int, n_est: int) -> tuple[Gate, ...]:
@@ -283,6 +289,19 @@ def test_compiled_run_matches_gate_loop(block_bits, circuit):
     np.testing.assert_allclose(amps, _gate_loop(circuit), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("block_bits", [qgi.simulator._BLOCK_BITS, 2])
+@given(circuit=_qpe_shaped().filter(lambda c: c.n_est))
+def test_readout_matches_marginal_of_run(block_bits, circuit):
+    # With blocks of 4 amplitudes a slab is one or two graph columns, so
+    # the start gating and the multi-bit estimation terms both matter,
+    # and marginal's chunks hold no estimation qubit at all.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qgi.simulator, "_BLOCK_BITS", block_bits)
+        probs = readout(circuit)
+        expect = marginal(_gate_loop_state(circuit), circuit.est_register)
+    np.testing.assert_allclose(probs, expect, rtol=0, atol=1e-12)
+
+
 @given(circuit=_off_shape())
 def test_other_circuits_run_gate_by_gate(circuit):
     # No part of such a circuit is compiled: every gate, in order, goes
@@ -333,19 +352,20 @@ def test_qpe_circuits_need_no_gate_loop(monkeypatch):
 def test_peak_bytes_counts_amplitudes_and_temporaries():
     w = 5
     uniform = tuple(h(q) for q in range(w))
-    # Amplitudes plus the float64 probabilities of marginal.
-    assert peak_bytes(Circuit(n_graph=w, n_est=0, gates=uniform)) == 24 << w
-    # A phase run adds its block temporaries: index, intp cast, lookup.
-    assert peak_bytes(build_qpe(named_graph("c4"))) == (24 << 7) + (26 << 7)
-    # A mid-circuit H copies as much as the whole array.
+    # Amplitudes plus the block temporaries of a slab or of a marginal
+    # chunk: index, intp cast, lookup.
+    assert peak_bytes(Circuit(n_graph=w, n_est=0, gates=uniform)) == (16 << w) + (26 << w)
+    assert peak_bytes(build_qpe(named_graph("c4"))) == (16 << 7) + (26 << 7)
+    # A mid-circuit H copies as much as the whole array, which at this
+    # width is less than the block temporaries.
     mid_h = uniform + (h(0),)
-    assert peak_bytes(Circuit(n_graph=w, n_est=0, gates=mid_h)) == 32 << w
+    assert peak_bytes(Circuit(n_graph=w, n_est=0, gates=mid_h)) == (16 << w) + (26 << w)
     # The estimate is pure arithmetic: width-28 circuits allocate nothing,
-    # and a phase run's temporaries stay one block of 2^16 states.
+    # and the block temporaries stay one block of 2^16 states.
     wide = tuple(h(q) for q in range(28))
     assert peak_bytes(Circuit(n_graph=28, n_est=0, gates=wide + (h(3),))) == 32 << 28
     phased = wide + (cp(0, 27, Fraction(1, 4)),)
-    assert peak_bytes(Circuit(n_graph=28, n_est=0, gates=phased)) == (24 << 28) + (26 << 16)
+    assert peak_bytes(Circuit(n_graph=28, n_est=0, gates=phased)) == (16 << 28) + (26 << 16)
 
 
 def test_run_refuses_beyond_available_memory(monkeypatch):
@@ -408,25 +428,47 @@ def test_marginal_input_validation():
 # --- sampling ---
 
 def test_sample_point_mass():
-    state = init_state(3)
-    counts = sample(state, (0, 1, 2), shots=500, seed=1)
+    counts = sample(marginal(init_state(3), (0, 1, 2)), shots=500, seed=1)
     assert counts.tolist() == [500, 0, 0, 0, 0, 0, 0, 0]
     assert counts.dtype == np.int64
 
 
 def test_sample_reproducible_and_seed_sensitive():
-    state = run(build_qpe(named_graph("m3")))
-    a = sample(state, (4, 5), shots=2000, seed=42)
-    b = sample(state, (4, 5), shots=2000, seed=42)
-    c = sample(state, (4, 5), shots=2000, seed=43)
+    probs = readout(build_qpe(named_graph("m3")))
+    a = sample(probs, shots=2000, seed=42)
+    b = sample(probs, shots=2000, seed=42)
+    c = sample(probs, shots=2000, seed=43)
     assert a.tolist() == b.tolist()
     assert a.tolist() != c.tolist()
 
 
+# Tallies of sample(m3 read-out, 2000 shots, seed 42), frozen.
+M3_TALLIES = [1008, 603, 263, 126]
+
+
+@pytest.mark.parametrize("chunk", [qgi.simulator._SHOT_CHUNK, 7])
+def test_sample_chunks_draw_one_stream(chunk, monkeypatch):
+    monkeypatch.setattr(qgi.simulator, "_SHOT_CHUNK", chunk)
+    probs = readout(build_qpe(named_graph("m3")))
+    assert sample(probs, shots=2000, seed=42).tolist() == M3_TALLIES
+
+
+def test_sample_memory_stays_one_chunk():
+    probs = readout(build_qpe(named_graph("m3")))
+    tracemalloc.start()
+    try:
+        counts = sample(probs, shots=10**7, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 10**7
+    assert peak < 32 << 20
+
+
 def test_sample_five_sigma():
-    state = run(build_qpe(named_graph("m3")))
+    probs = readout(build_qpe(named_graph("m3")))
     shots = 100_000
-    counts = sample(state, (4, 5), shots=shots, seed=7)
+    counts = sample(probs, shots=shots, seed=7)
     assert counts.sum() == shots
     for outcome, prob in enumerate([0.5, 0.3125, 0.125, 0.0625]):
         sigma = math.sqrt(shots * prob * (1 - prob))
@@ -435,7 +477,7 @@ def test_sample_five_sigma():
 
 def test_sample_rejects_bad_shots():
     with pytest.raises(InputError):
-        sample(init_state(1), (0,), shots=0, seed=0)
+        sample(np.array([1.0]), shots=0, seed=0)
 
 
 # --- phase table ---
