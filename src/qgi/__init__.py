@@ -17,7 +17,6 @@ from .circuit import (
     inverse_qft,
     parse_qasm,
     plan_precision,
-    qft,
 )
 from .errors import (
     CacheError,
@@ -119,7 +118,6 @@ __all__ = [
     "phase_table",
     "plan_precision",
     "prop1_check",
-    "qft",
     "quantum_histogram",
     "readout",
     "run",

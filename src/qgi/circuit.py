@@ -168,25 +168,10 @@ def _shifted(gates: tuple[Gate, ...], offset: int) -> tuple[Gate, ...]:
     )
 
 
-def qft(t: int) -> tuple[Gate, ...]:
-    """Fourier transform on qubits 0..t-1, LSB-first in and out:
-    |x> -> 2^(-t/2) * sum_k exp(2*pi*i*x*k / 2^t) |k>."""
-    if t < 1:
-        raise InputError(f"register size must be positive, got {t}")
-    gates: list[Gate] = []
-    for j in range(t - 1, -1, -1):
-        gates.append(h(j))
-        for k in range(j - 1, -1, -1):
-            gates.append(cp(k, j, Fraction(1, 1 << (j - k + 1))))
-    for i in range(t // 2):
-        gates.append(swap(i, t - 1 - i))
-    return tuple(gates)
-
-
 def inverse_qft(t: int) -> tuple[Gate, ...]:
-    """Inverse Fourier transform on qubits 0..t-1 (reverse of qft with
-    conjugated phases).  t=1 reduces to a single H; t=2 yields
-    SWAP, H, CP(-pi/2), H."""
+    """Inverse Fourier transform on qubits 0..t-1, LSB-first in and out:
+    |k> -> 2^(-t/2) * sum_x exp(-2*pi*i*x*k / 2^t) |x>.  t=1 reduces to
+    a single H; t=2 yields SWAP, H, CP(-pi/2), H."""
     if t < 1:
         raise InputError(f"register size must be positive, got {t}")
     gates: list[Gate] = []

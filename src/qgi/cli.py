@@ -104,7 +104,7 @@ def cmd_invariant(args) -> int:
             # The one QPE path that holds all 2^w amplitudes: `run` admits it.
             state = run(build_qpe(g, fuse=True), max_qubits=args.max_qubits)
             with open(args.dump_state, "w", encoding="utf-8") as fh:
-                json.dump(dump_amplitudes(state), fh)
+                dump_amplitudes(state, fh)
 
     if args.output == "json":
         print(
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--dump-state",
         metavar="PATH",
-        help="also write the QPE statevector as JSON [index, re, im] triples",
+        help="also write the QPE amplitudes with |amp| > 1e-12 as JSON [index, re, im] triples",
     )
     _add_input_opts(sp)
     _add_threads(sp)

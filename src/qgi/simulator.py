@@ -1,10 +1,11 @@
-"""Dense statevector simulation of phase-oracle circuits.
+"""Dense statevector simulation of phase-estimation circuits.
 
 Amplitude indexing is little-endian: qubit i is bit i of the state
 index, so a graph-register basis state IS the vertex-subset mask.
 
-A circuit of the phase-estimation shape is compiled whole before any
-amplitude is touched:
+`run` and `readout` take one path.  They compile a circuit of the
+phase-estimation shape whole before any amplitude is touched, and
+raise InputError for any other circuit:
 - an H on every qubit of |0...0> as its first gates is the uniform
   state of amplitude 2^(-w/2);
 - the phase gates (p, cp, ccp) that follow, all with dyadic turns of at
@@ -17,10 +18,15 @@ Each op before the FFT is diagonal and the FFT acts on the estimation
 register alone, so a slab (all 2^t estimation rows of a run of graph
 basis states) evolves on its own.  `_slabs` yields the final slabs one
 at a time, which `readout` sums into the estimation-register marginal
-and `run` writes into the statevector.
-Any other circuit runs gate by gate through `apply_gate`, the reference
-that the tests compare `run` against.  It works in place on reshaped
-views; H needs a temporary of the array's size and swap half of it.
+and `run` writes into the statevector.  Only `run` holds all 2^w
+amplitudes, so `peak_bytes` estimates `run` alone.
+
+The gate loop (`init_state`, then `apply_gate` for each gate) and
+`marginal` of its state are the reference that the tests compare `run`
+and `readout` against; the program itself never calls them.
+apply_gate works in place on reshaped views; marginal holds |amp|^2,
+8 B per amplitude, and is not admitted against memory.
+`dump_amplitudes` writes only the amplitudes with |amp| > 1e-12.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TextIO
 
 import numpy as np
 
@@ -105,40 +112,31 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     return state
 
 
-# A phase run accumulates turns in units of 2^-T with T <= _PHASE_BITS,
+# A program accumulates turns in units of 2^-T with T <= _PHASE_BITS,
 # so the integer phase index of every basis state fits in a uint16.
 _PHASE_BITS = 16
 _PHASE_KINDS = ("p", "cp", "ccp")
-# Slabs and marginal chunks hold about 2^_BLOCK_BITS amplitudes, so their
+# Slabs and dump chunks hold about 2^_BLOCK_BITS amplitudes, so their
 # temporaries stay in cache and small at any width.
 _BLOCK_BITS = 16
 # `sample` draws its shots this many at a time.
 _SHOT_CHUNK = 1 << 20
 
-# Bytes at the peak of `run` and `marginal`: the complex128 amplitudes
-# plus the largest temporary, a copy that apply_gate makes, or per block
-# element a slab's uint16 index, intp cast and complex128 lookup.
+# Bytes at the peak of `run`: the complex128 amplitudes plus, per block
+# element, a slab's uint16 index, intp cast and complex128 lookup.
 _AMP_BYTES = 16
-_GATE_TEMP_BYTES = {"h": 16, "swap": 8}
 _BLOCK_TEMP_BYTES = 2 + 8 + 16
 
 
 @dataclass(frozen=True)
-class _PhaseRun:
-    """Merged phase gates: (sorted qubits, phase in units of 2^-bits
-    turns) per qubit set, each applied to the basis states with all of
-    those qubits set."""
+class _Program:
+    """A compiled circuit: the uniform state times exp(2*pi*i * units /
+    2^bits) on the basis states with every qubit of a term set, for each
+    (sorted qubits, units) term; then an inverse QFT on the estimation
+    register if fft_tail."""
 
     bits: int
     terms: tuple[tuple[tuple[int, ...], int], ...]
-
-
-@dataclass(frozen=True)
-class _Program:
-    """A compiled circuit: the uniform state times the phases of one
-    run, then an inverse QFT on the estimation register if fft_tail."""
-
-    phases: _PhaseRun
     fft_tail: bool
 
 
@@ -148,23 +146,11 @@ def _dyadic_bits(turns: Fraction) -> int | None:
     return den.bit_length() - 1 if den & (den - 1) == 0 else None
 
 
-def _phase_run(gates: tuple[Gate, ...]) -> _PhaseRun | None:
-    """The gates merged into one run, None unless every gate is a phase
-    gate with dyadic turns of at most _PHASE_BITS bits."""
-    # Exact sums of the turns per qubit set, in units of 2^-_PHASE_BITS.
-    merged: dict[tuple[int, ...], int] = {}
-    for gate in gates:
-        bits = _dyadic_bits(gate.turns) if gate.kind in _PHASE_KINDS else None
-        if bits is None or bits > _PHASE_BITS:
-            return None
-        key = tuple(sorted(gate.qubits))
-        units = gate.turns.numerator << (_PHASE_BITS - bits)
-        merged[key] = (merged.get(key, 0) + units) % (1 << _PHASE_BITS)
-    merged = {key: units for key, units in merged.items() if units}
-    # The coarsest unit that still expresses every merged phase.
-    shift = min(((units & -units).bit_length() - 1 for units in merged.values()), default=0)
-    terms = tuple((key, units >> shift) for key, units in merged.items())
-    return _PhaseRun(_PHASE_BITS - shift if terms else 0, terms)
+_OFF_SHAPE = (
+    "circuit is not of the phase-estimation shape: an H on every qubit, then "
+    "phase gates with dyadic turns of at most 16 bits, then optionally the "
+    "inverse QFT on the estimation register"
+)
 
 
 @functools.lru_cache(maxsize=32)
@@ -172,15 +158,16 @@ def _iqft_tail(n_graph: int, n_est: int) -> tuple[Gate, ...]:
     return _shifted(inverse_qft(n_est), n_graph)
 
 
-def _compile(circuit: Circuit) -> _Program | None:
+def _compile(circuit: Circuit) -> _Program:
     """The program of a circuit of the phase-estimation shape: an H on
     every qubit as its first gates, in any order, then only phase gates
-    that fit a phase run, then optionally the inverse QFT on the
-    estimation register.  None for any other circuit."""
+    with dyadic turns of at most _PHASE_BITS bits, then optionally the
+    inverse QFT on the estimation register.  InputError for any other
+    circuit."""
     w = circuit.width
     gates = circuit.gates
     if {g.qubits[0] for g in gates[:w] if g.kind == "h"} != set(range(w)):
-        return None
+        raise InputError(_OFF_SHAPE)
     body = gates[w:]
     fft_tail = False
     if circuit.n_est:
@@ -188,27 +175,27 @@ def _compile(circuit: Circuit) -> _Program | None:
         if body[-len(tail) :] == tail:
             fft_tail = True
             body = body[: -len(tail)]
-    phases = _phase_run(body)
-    return None if phases is None else _Program(phases, fft_tail)
-
-
-def _need_bytes(circuit: Circuit, program: _Program | None) -> int:
-    w = circuit.width
-    temp = _BLOCK_TEMP_BYTES << min(w, _BLOCK_BITS)
-    if program is None:
-        gate = max((_GATE_TEMP_BYTES.get(g.kind, 0) for g in circuit.gates), default=0)
-        temp = max(temp, gate << w)
-    return (_AMP_BYTES << w) + temp
+    # Exact sums of the turns per qubit set, in units of 2^-_PHASE_BITS.
+    merged: dict[tuple[int, ...], int] = {}
+    for gate in body:
+        bits = _dyadic_bits(gate.turns) if gate.kind in _PHASE_KINDS else None
+        if bits is None or bits > _PHASE_BITS:
+            raise InputError(_OFF_SHAPE)
+        key = tuple(sorted(gate.qubits))
+        units = gate.turns.numerator << (_PHASE_BITS - bits)
+        merged[key] = (merged.get(key, 0) + units) % (1 << _PHASE_BITS)
+    merged = {key: units for key, units in merged.items() if units}
+    # The coarsest unit that still expresses every merged phase.
+    shift = min(((units & -units).bit_length() - 1 for units in merged.values()), default=0)
+    terms = tuple((key, units >> shift) for key, units in merged.items())
+    return _Program(_PHASE_BITS - shift if terms else 0, terms, fft_tail)
 
 
 def peak_bytes(circuit: Circuit) -> int:
-    """Estimated peak bytes of `run` on circuit followed by `marginal`.
-
-    Counts the complex128 amplitudes and the largest temporary: the
-    block temporaries of a slab or of a marginal chunk, or the copy of
-    a gate that apply_gate runs.
-    """
-    return _need_bytes(circuit, _compile(circuit))
+    """Estimated peak bytes of `run` on circuit: the complex128
+    amplitudes plus the temporaries of one slab."""
+    w = circuit.width
+    return (_AMP_BYTES << w) + (_BLOCK_TEMP_BYTES << min(w, _BLOCK_BITS))
 
 
 def _check_width(circuit: Circuit, max_qubits: int) -> None:
@@ -253,12 +240,11 @@ def _slabs(circuit: Circuit, program: _Program) -> Iterator[tuple[int, np.ndarra
     r's bits, by subset doubling over the estimation bits: a group joins
     when its top bit's half is built, and later halves copy it."""
     n, t = circuit.n_graph, circuit.n_est
-    step = program.phases
     cb = max(0, min(n, _BLOCK_BITS - t))
     cols = 1 << cb
     # estimation bits -> graph qubits below cb -> [(mask of the rest, units)]
     groups: dict[tuple[int, ...], dict[tuple[int, ...], list[tuple[int, int]]]] = {}
-    for qubits, k in step.terms:
+    for qubits, k in program.terms:
         est = tuple(q - n for q in qubits if q >= n)
         low = tuple(q for q in qubits if q < cb)
         high = sum(1 << q for q in qubits if cb <= q < n)
@@ -275,7 +261,7 @@ def _slabs(circuit: Circuit, program: _Program) -> Iterator[tuple[int, np.ndarra
             if any(high for high, _ in parts):
                 gated.append((view, [(high, k) for high, k in parts if high]))
         base[est] = u.copy()
-    table = np.exp(2j * math.pi / (1 << step.bits) * np.arange(1 << step.bits))
+    table = np.exp(2j * math.pi / (1 << program.bits) * np.arange(1 << program.bits))
     table *= 2.0 ** (-circuit.width / 2)
     idx = np.empty((1 << t, cols), dtype=np.uint16)
     for start in range(0, 1 << n, cols):
@@ -292,7 +278,7 @@ def _slabs(circuit: Circuit, program: _Program) -> Iterator[tuple[int, np.ndarra
             for est, u in units.items():
                 if len(est) > 1 and est[-1] == j:
                     _ones_view(idx[h : 2 * h], est[:-1])[...] += u
-        idx &= np.uint16((1 << step.bits) - 1)
+        idx &= np.uint16((1 << program.bits) - 1)
         # Every index is below len(table): "clip" skips the bounds check.
         slab = np.take(table, idx, mode="clip")
         if program.fft_tail:
@@ -301,32 +287,26 @@ def _slabs(circuit: Circuit, program: _Program) -> Iterator[tuple[int, np.ndarra
 
 
 def run(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
-    """Simulate from |0...0>, returning the final statevector.
+    """Simulate from |0...0>, returning the final statevector, written
+    slab by slab.
 
-    A circuit of the phase-estimation shape is written slab by slab,
-    any other runs gate by gate through apply_gate.  Raises
-    ResourceLimitError before allocating when the width exceeds
+    Raises InputError unless circuit is of the phase-estimation shape,
+    and ResourceLimitError before allocating when the width exceeds
     max_qubits or peak_bytes exceeds the memory available.
     """
     _check_width(circuit, max_qubits)
     program = _compile(circuit)
-    need = _need_bytes(circuit, program)
+    need = peak_bytes(circuit)
     available = _mem_available()
     if available is not None and need > available:
         raise ResourceLimitError(
             f"circuit width {circuit.width} needs about {need / 2**20:.1f} MiB, "
             f"only {available / 2**20:.1f} MiB available"
         )
-    w = circuit.width
-    if program is None:
-        state = init_state(w)
-        for gate in circuit.gates:
-            apply_gate(state, gate)
-    else:
-        state = Statevector(w, np.empty(1 << w, dtype=np.complex128))
-        rows = state.amps.reshape(1 << circuit.n_est, -1)
-        for start, slab in _slabs(circuit, program):
-            rows[:, start : start + slab.shape[1]] = slab
+    state = Statevector(circuit.width, np.empty(1 << circuit.width, dtype=np.complex128))
+    rows = state.amps.reshape(1 << circuit.n_est, -1)
+    for start, slab in _slabs(circuit, program):
+        rows[:, start : start + slab.shape[1]] = slab
     norm = state.norm_sq()
     if abs(norm - 1.0) > 1e-9:
         raise InternalCheckError(f"norm drifted to {norm!r} after {len(circuit.gates)} gates")
@@ -336,16 +316,14 @@ def run(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
 def readout(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     """`marginal` of circuit.est_register after running circuit.
 
-    A compiled circuit adds up each slab's |amp|^2 by row, so it holds
-    one slab at any width and needs no memory admission; any other is
-    `marginal` of `run`.  Raises InternalCheckError unless the total
-    mass is within 1e-9 of 1."""
+    Adds up each slab's |amp|^2 by row, so it holds one slab at any
+    width and needs no memory admission.  Raises InputError unless
+    circuit is of the phase-estimation shape, and InternalCheckError
+    unless the total mass is within 1e-9 of 1."""
     _check_width(circuit, max_qubits)
     if not circuit.n_est:
         raise InputError("empty measurement register")
     program = _compile(circuit)
-    if program is None:
-        return marginal(run(circuit, max_qubits=max_qubits), circuit.est_register)
     probs = np.zeros(1 << circuit.n_est)
     for _, slab in _slabs(circuit, program):
         probs += (np.abs(slab) ** 2).sum(axis=1)
@@ -359,9 +337,7 @@ def readout(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarra
 def marginal(state: Statevector, register: tuple[int, ...]) -> np.ndarray:
     """Measurement distribution of the given qubits, all others traced
     out: probs[x] for outcome x, whose bit p comes from register[p].
-    Probabilities below 1e-12 are clamped to zero.  Sums by chunks of
-    2^_BLOCK_BITS amplitudes: the register qubits inside a chunk rank
-    the outcomes it reaches, those above it fix an offset."""
+    Probabilities below 1e-12 are clamped to zero."""
     k = len(register)
     if k == 0:
         raise InputError("empty measurement register")
@@ -369,19 +345,13 @@ def marginal(state: Statevector, register: tuple[int, ...]) -> np.ndarray:
         raise InputError(f"duplicate qubits in register {register}")
     for q in register:
         _check_qubit(state, q)
-    bits = min(state.n_qubits, _BLOCK_BITS)
-    inner = [(p, q) for p, q in enumerate(register) if q < bits]
-    outer = [(p, q) for p, q in enumerate(register) if q >= bits]
-    i = np.arange(1 << bits)
-    rank = sum((((i >> q) & 1) << r for r, (_, q) in enumerate(inner)), np.zeros_like(i))
-    j = np.arange(1 << len(inner))
-    reach = sum((((j >> r) & 1) << p for r, (p, _) in enumerate(inner)), np.zeros_like(j))
-    probs = np.zeros(1 << k)
-    for start in range(0, len(state.amps), 1 << bits):
-        chunk = state.amps[start : start + (1 << bits)]
-        offset = sum(((start >> q) & 1) << p for p, q in outer)
-        weights = chunk.real**2 + chunk.imag**2
-        probs[reach + offset] += np.bincount(rank, weights=weights, minlength=len(reach))
+    n = state.n_qubits
+    # Axis n-1-q of the C-order cube is qubit q.  With register[k-1]
+    # moved to the front and register[0] to axis k-1, the flat index of
+    # what is left after summing out the other axes is the outcome.
+    cube = (np.abs(state.amps) ** 2).reshape((2,) * n)
+    front = np.moveaxis(cube, [n - 1 - q for q in reversed(register)], range(k))
+    probs = front.sum(axis=tuple(range(k, n))).reshape(-1)
     probs[probs < 1e-12] = 0.0
     return probs
 
@@ -442,12 +412,18 @@ def phase_table(state: Statevector, theta: float, atol: float = 1e-6) -> dict[in
     return table
 
 
-def dump_amplitudes(state: Statevector) -> dict:
-    """JSON-ready nonzero amplitudes as [index, real, imag] triples."""
-    idx = np.nonzero(state.amps)[0]
-    return {
-        "qubits": state.n_qubits,
-        "amplitudes": [
-            [int(i), float(state.amps[i].real), float(state.amps[i].imag)] for i in idx
-        ],
-    }
+def dump_amplitudes(state: Statevector, fh: TextIO) -> None:
+    """Write the amplitudes with |amp| > 1e-12 to fh as the JSON
+    {"qubits": w, "amplitudes": [[index, re, im], ...]}, in ascending
+    index, 2^_BLOCK_BITS amplitudes at a time."""
+    fh.write(f'{{"qubits": {state.n_qubits}, "amplitudes": [')
+    sep = ""
+    step = 1 << _BLOCK_BITS
+    for start in range(0, len(state.amps), step):
+        chunk = state.amps[start : start + step]
+        idx = np.flatnonzero(np.abs(chunk) > 1e-12)
+        kept = chunk[idx]
+        for i, re, im in zip((idx + start).tolist(), kept.real.tolist(), kept.imag.tolist()):
+            fh.write(f"{sep}[{i}, {re!r}, {im!r}]")
+            sep = ", "
+    fh.write("]}")

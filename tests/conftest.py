@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from qgi import Graph
 
@@ -22,6 +23,14 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def graphs(draw, max_n: int = 10) -> Graph:
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph.from_edges(n, [p for k, p in enumerate(pairs) if chosen >> k & 1])
 
 
 def random_permutation(rng: random.Random, n: int) -> tuple[int, ...]:

@@ -48,7 +48,6 @@ PUBLIC = {
     "phase_table",
     "plan_precision",
     "prop1_check",
-    "qft",
     "quantum_histogram",
     "readout",
     "run",

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_graph
+from conftest import graphs, random_graph
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +17,7 @@ from qgi import (
     ResourceLimitError,
     build_oracle,
     build_qpe,
+    classical_histogram,
     export_qasm,
     induced_edge_count,
     inverse_qft,
@@ -24,7 +25,7 @@ from qgi import (
     parse_edge_list,
     parse_qasm,
     plan_precision,
-    qft,
+    readout,
 )
 from qgi.circuit import ccp, cp, h
 from qgi.simulator import apply_gate, init_state
@@ -191,32 +192,20 @@ def _dft_matrix(t: int) -> np.ndarray:
     return np.exp(2j * np.pi * k * x / size) / math.sqrt(size)
 
 
-def test_qft_matches_dft_matrix():
-    for t in (1, 2, 3, 4):
+def test_inverse_qft_matches_dft_adjoint():
+    # LSB-first in and out, so the gates realise the adjoint of the
+    # unitary DFT matrix itself, with no bit reversal left over.
+    for t in (1, 2, 3, 4, 5):
         size = 1 << t
-        w = _dft_matrix(t)
+        adjoint = _dft_matrix(t).conj().T
         for x in range(size):
             start = np.zeros(size, dtype=np.complex128)
             start[x] = 1.0
-            out = _apply_gates(t, qft(t), start)
-            assert np.allclose(out, w[:, x], atol=1e-12)
-
-
-def test_inverse_qft_inverts_qft():
-    for t in (1, 2, 3, 4):
-        size = 1 << t
-        for x in range(size):
-            start = np.zeros(size, dtype=np.complex128)
-            start[x] = 1.0
-            out = _apply_gates(t, qft(t) + inverse_qft(t), start)
-            expect = np.zeros(size, dtype=np.complex128)
-            expect[x] = 1.0
-            assert np.allclose(out, expect, atol=1e-12)
+            out = _apply_gates(t, inverse_qft(t), start)
+            assert np.allclose(out, adjoint[:, x], atol=1e-12)
 
 
 def test_qft_rejects_empty_register():
-    with pytest.raises(InputError):
-        qft(0)
     with pytest.raises(InputError):
         inverse_qft(0)
 
@@ -249,6 +238,18 @@ def test_qasm_roundtrip():
             assert parse_qasm(export_qasm(circuit)) == circuit
     oracle = build_oracle(named_graph("g1"), Fraction(1, 16))
     assert parse_qasm(export_qasm(oracle)) == oracle
+
+
+@pytest.mark.parametrize("fuse", [False, True])
+@given(g=graphs(max_n=7))
+def test_qasm_round_trip_reads_the_histogram(fuse, g):
+    circuit = build_qpe(g, fuse=fuse)
+    again = parse_qasm(export_qasm(circuit))
+    assert again == circuit
+    # The re-read circuit takes the simulator's one path.
+    scaled = readout(again) * (1 << g.n)
+    np.testing.assert_allclose(scaled[: g.m + 1], classical_histogram(g).counts, rtol=0, atol=1e-6)
+    assert not scaled[g.m + 1 :].any()
 
 
 def test_qasm_decomposed_ccp_is_one_way():

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import qgi
 import qgi.cli
 import qgi.invariant
 import qgi.simulator
-from qgi import InputError, build_qpe, classical_histogram, named_graph, parse_qasm
+import qgi.survey
+from qgi import FIXTURE_NAMES, InputError, build_qpe, classical_histogram, named_graph, parse_qasm
 from qgi.cli import load_graph, main
 
 C4_TABLE = """\
@@ -192,6 +194,28 @@ def test_invariant_memory_refusal_exit_3(capsys, monkeypatch, tmp_path):
     assert not path.exists()
     code, out, _ = run_cli(capsys, "invariant", "c4", "--mode", "qpe")
     assert code == 0 and out == C4_TABLE
+
+
+def test_cli_never_calls_the_gate_loop_reference(capsys, monkeypatch, tmp_path):
+    commands = [
+        ["invariant", name, "--mode", mode] for name in FIXTURE_NAMES for mode in ("qpe", "shots")
+    ]
+    commands += [["survey", "--n", "5", "--source", "qpe-exact"]]
+    expect = {tuple(argv): run_cli(capsys, *argv)[1] for argv in commands}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reference-only function ran")
+
+    for module in (qgi, qgi.cli, qgi.invariant, qgi.simulator, qgi.survey):
+        for name in ("apply_gate", "init_state", "marginal"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for argv in commands:
+        assert run_cli(capsys, *argv)[:2] == (0, expect[tuple(argv)]), argv
+    path = tmp_path / "state.json"
+    argv = ["invariant", "g1", "--mode", "qpe"]
+    assert run_cli(capsys, *argv, "--dump-state", str(path))[:2] == (0, expect[tuple(argv)])
+    assert json.loads(path.read_text())["qubits"] == 11
 
 
 def test_invariant_threads_flag(capsys):

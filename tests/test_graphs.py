@@ -3,7 +3,9 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import random_graph, random_permutation
+from conftest import graphs, random_graph, random_permutation
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qgi import (
     Graph,
@@ -57,6 +59,18 @@ def test_graph6_roundtrip_random():
         assert parse_graph6(encode_graph6(g)) == g
     big = random_graph(rng, 24, 0.3)
     assert parse_graph6(encode_graph6(big)) == big
+
+
+@given(g=graphs(max_n=12), data=st.data())
+def test_text_formats_round_trip(g, data):
+    assert parse_graph6(encode_graph6(g)) == g
+    rows = [" ".join(str(g.adj[i] >> j & 1) for j in range(g.n)) for i in range(g.n)]
+    assert parse_adjacency("\n".join(rows)) == g
+    # Edge lists take the edges in any order, each pair either way round.
+    edges = data.draw(st.permutations(g.edges()))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    fields = [f"{j} {i}" if flip else f"{i} {j}" for (i, j), flip in zip(edges, flips)]
+    assert parse_edge_list("; ".join([str(g.n), *fields])) == g
 
 
 def test_graph6_error_offsets():

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_graph, random_permutation, slow_char_poly, slow_histogram
+from conftest import graphs, random_graph, random_permutation, slow_char_poly, slow_histogram
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -68,12 +68,11 @@ def test_classical_histogram_matches_subset_enumeration():
         assert list(classical_histogram(g).counts) == slow_histogram(g), g.adj
 
 
-def test_histogram_is_isomorphism_invariant():
-    rng = random.Random(302)
-    for _ in range(10):
-        g = random_graph(rng, rng.randint(2, 7))
-        perm = random_permutation(rng, g.n)
-        assert classical_histogram(g).counts == classical_histogram(g.permuted(perm)).counts
+@given(g=graphs(max_n=8), data=st.data())
+def test_histogram_is_isomorphism_invariant(g, data):
+    h = g.permuted(tuple(data.draw(st.permutations(range(g.n)))))
+    assert classical_histogram(h).counts == classical_histogram(g).counts
+    assert quantum_histogram(h).histogram.counts == quantum_histogram(g).histogram.counts
 
 
 def test_histogram_moment_identity():
@@ -91,14 +90,6 @@ def test_histogram_top_bin_counts_isolated_vertices():
     base = parse_edge_list("6; 0 1; 1 2; 0 2")  # triangle plus 3 isolated
     assert classical_histogram(base).counts[3] == 8
     assert classical_histogram(C4_PLUS_K1).counts[4] == 2
-
-
-@st.composite
-def graphs(draw, max_n: int = 10) -> Graph:
-    n = draw(st.integers(1, max_n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
-    return Graph.from_edges(n, [p for k, p in enumerate(pairs) if chosen >> k & 1])
 
 
 @given(graphs())

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+import json
 import math
 import random
 import tracemalloc
@@ -11,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qgi.simulator
-from qgi import build_oracle, build_qpe, inverse_qft, named_graph
+from qgi import Graph, build_oracle, build_qpe, inverse_qft, named_graph
 from qgi.circuit import Circuit, Gate, ccp, cp, h, p, swap
 from qgi.errors import InputError, InternalCheckError, ResourceLimitError
 from qgi.simulator import (
@@ -280,7 +282,6 @@ def _off_shape(draw) -> Circuit:
 @pytest.mark.parametrize("block_bits", [qgi.simulator._BLOCK_BITS, 2])
 @given(circuit=_qpe_shaped())
 def test_compiled_run_matches_gate_loop(block_bits, circuit):
-    assert qgi.simulator._compile(circuit) is not None
     # Blocks of 4 states split phase terms between a block's index and
     # the choice of blocks, as wide circuits do with the default blocks.
     with pytest.MonkeyPatch.context() as mp:
@@ -303,20 +304,12 @@ def test_readout_matches_marginal_of_run(block_bits, circuit):
 
 
 @given(circuit=_off_shape())
-def test_other_circuits_run_gate_by_gate(circuit):
-    # No part of such a circuit is compiled: every gate, in order, goes
-    # through apply_gate, so the two paths never mix.
-    assert qgi.simulator._compile(circuit) is None
-    applied = []
-
-    def counted(state, gate):
-        applied.append(gate)
-        return apply_gate(state, gate)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qgi.simulator, "apply_gate", counted)
+def test_other_circuits_are_refused(circuit):
+    # Only the gate loop, called directly, simulates such a circuit.
+    with pytest.raises(InputError, match="phase-estimation shape"):
         run(circuit)
-    assert applied == list(circuit.gates)
+    with pytest.raises(InputError, match="phase-estimation shape" if circuit.n_est else "empty"):
+        readout(circuit)
 
 
 def test_compiled_run_matches_gate_loop_beyond_one_block():
@@ -350,22 +343,17 @@ def test_qpe_circuits_need_no_gate_loop(monkeypatch):
 # --- memory admission ---
 
 def test_peak_bytes_counts_amplitudes_and_temporaries():
+    # Amplitudes plus the temporaries of one slab (index, intp cast,
+    # lookup), which never exceed a block of 2^16 states.
     w = 5
     uniform = tuple(h(q) for q in range(w))
-    # Amplitudes plus the block temporaries of a slab or of a marginal
-    # chunk: index, intp cast, lookup.
     assert peak_bytes(Circuit(n_graph=w, n_est=0, gates=uniform)) == (16 << w) + (26 << w)
     assert peak_bytes(build_qpe(named_graph("c4"))) == (16 << 7) + (26 << 7)
-    # A mid-circuit H copies as much as the whole array, which at this
-    # width is less than the block temporaries.
-    mid_h = uniform + (h(0),)
-    assert peak_bytes(Circuit(n_graph=w, n_est=0, gates=mid_h)) == (16 << w) + (26 << w)
-    # The estimate is pure arithmetic: width-28 circuits allocate nothing,
-    # and the block temporaries stay one block of 2^16 states.
+    # The estimate is pure arithmetic of the width: width-28 circuits
+    # allocate nothing, and a circuit that run refuses gets the same figure.
     wide = tuple(h(q) for q in range(28))
-    assert peak_bytes(Circuit(n_graph=28, n_est=0, gates=wide + (h(3),))) == 32 << 28
-    phased = wide + (cp(0, 27, Fraction(1, 4)),)
-    assert peak_bytes(Circuit(n_graph=28, n_est=0, gates=phased)) == (16 << 28) + (26 << 16)
+    for gates in (wide, wide + (cp(0, 27, Fraction(1, 4)),), wide + (h(3),)):
+        assert peak_bytes(Circuit(n_graph=28, n_est=0, gates=gates)) == (16 << 28) + (26 << 16)
 
 
 def test_run_refuses_beyond_available_memory(monkeypatch):
@@ -517,13 +505,43 @@ def test_phase_table_ignores_zero_amplitudes():
 
 # --- dumps ---
 
-def test_dump_amplitudes():
-    state = init_state(2)
+def test_dump_amplitudes(monkeypatch):
+    state = init_state(3)
     apply_gate(state, h(0))
-    dump = dump_amplitudes(state)
-    assert dump["qubits"] == 2
-    assert len(dump["amplitudes"]) == 2
-    (i0, re0, im0), (i1, re1, im1) = dump["amplitudes"]
-    assert (i0, i1) == (0, 1)
-    assert re0 == pytest.approx(1 / math.sqrt(2)) and im0 == 0.0
-    assert re1 == pytest.approx(1 / math.sqrt(2)) and im1 == 0.0
+    state.amps[5] = complex(0.0, -0.25)
+    state.amps[6] = 1e-13  # rounding residue, not data
+    r = 1 / math.sqrt(2)
+    expect = {"qubits": 3, "amplitudes": [[0, r, 0.0], [1, r, 0.0], [5, 0.0, -0.25]]}
+    # Chunks of 2 amplitudes write the same text as one chunk.
+    for block_bits in (qgi.simulator._BLOCK_BITS, 1):
+        monkeypatch.setattr(qgi.simulator, "_BLOCK_BITS", block_bits)
+        fh = io.StringIO()
+        dump_amplitudes(state, fh)
+        assert fh.getvalue() == json.dumps(expect)
+
+
+def test_dump_keeps_only_the_real_amplitudes():
+    # Exact QPE leaves one estimation value per subset; the inverse
+    # FFT's residue elsewhere is about 1e-17.
+    fh = io.StringIO()
+    dump_amplitudes(run(build_qpe(named_graph("petersen"))), fh)
+    doc = json.loads(fh.getvalue())
+    assert doc["qubits"] == 14
+    assert len(doc["amplitudes"]) == 1 << 10
+
+
+def test_dump_streams_in_chunks(tmp_path):
+    rng = random.Random(415)
+    pairs = [(i, j) for i in range(14) for j in range(i + 1, 14)]
+    g = Graph.from_edges(14, rng.sample(pairs, 20))  # width 14 + 5
+    state = run(build_qpe(g, fuse=True))
+    path = tmp_path / "state.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            dump_amplitudes(state, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(json.loads(path.read_text())["amplitudes"]) == 1 << 14
+    assert peak < 4 << 20  # the 2^19 amplitudes alone are 8 MiB
