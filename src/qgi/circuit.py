@@ -204,14 +204,11 @@ def build_qpe(g: Graph, fuse: bool = False) -> Circuit:
     gates: list[Gate] = [h(q) for q in range(width)]
     edges = g.edges()
     for j in range(t):
-        ctrl = n + j
-        reps = 1 << j
-        if fuse:
-            fused = (plan.theta_turns * reps) % 1
-            gates.extend(ccp(ctrl, a, b, fused) for a, b in edges)
-        else:
-            for _ in range(reps):
-                gates.extend(ccp(ctrl, a, b, plan.theta_turns) for a, b in edges)
+        # Oracle power 2^j controlled on estimation qubit j: one fused
+        # phase per edge, or the single oracle repeated 2^j times.
+        turns = plan.theta_turns * (1 << j) % 1 if fuse else plan.theta_turns
+        power = tuple(ccp(n + j, a, b, turns) for a, b in edges)
+        gates.extend(power if fuse else power * (1 << j))
     gates.extend(_shifted(inverse_qft(t), n))
     return Circuit(
         n_graph=n,
@@ -310,6 +307,7 @@ def parse_qasm(text: str) -> Circuit:
     if not lines or lines[0] != "OPENQASM 3.0;":
         raise InputError("expected an OPENQASM 3.0 header")
     sizes = {"g": 0, "e": 0}
+    declared: set[str] = set()
     gates: list[Gate] = []
     meas: list[tuple[int, int]] = []
 
@@ -329,6 +327,11 @@ def parse_qasm(text: str) -> Circuit:
         if line.startswith("include"):
             continue
         if mt := _DECL_RE.fullmatch(line):
+            # qb() resolves e[i] against the g size seen so far, so a
+            # register declared twice would move earlier gates.
+            if mt.group(2) in declared:
+                raise InputError(f"register {mt.group(2)} declared twice")
+            declared.add(mt.group(2))
             sizes[mt.group(2)] = num(mt.group(1))
         elif _BIT_RE.fullmatch(line):
             pass

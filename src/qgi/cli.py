@@ -30,14 +30,8 @@ from .invariant import (
     quantum_histogram,
     spectra_equal,
 )
-from .simulator import DEFAULT_MAX_QUBITS, dump_amplitudes, run
-from .survey import (
-    SURVEY_MAX_CLASSICAL,
-    SURVEY_MAX_QPE,
-    load_report,
-    run_survey,
-    save_report,
-)
+from .simulator import dump_amplitudes, run
+from .survey import SURVEY_MAX_VERTICES, load_report, run_survey, save_report
 
 _TABLE_HEADER = "#(edges)  %Probability  #(subgraphs)"
 _SHOTS_HEADER = "#(edges)  %Probability  #(shots)"
@@ -90,7 +84,7 @@ def cmd_invariant(args) -> int:
         source = "classical"
     else:
         shots = args.shots if args.mode == "shots" else None
-        out = quantum_histogram(g, shots=shots, seed=args.seed, max_qubits=args.max_qubits)
+        out = quantum_histogram(g, shots=shots, seed=args.seed)
         plan = out.plan
         print(
             f"qpe: width={g.n + plan.t} graph_qubits={g.n} est_qubits={plan.t} "
@@ -100,11 +94,12 @@ def cmd_invariant(args) -> int:
         counts = out.shot_counts if out.histogram is None else out.histogram.counts
         probs = out.probabilities
         source = out.source
-        if args.dump_state:
-            # The one QPE path that holds all 2^w amplitudes: `run` admits it.
-            state = run(build_qpe(g, fuse=True), max_qubits=args.max_qubits)
-            with open(args.dump_state, "w", encoding="utf-8") as fh:
-                dump_amplitudes(state, fh)
+    if args.dump_state:
+        # The one path that holds all 2^w amplitudes: `run` admits it.
+        # It runs before any stdout, so a refusal leaves stdout empty.
+        state = run(build_qpe(g, fuse=True))
+        with open(args.dump_state, "w", encoding="utf-8") as fh:
+            dump_amplitudes(state, fh)
 
     if args.output == "json":
         print(
@@ -194,10 +189,9 @@ def _cache_path(args) -> str | None:
 
 def cmd_survey(args) -> int:
     # Validate the whole range before computing any lower order.
-    cap = SURVEY_MAX_CLASSICAL if args.source == "classical" else SURVEY_MAX_QPE
-    if not 1 <= args.n <= cap:
+    if not 1 <= args.n <= SURVEY_MAX_VERTICES:
         raise ResourceLimitError(
-            f"survey source {args.source} supports 1 <= n <= {cap}, got {args.n}"
+            f"survey source {args.source} supports 1 <= n <= {SURVEY_MAX_VERTICES}, got {args.n}"
         )
     cache = _cache_path(args)
     reports = []
@@ -259,12 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fuse",
         action="store_true",
         help="accepted for compatibility and ignored: QPE always runs the fused circuit",
-    )
-    sp.add_argument(
-        "--max-qubits",
-        type=int,
-        default=DEFAULT_MAX_QUBITS,
-        help="simulator width ceiling (hard limit 28)",
     )
     sp.add_argument(
         "--output", choices=("pretty", "json", "csv"), default="pretty"

@@ -65,9 +65,6 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.adj[i] >> j) & 1)
 
-    def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adj)
 

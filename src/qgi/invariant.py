@@ -22,11 +22,10 @@ import numpy as np
 from .circuit import PrecisionPlan, build_qpe, plan_precision
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .graphs import Graph, Permutation, induced_edge_count
-from .simulator import DEFAULT_MAX_QUBITS, readout, sample
+from .simulator import readout, sample
 
-# char_poly and prop1_check sweep 2^n subsets / n x n integer matrices.
+# char_poly is pure-Python O(n^4) arithmetic on n x n integer matrices.
 CHAR_POLY_MAX_VERTICES = 16
-SUBSET_CHECK_MAX_VERTICES = 16
 
 # The edge-count kernel yields 2^_SLICE_BITS masks at a time.
 _SLICE_BITS = 18
@@ -75,10 +74,6 @@ class CharPoly:
         if not self.coeffs or self.coeffs[0] != 1:
             raise InternalCheckError("characteristic polynomial must be monic")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 @dataclass(frozen=True)
 class QpeOutcome:
@@ -93,8 +88,6 @@ class QpeOutcome:
     plan: PrecisionPlan
     histogram: EdgeHistogram | None
     probabilities: tuple[float, ...]
-    shots: int | None = None
-    seed: int | None = None
     shot_counts: tuple[int, ...] | None = None
 
 
@@ -130,12 +123,7 @@ def classical_histogram(g: Graph) -> EdgeHistogram:
     return EdgeHistogram(n=g.n, m=g.m, counts=tuple(int(c) for c in counts))
 
 
-def quantum_histogram(
-    g: Graph,
-    shots: int | None = None,
-    seed: int = 0,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> QpeOutcome:
+def quantum_histogram(g: Graph, shots: int | None = None, seed: int = 0) -> QpeOutcome:
     """Read the invariant off the phase-estimation circuit.
 
     Exact mode (shots=None) converts outcome probabilities p(x) to
@@ -147,14 +135,14 @@ def quantum_histogram(
     the fused one: it compiles to the same phase program as the paper's
     repeated oracle powers, in fewer gates.  Both modes read the
     estimation register with `readout`, which never holds the 2^w
-    statevector.
+    statevector, so the only width cap is build_qpe's HARD_MAX_QUBITS.
     """
     plan = plan_precision(g.m)
     if g.m == 0 and shots is None:
         hist = EdgeHistogram(n=g.n, m=0, counts=(1 << g.n,))
         return QpeOutcome("qpe-exact", plan, hist, (1.0,))
     circuit = build_qpe(g, fuse=True)
-    probs = readout(circuit, max_qubits=max_qubits)
+    probs = readout(circuit)
     if shots is None:
         scaled = probs * (1 << g.n)
         rounded = np.rint(scaled)
@@ -173,15 +161,8 @@ def quantum_histogram(
     if tallies[g.m + 1 :].any():
         raise InternalCheckError("sampled an outcome beyond m edges")
     counts = tuple(int(c) for c in tallies[: g.m + 1])
-    return QpeOutcome(
-        "qpe-shots",
-        plan,
-        None,
-        tuple(c / shots for c in counts),
-        shots=shots,
-        seed=seed,
-        shot_counts=counts,
-    )
+    freqs = tuple(c / shots for c in counts)
+    return QpeOutcome("qpe-shots", plan, None, freqs, shot_counts=counts)
 
 
 def invariant_equal(g1: Graph, g2: Graph) -> bool:
@@ -233,10 +214,6 @@ def prop1_check(g1: Graph, g2: Graph, perm: Permutation) -> bool:
     if g1.n != g2.n:
         raise InputError("graphs must have equal vertex counts")
     n = g1.n
-    if n > SUBSET_CHECK_MAX_VERTICES:
-        raise ResourceLimitError(
-            f"prop1_check supports n <= {SUBSET_CHECK_MAX_VERTICES}, got {n}"
-        )
     if sorted(perm) != list(range(n)):
         raise InputError(f"not a permutation of 0..{n - 1}: {perm}")
     # e_G2(perm(s)) is the count of s in G2 relabelled by perm's inverse.

@@ -43,9 +43,6 @@ import numpy as np
 from .circuit import HARD_MAX_QUBITS, Circuit, Gate, _shifted, inverse_qft
 from .errors import InputError, InternalCheckError, ResourceLimitError
 
-# Default runtime ceiling; callers may raise it up to HARD_MAX_QUBITS.
-DEFAULT_MAX_QUBITS = 24
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -198,11 +195,11 @@ def peak_bytes(circuit: Circuit) -> int:
     return (_AMP_BYTES << w) + (_BLOCK_TEMP_BYTES << min(w, _BLOCK_BITS))
 
 
-def _check_width(circuit: Circuit, max_qubits: int) -> None:
-    if max_qubits > HARD_MAX_QUBITS:
-        raise ResourceLimitError(f"max_qubits {max_qubits} exceeds hard limit {HARD_MAX_QUBITS}")
-    if circuit.width > max_qubits:
-        raise ResourceLimitError(f"circuit width {circuit.width} exceeds limit {max_qubits}")
+def _check_width(circuit: Circuit) -> None:
+    if circuit.width > HARD_MAX_QUBITS:
+        raise ResourceLimitError(
+            f"circuit width {circuit.width} exceeds the {HARD_MAX_QUBITS}-qubit limit"
+        )
 
 
 def _mem_available() -> int | None:
@@ -286,15 +283,15 @@ def _slabs(circuit: Circuit, program: _Program) -> Iterator[tuple[int, np.ndarra
         yield start, slab
 
 
-def run(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
+def run(circuit: Circuit) -> Statevector:
     """Simulate from |0...0>, returning the final statevector, written
     slab by slab.
 
     Raises InputError unless circuit is of the phase-estimation shape,
     and ResourceLimitError before allocating when the width exceeds
-    max_qubits or peak_bytes exceeds the memory available.
+    HARD_MAX_QUBITS or peak_bytes exceeds MemAvailable.
     """
-    _check_width(circuit, max_qubits)
+    _check_width(circuit)
     program = _compile(circuit)
     need = peak_bytes(circuit)
     available = _mem_available()
@@ -313,14 +310,15 @@ def run(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> Statevector:
     return state
 
 
-def readout(circuit: Circuit, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
+def readout(circuit: Circuit) -> np.ndarray:
     """`marginal` of circuit.est_register after running circuit.
 
     Adds up each slab's |amp|^2 by row, so it holds one slab at any
-    width and needs no memory admission.  Raises InputError unless
-    circuit is of the phase-estimation shape, and InternalCheckError
-    unless the total mass is within 1e-9 of 1."""
-    _check_width(circuit, max_qubits)
+    width and needs no memory admission; its time grows as 2^w.
+    Raises ResourceLimitError when the width exceeds HARD_MAX_QUBITS,
+    InputError unless circuit is of the phase-estimation shape, and
+    InternalCheckError unless the total mass is within 1e-9 of 1."""
+    _check_width(circuit)
     if not circuit.n_est:
         raise InputError("empty measurement register")
     program = _compile(circuit)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import argparse
+
 import qgi
+from qgi.cli import build_parser
 
 PUBLIC = {
     "CacheError",
@@ -57,6 +60,17 @@ PUBLIC = {
     "spectra_equal",
 }
 
+# Each subcommand's positionals and flags.
+CLI_OPTIONS = {
+    "invariant": {
+        "graph", "--mode", "--shots", "--seed", "--fuse", "--output", "--dump-state",
+        "--format", "--threads",
+    },
+    "compare": {"graph1", "graph2", "--output", "--format", "--threads"},
+    "encode": {"graph", "--fuse", "--decompose-ccp", "--format"},
+    "survey": {"--n", "--source", "--cache", "--output", "--threads"},
+}
+
 
 def test_public_surface_is_pinned():
     # A new public name is a deliberate change to this set, not a
@@ -65,3 +79,17 @@ def test_public_surface_is_pinned():
     assert len(qgi.__all__) == len(PUBLIC)
     for name in PUBLIC:
         assert hasattr(qgi, name), name
+
+
+def test_cli_options_are_pinned():
+    # A new flag is a deliberate change to these sets, as a public name
+    # is to PUBLIC.
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        name: {a.option_strings[0] if a.option_strings else a.dest for a in sp._actions}
+        - {"-h"}
+        for name, sp in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS

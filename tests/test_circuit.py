@@ -323,6 +323,10 @@ def test_parse_qasm_errors():
         parse_qasm("OPENQASM 3.0;\nqubit[2] g;\ncz g[0], g[1];")
     with pytest.raises(InputError, match="outside declared"):
         parse_qasm("OPENQASM 3.0;\nqubit[1] g;\nh g[3];")
+    # A second "qubit[3] g;" would have moved the H on e[0] onto g[2].
+    for reg in ("g", "e"):
+        with pytest.raises(InputError, match="declared twice"):
+            parse_qasm(f"OPENQASM 3.0;\nqubit[2] g;\nqubit[1] e;\nh e[0];\nqubit[3] {reg};")
 
 
 @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "1e999"])

@@ -196,6 +196,22 @@ def test_invariant_memory_refusal_exit_3(capsys, monkeypatch, tmp_path):
     assert code == 0 and out == C4_TABLE
 
 
+def test_invariant_dump_state_in_classical_mode(capsys, monkeypatch, tmp_path):
+    # --dump-state writes the QPE circuit's amplitudes in every mode.
+    qpe, classical = tmp_path / "qpe.json", tmp_path / "classical.json"
+    assert run_cli(capsys, "invariant", "petersen", "--mode", "qpe",
+                   "--dump-state", str(qpe))[0] == 0
+    code, out, _ = run_cli(capsys, "invariant", "petersen", "--dump-state", str(classical))
+    assert code == 0 and out == run_cli(capsys, "invariant", "petersen")[1]
+    assert classical.read_bytes() == qpe.read_bytes()
+    assert len(json.loads(classical.read_text())["amplitudes"]) == 1024
+    monkeypatch.setattr(qgi.simulator, "_mem_available", lambda: 1 << 10)
+    refused = tmp_path / "refused.json"
+    code, out, _ = run_cli(capsys, "invariant", "petersen", "--dump-state", str(refused))
+    assert code == 3 and out == ""
+    assert not refused.exists()
+
+
 def test_cli_never_calls_the_gate_loop_reference(capsys, monkeypatch, tmp_path):
     commands = [
         ["invariant", name, "--mode", mode] for name in FIXTURE_NAMES for mode in ("qpe", "shots")
@@ -401,11 +417,10 @@ def test_survey_cache_env_dir(capsys, tmp_path, monkeypatch):
 
 
 def test_survey_cap_exit_code(capsys):
-    code, _, err = run_cli(capsys, "survey", "--n", "9")
-    assert code == 3
-    assert err.startswith("error: ")
-    code, _, _ = run_cli(capsys, "survey", "--n", "8", "--source", "qpe-exact")
-    assert code == 3
+    for source in ("classical", "qpe-exact"):
+        code, out, err = run_cli(capsys, "survey", "--n", "9", "--source", source)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ")
 
 
 # --- exit codes and entry point ---
@@ -418,12 +433,18 @@ def test_exit_code_bad_input(capsys):
 
 
 def test_exit_code_resource_limit(capsys):
-    code, _, err = run_cli(capsys, "invariant", "petersen", "--mode", "qpe",
-                           "--max-qubits", "10")
-    assert code == 3 and err.startswith("error: ")
-    code, _, _ = run_cli(capsys, "invariant", "petersen", "--mode", "qpe",
-                         "--max-qubits", "99")
-    assert code == 3
+    # 24 vertices and 16 edges need 5 estimation qubits: width 29 > 28.
+    wide = "24; " + "; ".join(f"{i} {i + 1}" for i in range(16))
+    code, out, err = run_cli(capsys, "invariant", wide, "--mode", "qpe")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "28-qubit limit" in err
+
+
+def test_invariant_qpe_on_24_vertices(capsys):
+    # Width 25: the read-out streams slabs, so only HARD_MAX_QUBITS caps it.
+    code, out, _ = run_cli(capsys, "invariant", "24; 0 1", "--mode", "qpe")
+    assert code == 0
+    assert out == run_cli(capsys, "invariant", "24; 0 1")[1]
 
 
 def test_argparse_rejects_unknown_mode():

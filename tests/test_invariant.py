@@ -225,8 +225,11 @@ def test_quantum_shots_mode():
 
 
 def test_quantum_respects_qubit_budget():
+    # The one width cap is HARD_MAX_QUBITS: 24 vertices and 16 edges
+    # need 5 estimation qubits, width 29.
+    wide = Graph.from_edges(24, [(i, i + 1) for i in range(16)])
     with pytest.raises(ResourceLimitError):
-        quantum_histogram(named_graph("petersen"), max_qubits=10)
+        quantum_histogram(wide)
 
 
 def test_quantum_plan_metadata():
@@ -328,9 +331,15 @@ def test_prop1_validation():
         prop1_check(c4, STAR4, (0, 1, 2, 3))
     with pytest.raises(InputError, match="not a permutation"):
         prop1_check(c4, c4, (0, 1, 2, 2))
-    big = Graph.from_edges(17, [(0, 1)])
-    with pytest.raises(ResourceLimitError):
-        prop1_check(big, big, tuple(range(17)))
+
+
+def test_prop1_check_above_sixteen_vertices():
+    # The streamed sweep covers every order a Graph allows.
+    rng = random.Random(20)
+    g = random_graph(rng, 20, 0.3)
+    perm = random_permutation(rng, 20)
+    assert prop1_check(g, g.permuted(perm), perm)
+    assert not prop1_check(g, g.permuted(perm), tuple(range(20)))
 
 
 # --- independent sets ---

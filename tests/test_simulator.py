@@ -17,7 +17,6 @@ from qgi import Graph, build_oracle, build_qpe, inverse_qft, named_graph
 from qgi.circuit import Circuit, Gate, ccp, cp, h, p, swap
 from qgi.errors import InputError, InternalCheckError, ResourceLimitError
 from qgi.simulator import (
-    DEFAULT_MAX_QUBITS,
     Statevector,
     apply_gate,
     dump_amplitudes,
@@ -176,12 +175,19 @@ def test_run_uniform_superposition():
 
 
 def test_run_respects_qubit_budget():
-    qpe = build_qpe(named_graph("c4"))  # width 7
-    with pytest.raises(ResourceLimitError):
-        run(qpe, max_qubits=6)
-    with pytest.raises(ResourceLimitError):
-        run(qpe, max_qubits=29)
-    assert run(qpe, max_qubits=DEFAULT_MAX_QUBITS).n_qubits == 7
+    # A hand-built circuit one qubit past HARD_MAX_QUBITS is refused
+    # before a single amplitude is allocated.
+    wide = Circuit(n_graph=24, n_est=5, gates=tuple(h(q) for q in range(29)))
+    for simulate in (run, readout):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="28-qubit limit"):
+                simulate(wide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    assert run(build_qpe(named_graph("c4"))).n_qubits == 7
 
 
 def test_oracle_on_superposition_carries_edge_counts():

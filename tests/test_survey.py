@@ -94,10 +94,11 @@ def test_survey_qpe_source_agrees_with_classical():
 
 
 def test_survey_caps_and_sources():
-    with pytest.raises(ResourceLimitError):
-        run_survey(9)
-    with pytest.raises(ResourceLimitError):
-        run_survey(8, source="qpe-exact")
+    # One order cap for both sources, checked before any enumeration.
+    for source in ("classical", "qpe-exact"):
+        for n in (0, 9):
+            with pytest.raises(ResourceLimitError):
+                run_survey(n, source=source)
     with pytest.raises(InputError, match="unknown survey source"):
         run_survey(4, source="oracle")
 
