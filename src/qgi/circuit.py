@@ -17,11 +17,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .graphs import Graph
-
-# Widest statevector the simulator will ever allocate (2^28 amplitudes).
-HARD_MAX_QUBITS = 28
 
 _ARITY = {"h": 1, "p": 1, "cp": 2, "ccp": 3, "swap": 2}
 _PHASED = {"p", "cp", "ccp"}
@@ -197,10 +194,6 @@ def build_qpe(g: Graph, fuse: bool = False) -> Circuit:
     plan = plan_precision(g.m)
     n, t = g.n, plan.t
     width = n + t
-    if width > HARD_MAX_QUBITS:
-        raise ResourceLimitError(
-            f"circuit width {width} exceeds the {HARD_MAX_QUBITS}-qubit limit"
-        )
     gates: list[Gate] = [h(q) for q in range(width)]
     edges = g.edges()
     for j in range(t):
@@ -273,7 +266,7 @@ def export_qasm(circuit: Circuit, decompose_ccp: bool = False) -> str:
 
 
 _DECL_RE = re.compile(r"qubit\[(\d+)\] ([ge]);")
-_BIT_RE = re.compile(r"bit\[(\d+)\] meas;")
+_BIT_RE = re.compile(r"bit\[(\d+)\] (meas);")
 _H_RE = re.compile(r"h ([ge])\[(\d+)\];")
 _P_RE = re.compile(r"p\(([^)]+)\) ([ge])\[(\d+)\];")
 _CP_RE = re.compile(r"cp\(([^)]+)\) ([ge])\[(\d+)\], ([ge])\[(\d+)\];")
@@ -306,7 +299,7 @@ def parse_qasm(text: str) -> Circuit:
             lines.append(line)
     if not lines or lines[0] != "OPENQASM 3.0;":
         raise InputError("expected an OPENQASM 3.0 header")
-    sizes = {"g": 0, "e": 0}
+    sizes = {"g": 0, "e": 0, "meas": 0}
     declared: set[str] = set()
     gates: list[Gate] = []
     meas: list[tuple[int, int]] = []
@@ -326,15 +319,13 @@ def parse_qasm(text: str) -> Circuit:
     for line in lines[1:]:
         if line.startswith("include"):
             continue
-        if mt := _DECL_RE.fullmatch(line):
-            # qb() resolves e[i] against the g size seen so far, so a
-            # register declared twice would move earlier gates.
+        if mt := _DECL_RE.fullmatch(line) or _BIT_RE.fullmatch(line):
+            # qb() and meas[k] read the sizes seen so far, so a register
+            # declared twice would move or admit earlier statements.
             if mt.group(2) in declared:
                 raise InputError(f"register {mt.group(2)} declared twice")
             declared.add(mt.group(2))
             sizes[mt.group(2)] = num(mt.group(1))
-        elif _BIT_RE.fullmatch(line):
-            pass
         elif mt := _H_RE.fullmatch(line):
             gates.append(h(qb(mt.group(1), mt.group(2))))
         elif mt := _P_RE.fullmatch(line):
@@ -359,7 +350,10 @@ def parse_qasm(text: str) -> Circuit:
         elif mt := _SWAP_RE.fullmatch(line):
             gates.append(swap(qb(mt.group(1), mt.group(2)), qb(mt.group(3), mt.group(4))))
         elif mt := _MEAS_RE.fullmatch(line):
-            meas.append((num(mt.group(1)), qb(mt.group(2), mt.group(3))))
+            k = num(mt.group(1))
+            if k >= sizes["meas"]:
+                raise InputError(f"meas[{k}] outside declared bit register")
+            meas.append((k, qb(mt.group(2), mt.group(3))))
         else:
             raise InputError(f"unsupported statement: {line!r}")
     if sizes["g"] < 1:

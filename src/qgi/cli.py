@@ -24,7 +24,6 @@ from .graphs import (
     parse_graph6,
 )
 from .invariant import (
-    CHAR_POLY_MAX_VERTICES,
     classical_histogram,
     invariant_equal,
     quantum_histogram,
@@ -127,10 +126,7 @@ def cmd_compare(args) -> int:
     g1 = load_graph(args.graph1, args.format)
     g2 = load_graph(args.graph2, args.format)
     inv_eq = invariant_equal(g1, g2)
-    if max(g1.n, g2.n) <= CHAR_POLY_MAX_VERTICES:
-        spec_eq = spectra_equal(g1, g2)
-    else:
-        spec_eq = None
+    spec_eq = spectra_equal(g1, g2)
     iso = None
     witness = None
     if max(g1.n, g2.n) <= ISOMORPHISM_MAX_VERTICES:

@@ -40,8 +40,12 @@ from typing import TextIO
 
 import numpy as np
 
-from .circuit import HARD_MAX_QUBITS, Circuit, Gate, _shifted, inverse_qft
+from .circuit import Circuit, Gate, _shifted, inverse_qft
 from .errors import InputError, InternalCheckError, ResourceLimitError
+
+# Widest circuit run, readout and init_state accept: only they allocate
+# amplitudes (16 B each in run, 4 GiB at 28 qubits) or do 2^w work.
+HARD_MAX_QUBITS = 28
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -51,20 +51,39 @@ def slow_histogram(g: Graph) -> list[int]:
     return counts
 
 
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer polynomials, coefficient lists in one order."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def exact_char_poly(g: Graph) -> list[int]:
+    """Reference characteristic polynomial by the Faddeev-LeVerrier
+    recurrence on Python ints, which cannot overflow at any n."""
+    n = g.n
+    a = [[(g.adj[i] >> j) & 1 for j in range(n)] for i in range(n)]
+    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    coeffs = [1]
+    for k in range(1, n + 1):
+        am = [
+            [sum(a[i][l] * mat[l][j] for l in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        c = -(sum(am[i][i] for i in range(n)) // k)
+        coeffs.append(c)
+        mat = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
 def slow_char_poly(g: Graph) -> list[int]:
     """Reference characteristic polynomial of det(xI - A) by the Leibniz
     permutation expansion over integer polynomials (usable for n <= 7)."""
     from itertools import permutations
 
     n = g.n
-
-    def poly_mul(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
     total = [0] * (n + 1)
     for perm in permutations(range(n)):
         # permutation sign

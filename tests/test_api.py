@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import argparse
+import ast
+from pathlib import Path
 
 import qgi
 from qgi.cli import build_parser
@@ -79,6 +81,35 @@ def test_public_surface_is_pinned():
     assert len(qgi.__all__) == len(PUBLIC)
     for name in PUBLIC:
         assert hasattr(qgi, name), name
+
+
+# Every module-level size cap in src/qgi.  Each guards a resource that
+# can be named, and a new cap is a deliberate change to this set.
+SIZE_CAPS = {
+    "graphs.MAX_VERTICES",
+    "graphs.CANONICAL_MAX_VERTICES",
+    "graphs.ISOMORPHISM_MAX_VERTICES",
+    "simulator.HARD_MAX_QUBITS",
+    "survey.SURVEY_MAX_VERTICES",
+}
+
+
+def test_size_caps_are_pinned():
+    caps = set()
+    for path in Path(qgi.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            caps |= {
+                f"{path.stem}.{t.id}"
+                for t in targets
+                if isinstance(t, ast.Name) and "MAX" in t.id
+            }
+    assert caps == SIZE_CAPS
 
 
 def test_cli_options_are_pinned():

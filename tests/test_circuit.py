@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -169,11 +170,14 @@ def test_build_qpe_petersen_shape():
     assert len([x for x in qpe.gates if x.kind == "ccp"]) == 15 * 15
 
 
-def test_build_qpe_width_cap():
+def test_build_qpe_has_no_width_cap():
+    # Building allocates no amplitudes: the 24-vertex path (m = 23,
+    # t = 5, width 29) builds, and only the simulator refuses it.
     g = parse_edge_list("24; " + "; ".join(f"{i} {i+1}" for i in range(23)))
-    # m = 23 -> t = 5 -> width 29 > 28
-    with pytest.raises(ResourceLimitError):
-        build_qpe(g)
+    circuit = build_qpe(g)
+    assert circuit.width == 29
+    with pytest.raises(ResourceLimitError, match="28-qubit limit"):
+        readout(circuit)
 
 
 # --- QFT ---
@@ -327,6 +331,13 @@ def test_parse_qasm_errors():
     for reg in ("g", "e"):
         with pytest.raises(InputError, match="declared twice"):
             parse_qasm(f"OPENQASM 3.0;\nqubit[2] g;\nqubit[1] e;\nh e[0];\nqubit[3] {reg};")
+    head = "OPENQASM 3.0;\nqubit[2] g;\n"
+    with pytest.raises(InputError, match="outside declared bit register"):
+        parse_qasm(head + "bit[1] meas;\nmeas[0] = measure g[0];\nmeas[1] = measure g[1];")
+    with pytest.raises(InputError, match="declared twice"):
+        parse_qasm(head + "bit[1] meas;\nbit[5] meas;")
+    with pytest.raises(InputError, match="outside declared bit register"):
+        parse_qasm(head + "meas[0] = measure g[0];")
 
 
 @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "1e999"])
@@ -389,6 +400,13 @@ def test_parse_qasm_raises_only_input_error(text):
     except InputError:
         return
     assert isinstance(circuit, Circuit)
+    # Every measured bit lies inside the one bit register declared, if any.
+    lines = (raw.split("//", 1)[0].strip() for raw in text.splitlines())
+    declared = [
+        int(mt.group(1)) for ln in lines if (mt := re.fullmatch(r"bit\[(\d+)\] meas;", ln))
+    ]
+    assert len(declared) <= 1
+    assert len(circuit.measure) <= sum(declared)
 
 
 def test_measurement_roundtrip_order():

@@ -348,6 +348,22 @@ def test_compare_isomorphism_skipped_above_cap(capsys, tmp_path):
     assert "verdict: invariant-equal, isomorphism not checked (n > 10)" in out
 
 
+def test_compare_reports_spectra_above_16_vertices(capsys):
+    cycle = [(i, (i + 1) % 20) for i in range(20)]
+    c20 = "20; " + "; ".join(f"{a} {b}" for a, b in cycle)
+    # The same cycle relabelled by i -> 7i mod 20, a different edge set.
+    relabelled = "20; " + "; ".join(f"{7 * a % 20} {7 * b % 20}" for a, b in cycle)
+    p20 = "20; " + "; ".join(f"{i} {i + 1}" for i in range(19))
+    _, out, _ = run_cli(capsys, "compare", c20, relabelled)
+    assert "spectra equal: yes\n" in out
+    _, out, _ = run_cli(capsys, "compare", c20, p20)
+    assert "spectra equal: no\n" in out
+    for other, want in ((relabelled, True), (p20, False)):
+        code, out, _ = run_cli(capsys, "compare", c20, other, "--output", "json")
+        assert code == 0
+        assert json.loads(out)["spectra_equal"] is want
+
+
 # --- encode command ---
 
 def test_encode_roundtrip(capsys):
@@ -371,6 +387,15 @@ def test_encode_decompose_ccp(capsys):
     _, out, _ = run_cli(capsys, "encode", "c4", "--decompose-ccp")
     assert "ctrl @" not in out
     assert "cx e[0], g[0];" in out
+
+
+def test_encode_has_no_width_cap(capsys):
+    # The 24-vertex path needs width 29: too wide to simulate, not to emit.
+    path = "24; " + "; ".join(f"{i} {i + 1}" for i in range(23))
+    code, out, err = run_cli(capsys, "encode", path)
+    assert code == 0 and err == ""
+    assert "qubit[24] g;\nqubit[5] e;\nbit[5] meas;\n" in out
+    assert parse_qasm(out) == build_qpe(load_graph(path))
 
 
 def test_encode_rejects_empty_graph(capsys):

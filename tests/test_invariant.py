@@ -6,7 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import graphs, random_graph, random_permutation, slow_char_poly, slow_histogram
+from conftest import (
+    exact_char_poly,
+    graphs,
+    poly_mul,
+    random_graph,
+    random_permutation,
+    slow_char_poly,
+    slow_histogram,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -276,10 +284,37 @@ def test_char_poly_structure():
         assert char_poly(g.permuted(perm)).coeffs == coeffs
 
 
-def test_char_poly_cap():
-    big = Graph.from_edges(17, [(0, 1)])
-    with pytest.raises(ResourceLimitError):
-        char_poly(big)
+@given(graphs(max_n=24))
+def test_char_poly_matches_exact_recurrence(g):
+    # The Python-int recurrence cannot overflow, so this pins the int64 bound.
+    assert list(char_poly(g).coeffs) == exact_char_poly(g)
+
+
+def test_char_poly_dense_graphs_above_16_vertices():
+    # Hypothesis draws mostly sparse graphs; half-dense ones carry the
+    # largest entries short of K24.
+    rng = random.Random(307)
+    for n in range(17, 25):
+        g = random_graph(rng, n)
+        assert list(char_poly(g).coeffs) == exact_char_poly(g), g.adj
+
+
+def _poly_pow(p: list[int], e: int) -> list[int]:
+    out = [1]
+    for _ in range(e):
+        out = poly_mul(out, p)
+    return out
+
+
+def test_char_poly_closed_forms_at_24_vertices():
+    pairs = [(i, j) for i in range(24) for j in range(i + 1, 24)]
+    k24 = Graph.from_edges(24, pairs)
+    assert list(char_poly(k24).coeffs) == poly_mul([1, -23], _poly_pow([1, 1], 23))
+    assert list(char_poly(Graph.from_edges(24, [])).coeffs) == [1] + [0] * 24
+    k12_12 = Graph.from_edges(24, [(i, j) for i in range(12) for j in range(12, 24)])
+    assert list(char_poly(k12_12).coeffs) == [1, 0, -144] + [0] * 22
+    matching = Graph.from_edges(24, [(2 * i, 2 * i + 1) for i in range(12)])
+    assert list(char_poly(matching).coeffs) == _poly_pow([1, 0, -1], 12)
 
 
 def test_spectra_equal():
