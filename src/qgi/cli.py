@@ -76,6 +76,13 @@ def _print_table(header: str, rows: list[tuple[int, float, int]]) -> None:
 
 def cmd_invariant(args) -> int:
     g = load_graph(args.graph, args.format)
+    if args.dump_state:
+        # The one path that holds all 2^w amplitudes: `run` admits it.
+        # It runs first, so a refusal costs nothing and leaves stdout empty.
+        state = run(build_qpe(g, fuse=True))
+        with open(args.dump_state, "w", encoding="utf-8") as fh:
+            dump_amplitudes(state, fh)
+        del state
     if args.mode == "classical":
         hist = classical_histogram(g)
         counts = hist.counts
@@ -93,12 +100,6 @@ def cmd_invariant(args) -> int:
         counts = out.shot_counts if out.histogram is None else out.histogram.counts
         probs = out.probabilities
         source = out.source
-    if args.dump_state:
-        # The one path that holds all 2^w amplitudes: `run` admits it.
-        # It runs before any stdout, so a refusal leaves stdout empty.
-        state = run(build_qpe(g, fuse=True))
-        with open(args.dump_state, "w", encoding="utf-8") as fh:
-            dump_amplitudes(state, fh)
 
     if args.output == "json":
         print(

@@ -131,8 +131,10 @@ def quantum_histogram(g: Graph, shots: int | None = None, seed: int = 0) -> QpeO
     [2^n]; shot mode samples its circuit like any other.  The circuit is
     the fused one: it compiles to the same phase program as the paper's
     repeated oracle powers, in fewer gates.  Both modes read the
-    estimation register with `readout`, which never holds the 2^w
-    statevector, so its HARD_MAX_QUBITS check is the only width cap.
+    estimation register with `readout`, which builds the rows of the at
+    most m + 1 column signatures, never the 2^w statevector, so no width
+    cap applies: every graph the sweep accepts runs, the complete graph
+    on 24 vertices (width 33) included.
     """
     plan = plan_precision(g.m)
     if g.m == 0 and shots is None:

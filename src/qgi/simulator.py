@@ -15,11 +15,18 @@ raise InputError for any other circuit:
 - an optional tail equal to the inverse QFT on the estimation register
   is one FFT along that register's axis.
 Each op before the FFT is diagonal and the FFT acts on the estimation
-register alone, so a slab (all 2^t estimation rows of a run of graph
-basis states) evolves on its own.  `_slabs` yields the final slabs one
-at a time, which `readout` sums into the estimation-register marginal
-and `run` writes into the statevector.  Only `run` holds all 2^w
-amplitudes, so `peak_bytes` estimates `run` alone.
+register alone, so the 2^t final amplitudes of a graph basis state
+(a column) depend only on its phase units in each group of terms on
+the same estimation qubits: its signature.  A QPE circuit has at most
+m + 1 signatures, one per edge count.  `_signatures` takes the columns
+2^18 at a time, labels each with its signature, and builds the rows of
+the distinct signatures alone, about 2^16 amplitudes at a time.
+`readout` adds each signature's |rows|^2, weighted by how many columns
+share it, into the estimation-register marginal: its time grows as
+2^n_graph and its memory is one slice at any width, so it has no width
+cap.  `run` gathers every column from its signature's rows into the
+statevector.  Only `run` holds all 2^w amplitudes, so HARD_MAX_QUBITS
+and `peak_bytes` bound `run` (and `init_state`) alone.
 
 The gate loop (`init_state`, then `apply_gate` for each gate) and
 `marginal` of its state are the reference that the tests compare `run`
@@ -42,9 +49,11 @@ import numpy as np
 
 from .circuit import Circuit, Gate, _shifted, inverse_qft
 from .errors import InputError, InternalCheckError, ResourceLimitError
+from .graphs import MAX_VERTICES
 
-# Widest circuit run, readout and init_state accept: only they allocate
-# amplitudes (16 B each in run, 4 GiB at 28 qubits) or do 2^w work.
+# Widest circuit run and init_state accept, and widest estimation
+# register readout accepts: they allocate 2^w (readout 2^t) amplitudes,
+# 16 B each, 4 GiB at 28 qubits.
 HARD_MAX_QUBITS = 28
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -117,15 +126,22 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 # so the integer phase index of every basis state fits in a uint16.
 _PHASE_BITS = 16
 _PHASE_KINDS = ("p", "cp", "ccp")
-# Slabs and dump chunks hold about 2^_BLOCK_BITS amplitudes, so their
-# temporaries stay in cache and small at any width.
+# The signature kernel takes 2^_SLICE_BITS graph basis states at a time.
+_SLICE_BITS = 18
+# Signature chunks and dump chunks hold about 2^_BLOCK_BITS amplitudes,
+# so their temporaries stay in cache and small at any width.
 _BLOCK_BITS = 16
 # `sample` draws its shots this many at a time.
 _SHOT_CHUNK = 1 << 20
 
-# Bytes at the peak of `run`: the complex128 amplitudes plus, per block
-# element, a slab's uint16 index, intp cast and complex128 lookup.
+# Bytes at the peak of `run`: the complex128 amplitudes; per signature
+# and group of a slice, its complex128 row and the uint16 units of its
+# base, its slice and its signature; per column of a slice, the ids,
+# representatives, keys and sort or tally of the relabelling; per chunk
+# element, the uint16 index, its intp cast and the lookup.
 _AMP_BYTES = 16
+_SIG_BYTES = 16 + 2 + 2 + 2
+_COLUMN_TEMP_BYTES = 112
 _BLOCK_TEMP_BYTES = 2 + 8 + 16
 
 
@@ -194,16 +210,18 @@ def _compile(circuit: Circuit) -> _Program:
 
 def peak_bytes(circuit: Circuit) -> int:
     """Estimated peak bytes of `run` on circuit: the complex128
-    amplitudes plus the temporaries of one slab."""
-    w = circuit.width
-    return (_AMP_BYTES << w) + (_BLOCK_TEMP_BYTES << min(w, _BLOCK_BITS))
-
-
-def _check_width(circuit: Circuit) -> None:
-    if circuit.width > HARD_MAX_QUBITS:
-        raise ResourceLimitError(
-            f"circuit width {circuit.width} exceeds the {HARD_MAX_QUBITS}-qubit limit"
-        )
+    amplitudes; the rows and units of one slice, as if each of its graph
+    basis states had a signature of its own and each set of estimation
+    qubits a group; the slice's column temporaries, whose dense tallies
+    hold at least 2^_BLOCK_BITS entries; and one chunk's temporaries."""
+    t = circuit.n_est
+    cb = min(circuit.n_graph, _SLICE_BITS)
+    return (
+        (_AMP_BYTES << circuit.width)
+        + (_SIG_BYTES << (t + cb))
+        + (_COLUMN_TEMP_BYTES << max(cb, _BLOCK_BITS))
+        + (_BLOCK_TEMP_BYTES << max(t, _BLOCK_BITS))
+    )
 
 
 def _mem_available() -> int | None:
@@ -230,72 +248,204 @@ def _ones_view(arr: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     return arr.reshape([-1, *shape, *arr.shape[1:]])[key]
 
 
-def _slabs(circuit: Circuit, program: _Program) -> Iterator[tuple[int, np.ndarray]]:
-    """Yields (start, slab) in ascending start: slab[r, c] is the final
-    amplitude of estimation value r and graph basis state start + c, for
-    2^t rows and 2^cb columns, about 2^_BLOCK_BITS amplitudes in all.
+def _by_mask(entries: list[tuple[int, int, int]], groups: int) -> dict[int, np.ndarray]:
+    """{mask: uint16 units per group} from (group, units, bit) entries,
+    each of which adds units where bit is set (everywhere if bit is 0);
+    the bits of one group and units merge into one popcount mask."""
+    merged: dict[tuple[int, int, bool], int] = {}
+    for g, k, bit in entries:
+        merged[g, k, not bit] = merged.get((g, k, not bit), 0) | bit
+    sums: dict[int, list[int]] = {}
+    for (g, k, _), mask in merged.items():
+        sums.setdefault(mask, [0] * groups)[g] += k
+    return {
+        mask: np.array([k % (1 << _PHASE_BITS) for k in vec], dtype=np.uint16)
+        for mask, vec in sums.items()
+    }
 
-    Phase terms are grouped by their estimation qubits E; a group's
-    column units come from its graph qubits below cb, gated on the ones
-    above against start.  Row r's phase index sums the groups with E in
-    r's bits, by subset doubling over the estimation bits: a group joins
-    when its top bit's half is built, and later halves copy it."""
-    n, t = circuit.n_graph, circuit.n_est
-    cb = max(0, min(n, _BLOCK_BITS - t))
-    cols = 1 << cb
-    # estimation bits -> graph qubits below cb -> [(mask of the rest, units)]
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], list[tuple[int, int]]]] = {}
-    for qubits, k in program.terms:
-        est = tuple(q - n for q in qubits if q >= n)
-        low = tuple(q for q in qubits if q < cb)
-        high = sum(1 << q for q in qubits if cb <= q < n)
-        groups.setdefault(est, {}).setdefault(low, []).append((high, k))
-    # Each group's units: the ungated terms once, in base; per slab, the
-    # gated ones through views of the group's units fixed here.
-    units: dict[tuple[int, ...], np.ndarray] = {}
-    base, gated = {}, []
-    for est, split in groups.items():
-        u = units[est] = np.zeros(cols, dtype=np.uint16)
-        for low, parts in split.items():
-            view = _ones_view(u, low)
-            view += np.uint16(sum(k for high, k in parts if not high) % (1 << _PHASE_BITS))
-            if any(high for high, _ in parts):
-                gated.append((view, [(high, k) for high, k in parts if high]))
-        base[est] = u.copy()
-    table = np.exp(2j * math.pi / (1 << program.bits) * np.arange(1 << program.bits))
-    table *= 2.0 ** (-circuit.width / 2)
-    idx = np.empty((1 << t, cols), dtype=np.uint16)
-    for start in range(0, 1 << n, cols):
-        for est, u in units.items():
-            u[...] = base[est]
-        for view, parts in gated:
-            k = sum(k for high, k in parts if start & high == high) % (1 << _PHASE_BITS)
+
+def _add_linear(cols: np.ndarray, terms: dict[int, np.ndarray], low: np.ndarray) -> None:
+    """Add to cols[c, g] the units that terms ({mask: units per group})
+    give graph basis state low[c] in group g: units * popcount(low[c] &
+    mask), or units for a mask of 0."""
+    for mask, vec in terms.items():
+        if not mask:
+            cols += vec
+            continue
+        ones = np.bitwise_count(low & mask)
+        for g, k in enumerate(vec):
             if k:
-                view += np.uint16(k)
-        idx[0] = units.get((), 0)
+                cols[:, g] += ones * k
+
+
+def _relabel(
+    ids: np.ndarray, count: int, units: np.ndarray, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refine count signature ids by one more group's units below 2^bits.
+
+    Returns (ids, counts): the new ids number the distinct pairs (id,
+    units) in sorted order, and counts[s] columns have new id s.  A
+    dense tally of the count << bits keys up to the slice length or a
+    chunk, whichever is larger; a sort beyond that."""
+    key = ids << bits
+    key |= units
+    size = count << bits
+    if size > max(len(key), 1 << _BLOCK_BITS):
+        # np.unique(key, return_inverse=True) in a third of its memory.
+        order = np.argsort(key)
+        key = key[order]
+        first = np.empty(len(key), dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        del key
+        ids = np.empty_like(order)
+        ids[order] = np.cumsum(first) - 1
+        return ids, np.diff(np.flatnonzero(first), append=len(first))
+    tally = np.bincount(key, minlength=size)
+    keys = np.flatnonzero(tally)
+    new = np.empty(size, dtype=np.intp)
+    new[keys] = np.arange(len(keys))
+    return np.take(new, key), tally[keys]
+
+
+def _signatures(
+    circuit: Circuit, program: _Program
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]]:
+    """(start, ids, counts, chunks) for each slice of 2^_SLICE_BITS
+    graph basis states, in ascending start.  Graph basis state start + c
+    has signature ids[c], counts[s] of them have signature s, and chunks
+    yields (s0, rows): rows[r, i] is the final amplitude of estimation
+    value r and every graph basis state of signature s0 + i.
+
+    Phase terms are grouped by their estimation qubits E, and a graph
+    basis state's signature is its phase units in every group.  All
+    groups' units are built at once by subset doubling over the graph
+    qubits below the slice, as in invariant._edge_counts: a term on at
+    most two graph qubits joins when its top qubit is doubled in, one
+    popcount per mask of partners, and a term on three or more goes
+    through _ones_view.  Terms on graph qubits above the slice are
+    gated against start.  The groups then refine the signature ids one
+    at a time (_relabel)."""
+    n = circuit.n_graph
+    cb = min(n, _SLICE_BITS)
+    low = np.arange(1 << cb, dtype=np.uint32)
+    bits, mask = program.bits, np.uint16((1 << program.bits) - 1)
+    # (group, units, partner bit) entries: doubled[v] join as graph qubit
+    # v is doubled in, gated[high] when start has every qubit of high,
+    # and views[below, high] add through _ones_view(cols, below).
+    est_of: dict[tuple[int, ...], int] = {}
+    doubled: dict = {}
+    gated: dict = {}
+    views: dict = {}
+    for qubits, k in program.terms:
+        g = est_of.setdefault(tuple(q - n for q in qubits if q >= n), len(est_of))
+        below = tuple(q for q in qubits if q < cb)
+        high = sum(1 << q for q in qubits if cb <= q < n)
+        if not high and 1 <= len(below) <= 2:
+            doubled.setdefault(below[-1], []).append((g, k, sum(1 << q for q in below[:-1])))
+        elif high and len(below) <= 1:
+            gated.setdefault(high, []).append((g, k, sum(1 << q for q in below)))
+        else:
+            views.setdefault((below, high), []).append((g, k, 0))
+    groups = len(est_of)
+    doubled = {v: _by_mask(e, groups) for v, e in doubled.items()}
+    gated = {high: _by_mask(e, groups) for high, e in gated.items()}
+    views = {key: _by_mask(e, groups)[0] for key, e in views.items()}
+    # base[c, g]: group g's units of column c from the ungated terms.
+    base = np.zeros((1 << cb, groups), dtype=np.uint16)
+    for v in range(cb):
+        h = 1 << v
+        base[h : 2 * h] = base[:h]
+        if v in doubled:
+            _add_linear(base[h : 2 * h], doubled[v], low[:h])
+    for (below, high), vec in views.items():
+        if not high:
+            _ones_view(base, below)[...] += vec
+    base &= mask
+    table = np.exp(2j * math.pi / (1 << bits) * np.arange(1 << bits))
+    table *= 2.0 ** (-circuit.width / 2)
+
+    def signature_slice(start: int):
+        cols = base
+        if start:  # slice 0 has no qubit above it set: no gated term joins
+            cols = base.copy()
+            # One popcount per mask, however many gated terms share it.
+            active: dict[int, np.ndarray] = {}
+            for high, terms in gated.items():
+                if start & high == high:
+                    for m, vec in terms.items():
+                        active[m] = active.get(m, 0) + vec
+            _add_linear(cols, active, low)
+            for (below, high), vec in views.items():
+                if high and start & high == high:
+                    _ones_view(cols, below)[...] += vec
+            cols &= mask
+        ids = np.zeros(1 << cb, dtype=np.intp)
+        counts = np.array([1 << cb])
+        rep = np.zeros(1, dtype=np.intp)  # a column of each signature
+        for g in range(groups):
+            u = cols[:, g]
+            # A group that the signature already determines (in phase
+            # estimation, every group after the first) leaves it as is.
+            if not (np.take(u[rep], ids) == u).all():
+                ids, counts = _relabel(ids, len(counts), u, bits)
+                rep = np.empty(len(counts), dtype=np.intp)
+                rep[ids] = np.arange(len(ids))
+        return start, ids, counts, _rows(circuit, program, table, est_of, cols[rep])
+
+    # One call per slice, so nothing of a slice but what it returns
+    # outlives it.
+    return map(signature_slice, range(0, 1 << n, 1 << cb))
+
+
+def _rows(
+    circuit: Circuit,
+    program: _Program,
+    table: np.ndarray,
+    est_of: dict[tuple[int, ...], int],
+    units: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yields (s0, rows) for the signatures of units (units[s, g] is
+    group g's phase units of signature s), about 2^_BLOCK_BITS
+    amplitudes at a time: rows[r, i] is the final amplitude of
+    estimation value r for signature s0 + i.
+
+    Row r's phase index sums the groups with E in r's bits, by subset
+    doubling over the estimation bits: a group joins when its top bit's
+    half is built, and later halves copy it.  One lookup in table, then
+    the FFT along the rows if the program has the inverse-QFT tail."""
+    t = circuit.n_est
+    step = max(1, (1 << _BLOCK_BITS) >> t)
+    for s0 in range(0, len(units), step):
+        part = units[s0 : s0 + step]
+        idx = np.empty((1 << t, len(part)), dtype=np.uint16)
+        idx[0] = part[:, est_of[()]] if () in est_of else 0
         for j in range(t):
             h = 1 << j
-            np.add(idx[:h], units.get((j,), 0), out=idx[h : 2 * h])
-            for est, u in units.items():
+            np.add(idx[:h], part[:, est_of[(j,)]] if (j,) in est_of else 0, out=idx[h : 2 * h])
+            for est, g in est_of.items():
                 if len(est) > 1 and est[-1] == j:
-                    _ones_view(idx[h : 2 * h], est[:-1])[...] += u
+                    _ones_view(idx[h : 2 * h], est[:-1])[...] += part[:, g]
         idx &= np.uint16((1 << program.bits) - 1)
         # Every index is below len(table): "clip" skips the bounds check.
-        slab = np.take(table, idx, mode="clip")
+        rows = np.take(table, idx, mode="clip")
         if program.fft_tail:
-            np.fft.fft(slab, axis=0, norm="ortho", out=slab)
-        yield start, slab
+            np.fft.fft(rows, axis=0, norm="ortho", out=rows)
+        yield s0, rows
 
 
 def run(circuit: Circuit) -> Statevector:
     """Simulate from |0...0>, returning the final statevector, written
-    slab by slab.
+    slice by slice from the rows of each slice's signatures.
 
     Raises InputError unless circuit is of the phase-estimation shape,
     and ResourceLimitError before allocating when the width exceeds
     HARD_MAX_QUBITS or peak_bytes exceeds MemAvailable.
     """
-    _check_width(circuit)
+    if circuit.width > HARD_MAX_QUBITS:
+        raise ResourceLimitError(
+            f"circuit width {circuit.width} exceeds the {HARD_MAX_QUBITS}-qubit limit"
+        )
     program = _compile(circuit)
     need = peak_bytes(circuit)
     available = _mem_available()
@@ -305,9 +455,15 @@ def run(circuit: Circuit) -> Statevector:
             f"only {available / 2**20:.1f} MiB available"
         )
     state = Statevector(circuit.width, np.empty(1 << circuit.width, dtype=np.complex128))
-    rows = state.amps.reshape(1 << circuit.n_est, -1)
-    for start, slab in _slabs(circuit, program):
-        rows[:, start : start + slab.shape[1]] = slab
+    block = state.amps.reshape(1 << circuit.n_est, -1)
+    for start, ids, counts, chunks in _signatures(circuit, program):
+        rows = np.empty((len(block), len(counts)), dtype=np.complex128)
+        for s0, part in chunks:
+            rows[:, s0 : s0 + part.shape[1]] = part
+        # Row by row, so each gather writes a contiguous run in place.
+        for r in range(len(rows)):
+            np.take(rows[r], ids, out=block[r, start : start + len(ids)], mode="clip")
+        del rows  # before the next slice's signatures are built
     norm = state.norm_sq()
     if abs(norm - 1.0) > 1e-9:
         raise InternalCheckError(f"norm drifted to {norm!r} after {len(circuit.gates)} gates")
@@ -317,18 +473,25 @@ def run(circuit: Circuit) -> Statevector:
 def readout(circuit: Circuit) -> np.ndarray:
     """`marginal` of circuit.est_register after running circuit.
 
-    Adds up each slab's |amp|^2 by row, so it holds one slab at any
-    width and needs no memory admission; its time grows as 2^w.
-    Raises ResourceLimitError when the width exceeds HARD_MAX_QUBITS,
-    InputError unless circuit is of the phase-estimation shape, and
-    InternalCheckError unless the total mass is within 1e-9 of 1."""
-    _check_width(circuit)
+    Adds up |rows|^2 weighted by how many graph basis states share each
+    signature, so it never holds the statevector and needs no memory
+    admission; its time grows as 2^n_graph.  Raises ResourceLimitError
+    when the graph register exceeds graphs.MAX_VERTICES qubits or the
+    estimation register HARD_MAX_QUBITS, InputError unless circuit is of
+    the phase-estimation shape, and InternalCheckError unless the total
+    mass is within 1e-9 of 1."""
     if not circuit.n_est:
         raise InputError("empty measurement register")
+    if circuit.n_graph > MAX_VERTICES or circuit.n_est > HARD_MAX_QUBITS:
+        raise ResourceLimitError(
+            f"registers of {circuit.n_graph} graph and {circuit.n_est} estimation "
+            f"qubits exceed the {MAX_VERTICES}-vertex or {HARD_MAX_QUBITS}-qubit limit"
+        )
     program = _compile(circuit)
     probs = np.zeros(1 << circuit.n_est)
-    for _, slab in _slabs(circuit, program):
-        probs += (np.abs(slab) ** 2).sum(axis=1)
+    for _, _, counts, chunks in _signatures(circuit, program):
+        for s0, rows in chunks:
+            probs += (np.abs(rows) ** 2) @ counts[s0 : s0 + rows.shape[1]]
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise InternalCheckError(f"read-out mass drifted to {total!r}")

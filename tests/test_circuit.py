@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from qgi import (
     parse_qasm,
     plan_precision,
     readout,
+    run,
 )
 from qgi.circuit import ccp, cp, h
 from qgi.simulator import apply_gate, init_state
@@ -172,12 +174,21 @@ def test_build_qpe_petersen_shape():
 
 def test_build_qpe_has_no_width_cap():
     # Building allocates no amplitudes: the 24-vertex path (m = 23,
-    # t = 5, width 29) builds, and only the simulator refuses it.
+    # t = 5, width 29) builds and reads out, and only `run`, which would
+    # hold 2^29 amplitudes, refuses it before allocating.
     g = parse_edge_list("24; " + "; ".join(f"{i} {i+1}" for i in range(23)))
     circuit = build_qpe(g)
     assert circuit.width == 29
-    with pytest.raises(ResourceLimitError, match="28-qubit limit"):
-        readout(circuit)
+    counts = np.rint(readout(circuit) * (1 << g.n)).astype(np.int64)
+    assert tuple(counts[: g.m + 1].tolist()) == classical_histogram(g).counts
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="28-qubit limit"):
+            run(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- QFT ---

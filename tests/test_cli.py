@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given
@@ -457,16 +458,28 @@ def test_exit_code_bad_input(capsys):
     assert code == 2
 
 
-def test_exit_code_resource_limit(capsys):
+def test_exit_code_resource_limit(capsys, tmp_path):
     # 24 vertices and 16 edges need 5 estimation qubits: width 29 > 28.
+    # The read-out never holds the statevector, so it has no width cap.
     wide = "24; " + "; ".join(f"{i} {i + 1}" for i in range(16))
-    code, out, err = run_cli(capsys, "invariant", wide, "--mode", "qpe")
+    code, out, _ = run_cli(capsys, "invariant", wide, "--mode", "qpe")
+    assert code == 0 and out == run_cli(capsys, "invariant", wide)[1]
+    # --dump-state runs first and is refused before it allocates.
+    path = tmp_path / "state.json"
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "invariant", wide, "--mode", "qpe", "--dump-state", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "28-qubit limit" in err
+    assert not path.exists()
+    assert peak < 1 << 20
 
 
 def test_invariant_qpe_on_24_vertices(capsys):
-    # Width 25: the read-out streams slabs, so only HARD_MAX_QUBITS caps it.
+    # Width 25: the read-out sweeps the 2^24 subsets in slices.
     code, out, _ = run_cli(capsys, "invariant", "24; 0 1", "--mode", "qpe")
     assert code == 0
     assert out == run_cli(capsys, "invariant", "24; 0 1")[1]

@@ -187,21 +187,41 @@ def test_quantum_edgeless_short_circuit(monkeypatch):
     assert shot.histogram is None and widths == [4]
 
 
-@pytest.mark.parametrize("block_bits", [qgi.simulator._BLOCK_BITS, 2])
+@pytest.mark.parametrize("slice_bits", [qgi.simulator._SLICE_BITS, 2])
 @given(g=graphs(max_n=8))
-def test_quantum_matches_sweep_on_random_graphs(block_bits, g):
-    # With blocks of 4 amplitudes the high graph qubits gate each slab's
-    # phase terms, as every graph qubit above 16 - t does by default.
+def test_quantum_matches_sweep_on_random_graphs(slice_bits, g):
+    # With slices of 4 graph basis states the high vertices gate phase
+    # terms against start, as every vertex from 18 up does by default,
+    # and chunks of 4 amplitudes split the signatures.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qgi.simulator, "_BLOCK_BITS", block_bits)
+        mp.setattr(qgi.simulator, "_SLICE_BITS", slice_bits)
+        mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
         assert quantum_histogram(g).histogram.counts == classical_histogram(g).counts
+
+
+@pytest.mark.parametrize("m", [16, 100, 276])
+def test_quantum_matches_sweep_on_24_vertices(m):
+    # 64 slices of 2^18 subsets each, at widths 29, 31 and 33 (K24): the
+    # read-out holds one slice, whatever the width.
+    rng = random.Random(316)
+    pairs = [(i, j) for i in range(24) for j in range(i + 1, 24)]
+    g = Graph.from_edges(24, rng.sample(pairs, m))
+    tracemalloc.start()
+    try:
+        counts = quantum_histogram(g).histogram.counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == classical_histogram(g).counts
+    assert peak < 32 << 20
 
 
 def test_quantum_histogram_streams_without_the_statevector(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the full-state path ran")
 
-    # Neither `run` nor its memory admission: the read-out holds a slab.
+    # Neither `run` nor its memory admission: the read-out holds one
+    # slice of signatures.
     monkeypatch.setattr(qgi.simulator, "run", refuse)
     monkeypatch.setattr(qgi.simulator, "_mem_available", refuse)
     rng = random.Random(310)
@@ -233,11 +253,19 @@ def test_quantum_shots_mode():
 
 
 def test_quantum_respects_qubit_budget():
-    # The one width cap is HARD_MAX_QUBITS: 24 vertices and 16 edges
-    # need 5 estimation qubits, width 29.
+    # 24 vertices and 16 edges need 5 estimation qubits, width 29.  The
+    # read-out has no width cap; HARD_MAX_QUBITS caps only `run`, which
+    # refuses before it allocates.
     wide = Graph.from_edges(24, [(i, i + 1) for i in range(16)])
-    with pytest.raises(ResourceLimitError):
-        quantum_histogram(wide)
+    assert quantum_histogram(wide).histogram.counts == classical_histogram(wide).counts
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="28-qubit limit"):
+            qgi.simulator.run(build_qpe(wide, fuse=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_quantum_plan_metadata():

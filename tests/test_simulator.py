@@ -175,19 +175,31 @@ def test_run_uniform_superposition():
 
 
 def test_run_respects_qubit_budget():
-    # A hand-built circuit one qubit past HARD_MAX_QUBITS is refused
-    # before a single amplitude is allocated.
+    # A hand-built circuit one qubit past HARD_MAX_QUBITS: run refuses it
+    # before a single amplitude is allocated, and the read-out, which
+    # holds no statevector, returns its uniform marginal.
     wide = Circuit(n_graph=24, n_est=5, gates=tuple(h(q) for q in range(29)))
-    for simulate in (run, readout):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimitError, match="28-qubit limit"):
-                simulate(wide)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="28-qubit limit"):
+            run(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    np.testing.assert_allclose(readout(wide), np.full(32, 1 / 32), rtol=0, atol=1e-15)
     assert run(build_qpe(named_graph("c4"))).n_qubits == 7
+
+
+def test_readout_caps_its_registers():
+    # The read-out sweeps 2^n_graph graph basis states and holds 2^n_est
+    # amplitudes per signature: more than a graph's 24 vertices or
+    # HARD_MAX_QUBITS estimation qubits is refused before any work.
+    for n_graph, n_est in ((25, 1), (1, 29)):
+        w = n_graph + n_est
+        circuit = Circuit(n_graph=n_graph, n_est=n_est, gates=tuple(h(q) for q in range(w)))
+        with pytest.raises(ResourceLimitError, match="limit"):
+            readout(circuit)
 
 
 def test_oracle_on_superposition_carries_edge_counts():
@@ -285,28 +297,77 @@ def _off_shape(draw) -> Circuit:
     return Circuit(n_graph=shaped.n_graph, n_est=shaped.n_est, gates=tuple(gates))
 
 
-@pytest.mark.parametrize("block_bits", [qgi.simulator._BLOCK_BITS, 2])
+@pytest.mark.parametrize("slice_bits", [qgi.simulator._SLICE_BITS, 2])
 @given(circuit=_qpe_shaped())
-def test_compiled_run_matches_gate_loop(block_bits, circuit):
-    # Blocks of 4 states split phase terms between a block's index and
-    # the choice of blocks, as wide circuits do with the default blocks.
+def test_compiled_run_matches_gate_loop(slice_bits, circuit):
+    # Slices of 4 graph basis states split phase terms between the
+    # doubling and the gating against start, as graphs on more than 18
+    # vertices do by default; chunks of 4 amplitudes split a slice's
+    # signatures, and a dense tally that small makes the relabel sort.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qgi.simulator, "_BLOCK_BITS", block_bits)
+        mp.setattr(qgi.simulator, "_SLICE_BITS", slice_bits)
+        mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
         amps = run(circuit).amps
     np.testing.assert_allclose(amps, _gate_loop(circuit), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("block_bits", [qgi.simulator._BLOCK_BITS, 2])
+@pytest.mark.parametrize("slice_bits", [qgi.simulator._SLICE_BITS, 2])
 @given(circuit=_qpe_shaped().filter(lambda c: c.n_est))
-def test_readout_matches_marginal_of_run(block_bits, circuit):
-    # With blocks of 4 amplitudes a slab is one or two graph columns, so
-    # the start gating and the multi-bit estimation terms both matter,
-    # and marginal's chunks hold no estimation qubit at all.
+def test_readout_matches_marginal_of_run(slice_bits, circuit):
+    # As above: with slices of 4 the gating against start and the
+    # multi-bit estimation terms both matter, and every slice's
+    # |rows|^2 adds into the one marginal.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qgi.simulator, "_BLOCK_BITS", block_bits)
+        mp.setattr(qgi.simulator, "_SLICE_BITS", slice_bits)
+        mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
         probs = readout(circuit)
-        expect = marginal(_gate_loop_state(circuit), circuit.est_register)
+    expect = marginal(_gate_loop_state(circuit), circuit.est_register)
     np.testing.assert_allclose(probs, expect, rtol=0, atol=1e-12)
+
+
+def _distinct_columns(n_graph: int, n_est: int, seed: int) -> Circuit:
+    """A QPE-shaped circuit with random 16-bit turns on every pair of
+    graph qubits and on every graph-estimation pair, so that almost every
+    graph basis state has a signature of its own."""
+    rng = random.Random(seed)
+    w = n_graph + n_est
+
+    def turns() -> Fraction:
+        return Fraction(rng.randrange(1, 1 << 16), 1 << 16)
+
+    gates = [h(q) for q in range(w)]
+    gates += [cp(a, b, turns()) for a in range(n_graph) for b in range(a + 1, w)]
+    gates += _iqft_on_est(n_graph, n_est)
+    return Circuit(n_graph=n_graph, n_est=n_est, gates=tuple(gates))
+
+
+@pytest.mark.parametrize("slice_bits", [qgi.simulator._SLICE_BITS, 2])
+def test_distinct_signatures_match_gate_loop(slice_bits, monkeypatch):
+    # 16-bit units on 2^7 signatures overflow the dense tally, so the
+    # relabel sorts; the 2^7 * 2^3 rows span several chunks of 2^6.
+    circuit = _distinct_columns(7, 3, 418)
+    monkeypatch.setattr(qgi.simulator, "_SLICE_BITS", slice_bits)
+    monkeypatch.setattr(qgi.simulator, "_BLOCK_BITS", 6)
+    state = _gate_loop_state(circuit)
+    np.testing.assert_allclose(run(circuit).amps, state.amps, rtol=0, atol=1e-12)
+    expect = marginal(state, circuit.est_register)
+    np.testing.assert_allclose(readout(circuit), expect, rtol=0, atol=1e-12)
+
+
+def test_relabel_sorts_as_unique_does():
+    # Both branches, the dense tally (the second case) and the sort,
+    # number the distinct (id, units) pairs in sorted order, as np.unique
+    # does, and count them.
+    rng = np.random.default_rng(419)
+    for count, bits, size in ((1 << 12, 16, 1 << 14), (3, 2, 1 << 17), (1 << 10, 9, 1 << 18)):
+        ids = rng.integers(0, count, size=size).astype(np.intp)
+        units = rng.integers(0, 1 << bits, size=size).astype(np.uint16)
+        got_ids, got_counts = qgi.simulator._relabel(ids, count, units, bits)
+        _, inverse, counts = np.unique(
+            (ids << bits) | units, return_inverse=True, return_counts=True
+        )
+        np.testing.assert_array_equal(got_ids, inverse)
+        np.testing.assert_array_equal(got_counts, counts)
 
 
 @given(circuit=_off_shape())
@@ -349,17 +410,57 @@ def test_qpe_circuits_need_no_gate_loop(monkeypatch):
 # --- memory admission ---
 
 def test_peak_bytes_counts_amplitudes_and_temporaries():
-    # Amplitudes plus the temporaries of one slab (index, intp cast,
-    # lookup), which never exceed a block of 2^16 states.
+    # Amplitudes; per slice, a complex row and three uint16 units per
+    # signature and group, as if every graph basis state had a signature
+    # of its own and each of the 2^t estimation-qubit sets a group; 112
+    # bytes per column (at least 2^16, the dense tallies); one chunk of
+    # at least 2^16 amplitudes (index, intp cast, lookup).
     w = 5
     uniform = tuple(h(q) for q in range(w))
-    assert peak_bytes(Circuit(n_graph=w, n_est=0, gates=uniform)) == (16 << w) + (26 << w)
-    assert peak_bytes(build_qpe(named_graph("c4"))) == (16 << 7) + (26 << 7)
-    # The estimate is pure arithmetic of the width: width-28 circuits
-    # allocate nothing, and a circuit that run refuses gets the same figure.
+    small = (26 + 112) << 16
+    assert peak_bytes(Circuit(n_graph=w, n_est=0, gates=uniform)) == (16 << 5) + (22 << 5) + small
+    assert peak_bytes(build_qpe(named_graph("c4"))) == (16 << 7) + (22 << 7) + small
+    # The estimate is pure arithmetic of the register sizes: width-28
+    # circuits allocate nothing, and a circuit that run refuses gets the
+    # same figure.  Slices hold 2^18 graph basis states.
     wide = tuple(h(q) for q in range(28))
     for gates in (wide, wide + (cp(0, 27, Fraction(1, 4)),), wide + (h(3),)):
-        assert peak_bytes(Circuit(n_graph=28, n_est=0, gates=gates)) == (16 << 28) + (26 << 16)
+        for n_graph, n_est in ((28, 0), (24, 4)):
+            circuit = Circuit(n_graph=n_graph, n_est=n_est, gates=gates)
+            assert peak_bytes(circuit) == (16 << 28) + (22 << (18 + n_est)) + (112 << 18) + (26 << 16)
+
+
+def test_run_peak_stays_within_peak_bytes():
+    # The admission cannot under-count: run's measured peak on a width-20
+    # QPE circuit, and on circuits where nearly every graph basis state
+    # has its own signature, stays within peak_bytes.
+    rng = random.Random(420)
+    pairs = [(i, j) for i in range(15) for j in range(i + 1, 15)]
+    qpe = build_qpe(Graph.from_edges(15, rng.sample(pairs, 28)), fuse=True)
+    assert qpe.width == 20
+    for circuit in (qpe, _distinct_columns(12, 4, 421), _distinct_columns(19, 2, 422)):
+        tracemalloc.start()
+        try:
+            run(circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (16 << circuit.width) < peak <= peak_bytes(circuit)
+
+
+def test_readout_memory_is_one_slice():
+    # Nearly 2^20 signatures of 2^4 rows at width 24: the read-out holds
+    # one slice of 2^18 graph basis states and one chunk of rows, never
+    # the 2^24 amplitudes (256 MiB).
+    circuit = _distinct_columns(20, 4, 423)
+    tracemalloc.start()
+    try:
+        probs = readout(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+    assert peak < 32 << 20
 
 
 def test_run_refuses_beyond_available_memory(monkeypatch):
