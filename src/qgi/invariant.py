@@ -8,8 +8,12 @@ exactly.  char_poly provides the classical spectral invariant used for
 comparison, exact in int64 for every graph the sweep accepts.
 
 Every subset sweep reads induced edge counts from one kernel,
-_edge_counts: one O(2^n) single-threaded pass in slices of 2^18 masks,
-so its temporaries stay small at any n.
+_edge_counts: one O(2^n) single-threaded pass in slices of 2^16 masks.
+The low 16 vertices' counts are built once and viewed as a 2^8 x 2^8
+grid; each slice adds to it one row offset and one column offset taken
+from two small tables over the high vertices, in one reused buffer, so
+a sweep holds under 2 MiB at any n.  A consumer must be done with a
+slice before it asks for the next.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ import numpy as np
 
 from .circuit import PrecisionPlan, build_qpe, plan_precision
 from .errors import InputError, InternalCheckError
-from .graphs import Graph, Permutation, induced_edge_count
+from .graphs import Graph, Permutation
 from .simulator import readout, sample
 
 # The edge-count kernel yields 2^_SLICE_BITS masks at a time.
-_SLICE_BITS = 18
+_SLICE_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -94,9 +98,15 @@ def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
     Yields (start, e) where e[i] (uint16) is the edge count induced by
     mask start + i; the slices cover 0 .. 2^n - 1 in order.  The counts
     of the low _SLICE_BITS vertices are built once by subset doubling,
-    e(S + {k}) = e(S) + |adj[k] & S| for S below k.  A slice adds the
-    edges among its fixed high vertices, then one popcount pass per
-    high vertex for its edges into the low part.
+    e(S + {k}) = e(S) + |adj[k] & S| for S below k, and slice 0 is that
+    base array itself.  Above it, base is viewed as a grid: rows are the
+    upper half of the low vertices, columns the lower half.  For a set H
+    of high vertices, subset doubling over H builds
+      a[H][c] = |edges from H into column subset c| + |edges inside H|,
+      b[H][r] = |edges from H into row subset r|,
+    so slice H is grid + b[H][:, None] + a[H], written into one buffer
+    that every later slice reuses: a consumer must not keep e past the
+    next slice.
     """
     bits = min(g.n, _SLICE_BITS)
     low = np.arange(1 << bits, dtype=np.uint32)
@@ -104,12 +114,34 @@ def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
     for k in range(1, bits):
         half = 1 << k
         base[half : 2 * half] = base[:half] + np.bitwise_count(low[:half] & g.adj[k])
-    for start in range(0, 1 << g.n, 1 << bits):
-        e = base + induced_edge_count(g, start)
-        for v in range(bits, g.n):
-            if start >> v & 1:
-                e += np.bitwise_count(low & g.adj[v])
-        yield start, e
+    yield 0, base
+    high = g.n - bits
+    if not high:
+        return
+    cbits = bits // 2
+    cols, rows = low[: 1 << cbits], low[: 1 << (bits - cbits)] << cbits
+    a = np.zeros((1 << high, len(cols)), dtype=np.uint16)
+    b = np.zeros((1 << high, len(rows)), dtype=np.uint16)
+    inside = np.zeros(1 << high, dtype=np.uint16)
+    subsets = np.arange(1 << high, dtype=np.uint32)
+    for j in range(high):
+        half = 1 << j
+        adj = g.adj[bits + j]
+        np.add(a[:half], np.bitwise_count(cols & adj), out=a[half : 2 * half])
+        np.add(b[:half], np.bitwise_count(rows & adj), out=b[half : 2 * half])
+        np.add(
+            inside[:half],
+            np.bitwise_count(subsets[:half] & (adj >> bits)),
+            out=inside[half : 2 * half],
+        )
+    a += inside[:, None]
+    grid = base.reshape(len(rows), len(cols))
+    e = np.empty_like(base)
+    out = e.reshape(grid.shape)
+    for h in range(1, 1 << high):
+        np.add(grid, b[h][:, None], out=out)
+        out += a[h]
+        yield h << bits, e
 
 
 def classical_histogram(g: Graph) -> EdgeHistogram:

@@ -23,9 +23,10 @@ m + 1 signatures, one per edge count.  `_signatures` takes the columns
 the distinct signatures alone, about 2^16 amplitudes at a time.
 `readout` adds each signature's |rows|^2, weighted by how many columns
 share it, into the estimation-register marginal: its time grows as
-2^n_graph and its memory is one slice at any width, so it has no width
-cap.  `run` gathers every column from its signature's rows into the
-statevector.  Only `run` holds all 2^w amplitudes, so HARD_MAX_QUBITS
+2^n_graph and its memory is one slice and the 2^t marginal at any
+width, so it has no width cap; only a marginal of more than 2^16
+values is admitted against MemAvailable.  `run` gathers every column
+from its signature's rows into the statevector.  Only `run` holds all 2^w amplitudes, so HARD_MAX_QUBITS
 and `peak_bytes` bound `run` (and `init_state`) alone.
 
 The gate loop (`init_state`, then `apply_gate` for each gate) and
@@ -143,6 +144,10 @@ _AMP_BYTES = 16
 _SIG_BYTES = 16 + 2 + 2 + 2
 _COLUMN_TEMP_BYTES = 112
 _BLOCK_TEMP_BYTES = 2 + 8 + 16
+# Bytes per estimation value at the peak of `readout` once a chunk is a
+# single signature (t > _BLOCK_BITS): the float64 marginal, the uint16
+# index, the complex128 row, and its float64 modulus and square.
+_READOUT_BYTES = 8 + 2 + 16 + 8 + 8
 
 
 @dataclass(frozen=True)
@@ -474,11 +479,14 @@ def readout(circuit: Circuit) -> np.ndarray:
     """`marginal` of circuit.est_register after running circuit.
 
     Adds up |rows|^2 weighted by how many graph basis states share each
-    signature, so it never holds the statevector and needs no memory
-    admission; its time grows as 2^n_graph.  Raises ResourceLimitError
-    when the graph register exceeds graphs.MAX_VERTICES qubits or the
-    estimation register HARD_MAX_QUBITS, InputError unless circuit is of
-    the phase-estimation shape, and InternalCheckError unless the total
+    signature, so it never holds the statevector; its time grows as
+    2^n_graph.  Its memory is one slice and 2^n_est estimation values;
+    above 2^_BLOCK_BITS of them (no `build_qpe` circuit comes near)
+    they are admitted against MemAvailable at _READOUT_BYTES each.
+    Raises ResourceLimitError when the graph register exceeds
+    graphs.MAX_VERTICES qubits, the estimation register HARD_MAX_QUBITS
+    or the memory available, InputError unless circuit is of the
+    phase-estimation shape, and InternalCheckError unless the total
     mass is within 1e-9 of 1."""
     if not circuit.n_est:
         raise InputError("empty measurement register")
@@ -487,6 +495,14 @@ def readout(circuit: Circuit) -> np.ndarray:
             f"registers of {circuit.n_graph} graph and {circuit.n_est} estimation "
             f"qubits exceed the {MAX_VERTICES}-vertex or {HARD_MAX_QUBITS}-qubit limit"
         )
+    if circuit.n_est > _BLOCK_BITS:
+        need = _READOUT_BYTES << circuit.n_est
+        available = _mem_available()
+        if available is not None and need > available:
+            raise ResourceLimitError(
+                f"a {circuit.n_est}-qubit estimation register needs about "
+                f"{need / 2**20:.1f} MiB, only {available / 2**20:.1f} MiB available"
+            )
     program = _compile(circuit)
     probs = np.zeros(1 << circuit.n_est)
     for _, _, counts, chunks in _signatures(circuit, program):

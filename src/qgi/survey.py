@@ -50,15 +50,22 @@ class SurveyReport:
         }
 
 
-def enumerate_classes(n: int) -> tuple[Graph, ...]:
+def enumerate_classes(n: int, below: tuple[Graph, ...] = ()) -> tuple[Graph, ...]:
     """One representative of every isomorphism class on exactly n
-    vertices (n <= 8), sorted by canonical code."""
+    vertices (n <= 8), sorted by canonical code.
+
+    Each order is built from the one under it.  below, the classes of
+    an order under n as this function returned them, starts the build
+    there instead of at one vertex, so a caller that walks up the
+    orders enumerates each of them once."""
     if not 1 <= n <= SURVEY_MAX_VERTICES:
         raise ResourceLimitError(
             f"class enumeration supports 1 <= n <= {SURVEY_MAX_VERTICES}, got {n}"
         )
-    reps = [Graph(1, (0,))]
-    for k in range(2, n + 1):
+    if below and below[0].n >= n:
+        raise InputError(f"classes of order {below[0].n} are not below order {n}")
+    reps = list(below) or [Graph(1, (0,))]
+    for k in range(reps[0].n + 1, n + 1):
         candidates = []
         for g in reps:
             base = g.adj
@@ -71,16 +78,20 @@ def enumerate_classes(n: int) -> tuple[Graph, ...]:
     return tuple(reps)
 
 
-def run_survey(n: int, source: str = "classical") -> SurveyReport:
+def run_survey(
+    n: int, source: str = "classical", reps: tuple[Graph, ...] | None = None
+) -> SurveyReport:
     """Histogram and spectrum statistics over all classes on n vertices.
 
+    reps, if given, is enumerate_classes(n), which is then not rebuilt.
     Every pair of representatives sharing a histogram is re-checked to
     be non-isomorphic; a failure indicates an enumeration bug.
     """
     if source not in ("classical", "qpe-exact"):
         raise InputError(f"unknown survey source {source!r}")
     start = time.perf_counter()
-    reps = enumerate_classes(n)
+    if reps is None:
+        reps = enumerate_classes(n)
 
     if source == "classical":
         fingerprints = [classical_histogram(g).counts for g in reps]

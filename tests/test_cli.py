@@ -435,6 +435,28 @@ def test_survey_cache_flag(capsys, tmp_path):
     assert cache.read_text() == before  # second run served from cache
 
 
+def test_survey_enumerates_each_order_once(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("QGI_CACHE_DIR", raising=False)
+    orders = []
+    code_of = qgi.survey.canonical_code
+    monkeypatch.setattr(qgi.survey, "canonical_code", lambda g: orders.append(g.n) or code_of(g))
+    # Order k extends each class of order k - 1 (1, 2, 4 and 11 of them)
+    # by 2^(k-1) neighbourhoods, once per command.
+    once = [2] * 2 + [3] * 8 + [4] * 32 + [5] * 176
+    code, plain, _ = run_cli(capsys, "survey", "--n", "5")
+    assert code == 0 and orders == once
+    # Orders 1..3 cached: the missing ones still build from one vertex up,
+    # each once, and print the same table.
+    cache = str(tmp_path / "reports.jsonl")
+    run_cli(capsys, "survey", "--n", "3", "--cache", cache)
+    orders.clear()
+    code, cached, _ = run_cli(capsys, "survey", "--n", "5", "--cache", cache)
+    assert code == 0 and cached == plain and orders == once
+    orders.clear()
+    code, warm, _ = run_cli(capsys, "survey", "--n", "5", "--cache", cache)
+    assert code == 0 and warm == plain and orders == []
+
+
 def test_survey_cache_env_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QGI_CACHE_DIR", str(tmp_path / "cachedir"))
     code, _, _ = run_cli(capsys, "survey", "--n", "2")

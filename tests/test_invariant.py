@@ -109,7 +109,20 @@ def test_classical_histogram_matches_per_mask_counts(g):
     assert list(classical_histogram(g).counts) == counts
 
 
-@pytest.mark.parametrize("n", [19, 21])
+@given(g=graphs(), slice_bits=st.integers(1, 4))
+def test_edge_counts_match_per_mask_counts_in_small_slices(g, slice_bits):
+    # Slices of 2 to 16 masks: many slices, up to nine high vertices, an
+    # odd bit count, and at one bit a grid of a single column.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qgi.invariant, "_SLICE_BITS", slice_bits)
+        slices = [(start, e.tolist()) for start, e in _edge_counts(g)]
+    size = 1 << min(g.n, slice_bits)
+    assert [start for start, _ in slices] == list(range(0, 1 << g.n, size))
+    swept = [k for _, e in slices for k in e]
+    assert swept == [induced_edge_count(g, mask) for mask in range(1 << g.n)]
+
+
+@pytest.mark.parametrize("n", [19, 21, 24])
 def test_edge_counts_across_slice_boundaries(n):
     rng = random.Random(308 + n)
     g = random_graph(rng, n, p=0.3)
@@ -125,13 +138,31 @@ def test_edge_counts_across_slice_boundaries(n):
 
 
 def test_max_independent_set_skips_slices_without_edgeless_subsets():
-    # Every mask holding both vertices 18 and 19 induces their edge, so
-    # the slice with both high bits set has no edgeless subset at all.
-    g = Graph.from_edges(20, [(18, 19), (0, 1), (2, 3)])
+    # Every mask holding both high vertices induces their edge, so the
+    # last slice, where both high bits are set, has no edgeless subset.
+    u, v = _SLICE_BITS, _SLICE_BITS + 1
+    g = Graph.from_edges(v + 1, [(u, v), (0, 1), (2, 3)])
     size, mask = max_independent_set(g)
-    assert size == 17
-    assert mask == (1 << 20) - 1 - (1 << 1) - (1 << 3) - (1 << 19)
+    assert size == v - 2
+    assert mask == (1 << (v + 1)) - 1 - (1 << 1) - (1 << 3) - (1 << v)
     assert induced_edge_count(g, mask) == 0
+
+
+@pytest.mark.parametrize("sweep", ["classical_histogram", "max_independent_set", "prop1_check"])
+def test_sweeps_hold_no_multi_mib_temporaries(sweep):
+    # 2^24 masks in 256 slices of 2^16: a sweep holds the low vertices'
+    # counts, the high vertices' tables, one reused slice buffer per
+    # graph and its consumer's per-slice temporaries.  A fresh array per
+    # slice of 2^18 masks, and its int64 copy, peaked at 4 to 6 MiB.
+    g = random_graph(random.Random(309), 24, p=0.4)
+    args = (g, g, tuple(range(24))) if sweep == "prop1_check" else (g,)
+    tracemalloc.start()
+    try:
+        getattr(qgi.invariant, sweep)(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 # --- quantum histogram ---
@@ -403,6 +434,21 @@ def test_prop1_check_above_sixteen_vertices():
     perm = random_permutation(rng, 20)
     assert prop1_check(g, g.permuted(perm), perm)
     assert not prop1_check(g, g.permuted(perm), tuple(range(20)))
+
+
+def test_prop1_check_finds_a_mismatch_in_the_last_slice_alone():
+    # The two graphs differ by the edge between the two high vertices,
+    # so only masks in the last slice count differently.  Each sweep
+    # writes its slices into its own buffer; were they shared, every
+    # slice would compare equal.
+    u, v = _SLICE_BITS, _SLICE_BITS + 1
+    g = random_graph(random.Random(21), v + 1, 0.3)
+    g1 = Graph.from_edges(g.n, [e for e in g.edges() if e != (u, v)])
+    g2 = Graph.from_edges(g.n, [*g1.edges(), (u, v)])
+    ident = tuple(range(g.n))
+    assert prop1_check(g1, g1, ident) and prop1_check(g2, g2, ident)
+    assert not prop1_check(g1, g2, ident)
+    assert not prop1_check(g2, g1, ident)
 
 
 # --- independent sets ---

@@ -202,6 +202,26 @@ def test_readout_caps_its_registers():
             readout(circuit)
 
 
+def test_readout_admits_wide_estimation_registers(monkeypatch):
+    # One graph qubit under t estimation qubits, H on each: the marginal
+    # and one chunk hold 2^t values, about 10.5 GiB at t = 28.  Refused
+    # before any is allocated; t = 21 (84 MiB) still reads out.
+    monkeypatch.setattr(qgi.simulator, "_mem_available", lambda: 8 << 30)
+    widest = Circuit(n_graph=1, n_est=28, gates=tuple(h(q) for q in range(29)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="MiB available"):
+            readout(widest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    wide = Circuit(n_graph=1, n_est=21, gates=tuple(h(q) for q in range(22)))
+    probs = readout(wide)
+    assert len(probs) == 1 << 21
+    np.testing.assert_allclose(probs, 1.0 / (1 << 21), rtol=1e-12, atol=0)
+
+
 def test_oracle_on_superposition_carries_edge_counts():
     # H on every vertex qubit, then the phase oracle at theta = pi/4:
     # amplitude of mask s must be exp(i * e(s) * pi/4) / 4.

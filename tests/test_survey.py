@@ -48,6 +48,13 @@ def test_representatives_sorted_by_canonical_code():
         assert len(set(codes)) == len(codes)
 
 
+def test_enumeration_resumes_from_a_lower_order():
+    assert enumerate_classes(6, below=enumerate_classes(4)) == enumerate_classes(6)
+    assert enumerate_classes(2, below=enumerate_classes(1)) == enumerate_classes(2)
+    with pytest.raises(InputError, match="not below order 4"):
+        enumerate_classes(4, below=enumerate_classes(4))
+
+
 def test_enumeration_caps():
     with pytest.raises(ResourceLimitError):
         enumerate_classes(0)
