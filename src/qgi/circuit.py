@@ -44,13 +44,16 @@ class Gate:
             raise InputError(f"{self.kind} expects {_ARITY[self.kind]} qubits")
         if len(set(self.qubits)) != len(self.qubits):
             raise InputError(f"{self.kind} qubits must be distinct: {self.qubits}")
-        if any(q < 0 for q in self.qubits):
+        if min(self.qubits) < 0:
             raise InputError(f"negative qubit index in {self.qubits}")
         if self.kind in _PHASED:
             if self.turns is None:
                 raise InputError(f"{self.kind} requires a phase")
-            if not 0 <= self.turns < 1:
-                raise InputError(f"phase {self.turns} not normalized to [0, 1) turns")
+            # A Fraction's denominator is positive: this is 0 <= turns < 1
+            # without building a Fraction per comparison.
+            turns = self.turns
+            if not isinstance(turns, Fraction) or not 0 <= turns.numerator < turns.denominator:
+                raise InputError(f"phase {turns!r} is not a Fraction in [0, 1) turns")
         elif self.turns is not None:
             raise InputError(f"{self.kind} takes no phase")
 
@@ -100,7 +103,7 @@ class Circuit:
             raise InputError("register sizes must be n_graph >= 1, n_est >= 0")
         w = self.width
         for g in self.gates:
-            if any(q >= w for q in g.qubits):
+            if max(g.qubits) >= w:
                 raise InputError(f"gate {g.kind} on {g.qubits} exceeds width {w}")
         if len(set(self.measure)) != len(self.measure):
             raise InputError("duplicate qubit in measurement list")
@@ -200,7 +203,7 @@ def build_qpe(g: Graph, fuse: bool = False) -> Circuit:
         # Oracle power 2^j controlled on estimation qubit j: one fused
         # phase per edge, or the single oracle repeated 2^j times.
         turns = plan.theta_turns * (1 << j) % 1 if fuse else plan.theta_turns
-        power = tuple(ccp(n + j, a, b, turns) for a, b in edges)
+        power = tuple(Gate("ccp", (n + j, a, b), turns) for a, b in edges)
         gates.extend(power if fuse else power * (1 << j))
     gates.extend(_shifted(inverse_qft(t), n))
     return Circuit(
@@ -231,37 +234,48 @@ def export_qasm(circuit: Circuit, decompose_ccp: bool = False) -> str:
     if circuit.measure:
         lines.append(f"bit[{len(circuit.measure)}] meas;")
 
-    def nm(q: int) -> str:
-        if q < circuit.n_graph:
-            return f"g[{q}]"
-        return f"e[{q - circuit.n_graph}]"
+    names = [f"g[{q}]" for q in range(circuit.n_graph)]
+    names += [f"e[{j}]" for j in range(circuit.n_est)]
+    # The angles of this call, each formatted once; keyed by (numerator,
+    # denominator), which hashes faster than the Fraction.
+    angles: dict[tuple[int, int], str] = {}
+    halves: dict[tuple[int, int], tuple[str, str]] = {}
+
+    def angle(turns: Fraction) -> str:
+        key = (turns.numerator, turns.denominator)
+        if key not in angles:
+            angles[key] = _fmt_angle(turns)
+        return angles[key]
 
     for gate in circuit.gates:
-        qs = gate.qubits
+        qs = [names[q] for q in gate.qubits]
         if gate.kind == "h":
-            lines.append(f"h {nm(qs[0])};")
+            lines.append(f"h {qs[0]};")
         elif gate.kind == "p":
-            lines.append(f"p({_fmt_angle(gate.turns)}) {nm(qs[0])};")
+            lines.append(f"p({angle(gate.turns)}) {qs[0]};")
         elif gate.kind == "cp":
-            lines.append(f"cp({_fmt_angle(gate.turns)}) {nm(qs[0])}, {nm(qs[1])};")
+            lines.append(f"cp({angle(gate.turns)}) {qs[0]}, {qs[1]};")
         elif gate.kind == "swap":
-            lines.append(f"swap {nm(qs[0])}, {nm(qs[1])};")
+            lines.append(f"swap {qs[0]}, {qs[1]};")
         elif gate.kind == "ccp":
             a, b, c = qs
             if not decompose_ccp:
-                lines.append(
-                    f"ctrl @ cp({_fmt_angle(gate.turns)}) {nm(a)}, {nm(b)}, {nm(c)};"
-                )
+                lines.append(f"ctrl @ cp({angle(gate.turns)}) {a}, {b}, {c};")
             else:
-                half = _fmt_angle(gate.turns / 2)
-                neg = _fmt_angle((-gate.turns / 2) % 1)
-                lines.append(f"cp({half}) {nm(b)}, {nm(c)};")
-                lines.append(f"cx {nm(a)}, {nm(b)};")
-                lines.append(f"cp({neg}) {nm(b)}, {nm(c)};")
-                lines.append(f"cx {nm(a)}, {nm(b)};")
-                lines.append(f"cp({half}) {nm(a)}, {nm(c)};")
+                key = (gate.turns.numerator, gate.turns.denominator)
+                if key not in halves:
+                    halves[key] = (
+                        _fmt_angle(gate.turns / 2),
+                        _fmt_angle((-gate.turns / 2) % 1),
+                    )
+                half, neg = halves[key]
+                lines.append(f"cp({half}) {b}, {c};")
+                lines.append(f"cx {a}, {b};")
+                lines.append(f"cp({neg}) {b}, {c};")
+                lines.append(f"cx {a}, {b};")
+                lines.append(f"cp({half}) {a}, {c};")
     for k, q in enumerate(circuit.measure):
-        lines.append(f"meas[{k}] = measure {nm(q)};")
+        lines.append(f"meas[{k}] = measure {names[q]};")
     return "\n".join(lines) + "\n"
 
 

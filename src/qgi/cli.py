@@ -8,6 +8,7 @@ internal self-check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -230,7 +231,11 @@ def _add_threads(sp) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then shared: `parse_args`
+    returns a fresh Namespace on every call, so no command sees another's
+    options."""
     parser = argparse.ArgumentParser(
         prog="qgi",
         description="Edge-count histogram invariant for graph isomorphism, "
@@ -305,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, OSError) as exc:

@@ -132,8 +132,10 @@ _SLICE_BITS = 18
 # Signature chunks and dump chunks hold about 2^_BLOCK_BITS amplitudes,
 # so their temporaries stay in cache and small at any width.
 _BLOCK_BITS = 16
-# `sample` draws its shots this many at a time.
-_SHOT_CHUNK = 1 << 20
+# `sample` draws its shots this many at a time, and looks each one up in
+# one of _SHOT_BUCKETS equal parts of [0, 1).
+_SHOT_CHUNK = 1 << 18
+_SHOT_BUCKETS = 1 << 12
 
 # Bytes at the peak of `run`: the complex128 amplitudes; per signature
 # and group of a slice, its complex128 row and the uint16 units of its
@@ -542,22 +544,39 @@ def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     in shots inverse-CDF draws, _SHOT_CHUNK at a time.
 
     PCG64 with an explicit seed; identical (probs, shots, seed) give
-    identical counts on any platform and for any chunk size.
+    identical counts on any platform and for any chunk size.  A draw x
+    lands on the number of CDF values <= x, as `np.searchsorted(cdf, x,
+    side="right")` gives it: read from a table of _SHOT_BUCKETS equal
+    buckets of [0, 1), and searched only in a bucket that holds a CDF
+    value strictly inside it.  InputError for an empty array or a
+    non-finite or negative probability.
     """
     if shots < 1:
         raise InputError(f"shots must be positive, got {shots}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
+    probs = np.asarray(probs, dtype=np.float64)
+    if not probs.size or not np.isfinite(probs).all() or (probs < 0).any():
+        raise InputError("probabilities must be non-empty, finite and non-negative")
     cdf = np.cumsum(probs)
     total = cdf[-1]
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise InternalCheckError(f"marginal mass {total!r} is not 1")
     cdf /= total
+    # Bucket b is [b, b+1) / _SHOT_BUCKETS; x * _SHOT_BUCKETS is exact, so
+    # its floor is x's bucket.  Every draw in a bucket with no CDF value
+    # strictly inside lands where its lower edge does.
+    edges = np.arange(_SHOT_BUCKETS + 1) / _SHOT_BUCKETS
+    landing = np.searchsorted(cdf, edges[:-1], side="right")
+    split = np.searchsorted(cdf, edges[1:], side="left") > landing
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = np.zeros(len(probs), dtype=np.int64)
     for done in range(0, shots, _SHOT_CHUNK):
         draws = rng.random(min(_SHOT_CHUNK, shots - done))
-        outcomes = np.searchsorted(cdf, draws, side="right")
+        buckets = (draws * _SHOT_BUCKETS).astype(np.intp)
+        outcomes = landing[buckets]
+        searched = np.flatnonzero(split[buckets])
+        outcomes[searched] = np.searchsorted(cdf, draws[searched], side="right")
         counts += np.bincount(outcomes, minlength=len(probs))
     return counts
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -49,6 +50,15 @@ def slow_histogram(g: Graph) -> list[int]:
             have = sum(1 for pair in combinations(subset, 2) if pair in edge_set)
             counts[have] += 1
     return counts
+
+
+def reference_sample(probs, shots: int, seed: int) -> np.ndarray:
+    """Reference shot sampler: all shots drawn at once, each by a binary
+    search of the whole CDF."""
+    cdf = np.cumsum(np.asarray(probs, dtype=np.float64))
+    cdf /= cdf[-1]
+    draws = np.random.Generator(np.random.PCG64(seed)).random(shots)
+    return np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=len(cdf))
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import re
@@ -12,9 +13,11 @@ from conftest import graphs, random_graph
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qgi.circuit
 from qgi import (
     Circuit,
     Gate,
+    Graph,
     InputError,
     ResourceLimitError,
     build_oracle,
@@ -81,6 +84,10 @@ def test_gate_validation():
         Gate("h", (0,), Fraction(1, 2))
     with pytest.raises(InputError, match="requires a phase"):
         Gate("cp", (0, 1))
+    for kind, qubits in (("p", (0,)), ("cp", (0, 1)), ("ccp", (0, 1, 2))):
+        for turns in (Fraction(1), 1, Fraction(-1, 2), 0.5, None):
+            with pytest.raises(InputError):
+                Gate(kind, qubits, turns)
     # constructors normalize turns into [0, 1)
     assert cp(0, 1, Fraction(-1, 4)).turns == Fraction(3, 4)
     assert ccp(0, 1, 2, Fraction(9, 8)).turns == Fraction(1, 8)
@@ -241,9 +248,49 @@ def test_export_qasm_oracle_golden():
     )
 
 
+def _module_state(module) -> dict:
+    """Each global of module, with the size of a container or a cache."""
+    state = {}
+    for name, value in vars(module).items():
+        size = len(value) if isinstance(value, (dict, list, set)) else None
+        if hasattr(value, "cache_info"):
+            size = value.cache_info().currsize
+        state[name] = (id(value), size)
+    return state
+
+
 def test_export_qasm_deterministic():
     qpe = build_qpe(named_graph("petersen"))
+    before = _module_state(qgi.circuit)
     assert export_qasm(qpe) == export_qasm(qpe)
+    assert export_qasm(qpe, decompose_ccp=True) == export_qasm(qpe, decompose_ccp=True)
+    assert _module_state(qgi.circuit) == before
+
+
+def _seeded_n16() -> Graph:
+    pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+    return Graph.from_edges(16, random.Random(16).sample(pairs, 40))
+
+
+# sha256 of the exported text, frozen: a change to any byte `encode`
+# writes shows here.
+@pytest.mark.parametrize(
+    ("graph", "fuse", "decompose", "digest"),
+    [
+        ("petersen", True, False,
+         "8424e72e55db05c5ff06b41fa19c59ef31d7c7ed53b2e2193df380782bb9dd88"),
+        ("petersen", False, False,
+         "d4caf98ff27f8a1b1e3cf530219bfaf622539130081bfdc3265e505dde7e6cda"),
+        ("petersen", False, True,
+         "b8587871455e9cbd197add8da91372875361711caf5e4340347a5af80db7f97f"),
+        ("n16", False, False,
+         "249ee4156f09a6fac17089a844c4c322c86c1a6dda7e459029bb99339ae21d86"),
+    ],
+)
+def test_export_qasm_text_is_pinned(graph, fuse, decompose, digest):
+    g = _seeded_n16() if graph == "n16" else named_graph(graph)
+    text = export_qasm(build_qpe(g, fuse=fuse), decompose_ccp=decompose)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_qasm_roundtrip():

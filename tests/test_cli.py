@@ -16,7 +16,7 @@ import qgi.invariant
 import qgi.simulator
 import qgi.survey
 from qgi import FIXTURE_NAMES, InputError, build_qpe, classical_histogram, named_graph, parse_qasm
-from qgi.cli import load_graph, main
+from qgi.cli import build_parser, load_graph, main
 
 C4_TABLE = """\
 #(edges)  %Probability  #(subgraphs)
@@ -510,6 +510,36 @@ def test_invariant_qpe_on_24_vertices(capsys):
 def test_argparse_rejects_unknown_mode():
     with pytest.raises(SystemExit):
         main(["invariant", "c4", "--mode", "magic"])
+
+
+def test_commands_in_one_process_share_one_parser(capsys, monkeypatch):
+    # The parser is built once per process and returns a fresh Namespace
+    # per command: no option or default of one command reaches the next.
+    monkeypatch.delenv("QGI_CACHE_DIR", raising=False)
+    commands = [
+        ["invariant", "petersen", "--mode", "qpe"],
+        ["invariant", "petersen"],
+        ["invariant", "petersen", "--no-such-option"],
+        ["compare", "g1", "g2"],
+        ["survey", "--n", "3"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0]
+    parser = build_parser()
+    assert [outcome(argv) for argv in commands] == fresh
+    assert build_parser() is parser
 
 
 def test_module_entry_point():

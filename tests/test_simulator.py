@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qgi.simulator
@@ -29,7 +29,7 @@ from qgi.simulator import (
     sample,
 )
 
-from conftest import random_graph
+from conftest import random_graph, reference_sample
 
 # Induced edge counts of C4 by subset mask, frozen by hand.
 C4_EDGE_COUNTS = [0, 0, 0, 1, 0, 0, 1, 2, 0, 1, 0, 2, 1, 2, 2, 4]
@@ -593,6 +593,51 @@ def test_sample_five_sigma():
 def test_sample_rejects_bad_shots():
     with pytest.raises(InputError):
         sample(np.array([1.0]), shots=0, seed=0)
+
+
+@pytest.mark.parametrize(
+    ("probs", "error"),
+    [
+        ([0.5, math.nan, 0.5], InputError),
+        ([1.5, -0.5], InputError),
+        ([math.inf, 0.0], InputError),
+        ([], InputError),
+        ([0.5, 0.25], InternalCheckError),
+    ],
+)
+def test_sample_rejects_bad_probabilities(probs, error):
+    with pytest.raises(error):
+        sample(probs, 1000, 0)
+
+
+@given(
+    kind=st.sampled_from(["random", "grid", "point"]),
+    size=st.integers(1, 1 << 14),
+    shape_seed=st.integers(0, 1 << 32),
+    shots=st.integers(1, 500),
+    seed=st.integers(0, 1 << 32),
+    chunk=st.integers(1, 7),
+)
+@example(kind="grid", size=3, shape_seed=0, shots=1, seed=0, chunk=7)
+@example(kind="point", size=1 << 14, shape_seed=1, shots=1, seed=2, chunk=1)
+def test_sample_matches_reference(kind, size, shape_seed, shots, seed, chunk):
+    # "grid" puts every CDF value on a multiple of 1/4096, so on a bucket
+    # edge; "point" gives one outcome all the mass.
+    rng = np.random.default_rng(shape_seed)
+    if kind == "random":
+        probs = rng.random(size) ** 4 * (rng.random(size) < 0.7)
+        probs[rng.integers(size)] += 1e-3
+        probs /= probs.sum()
+    elif kind == "grid":
+        probs = rng.multinomial(qgi.simulator._SHOT_BUCKETS, np.full(size, 1 / size))
+        probs = probs / qgi.simulator._SHOT_BUCKETS
+    else:
+        probs = np.zeros(size)
+        probs[rng.integers(size)] = 1.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qgi.simulator, "_SHOT_CHUNK", chunk)
+        counts = sample(probs, shots, seed)
+    assert counts.tolist() == reference_sample(probs, shots, seed).tolist()
 
 
 # --- phase table ---
