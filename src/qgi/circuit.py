@@ -12,6 +12,7 @@ stay exact; radians appear only at export and simulation time.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -162,25 +163,27 @@ def build_oracle(g: Graph, theta_turns: Fraction) -> Circuit:
     return Circuit(n_graph=g.n, n_est=0, gates=gates)
 
 
-def _shifted(gates: tuple[Gate, ...], offset: int) -> tuple[Gate, ...]:
-    return tuple(
-        Gate(g.kind, tuple(q + offset for q in g.qubits), g.turns) for g in gates
-    )
-
-
 def inverse_qft(t: int) -> tuple[Gate, ...]:
     """Inverse Fourier transform on qubits 0..t-1, LSB-first in and out:
     |k> -> 2^(-t/2) * sum_x exp(-2*pi*i*x*k / 2^t) |x>.  t=1 reduces to
     a single H; t=2 yields SWAP, H, CP(-pi/2), H."""
+    return _inverse_qft_at(t, 0)
+
+
+@functools.lru_cache(maxsize=32)
+def _inverse_qft_at(t: int, offset: int) -> tuple[Gate, ...]:
+    """inverse_qft(t) on qubits offset..offset+t-1, each gate built once
+    with its turns already in [0, 1)."""
     if t < 1:
         raise InputError(f"register size must be positive, got {t}")
     gates: list[Gate] = []
     for i in range(t // 2):
-        gates.append(swap(i, t - 1 - i))
+        gates.append(swap(offset + i, offset + t - 1 - i))
     for j in range(t):
         for k in range(j):
-            gates.append(cp(k, j, -Fraction(1, 1 << (j - k + 1))))
-        gates.append(h(j))
+            den = 1 << (j - k + 1)  # -1/den turns
+            gates.append(Gate("cp", (offset + k, offset + j), Fraction(den - 1, den)))
+        gates.append(h(offset + j))
     return tuple(gates)
 
 
@@ -205,7 +208,7 @@ def build_qpe(g: Graph, fuse: bool = False) -> Circuit:
         turns = plan.theta_turns * (1 << j) % 1 if fuse else plan.theta_turns
         power = tuple(Gate("ccp", (n + j, a, b), turns) for a, b in edges)
         gates.extend(power if fuse else power * (1 << j))
-    gates.extend(_shifted(inverse_qft(t), n))
+    gates.extend(_inverse_qft_at(t, n))
     return Circuit(
         n_graph=n,
         n_est=t,

@@ -5,10 +5,14 @@ first) both in adjacency rows and in vertex-subset masks, so subset
 masks double directly as basis-state indices on the graph register.
 Graphs are immutable; every mutating-style operation returns a new
 Graph.
+
+_edge_counts is the one edge-count kernel: every subset sweep and the
+QPE simulator read induced edge counts from it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -23,6 +27,8 @@ MAX_VERTICES = 24
 CANONICAL_MAX_VERTICES = 8
 # Exact isomorphism search is intended for small inputs.
 ISOMORPHISM_MAX_VERTICES = 10
+# The edge-count kernel yields 2^_SLICE_BITS masks at a time.
+_SLICE_BITS = 16
 
 # A vertex subset is a plain bitmask: bit i set <=> vertex i included.
 VertexSubset = int
@@ -255,6 +261,58 @@ def induced_edge_count(g: Graph, subset: VertexSubset) -> int:
         s &= s - 1
         total += (g.adj[i] & subset).bit_count()
     return total // 2
+
+
+def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
+    """Induced edge count of every subset mask, in ascending slices.
+
+    Yields (start, e) where e[i] (uint16) is the edge count induced by
+    mask start + i; the slices cover 0 .. 2^n - 1 in order.  The counts
+    of the low _SLICE_BITS vertices are built once by subset doubling,
+    e(S + {k}) = e(S) + |adj[k] & S| for S below k, and slice 0 is that
+    base array itself.  Above it, base is viewed as a grid: rows are the
+    upper half of the low vertices, columns the lower half.  For a set H
+    of high vertices, subset doubling over H builds
+      a[H][c] = |edges from H into column subset c| + |edges inside H|,
+      b[H][r] = |edges from H into row subset r|,
+    so slice H is grid + b[H][:, None] + a[H], written into one buffer
+    that every later slice reuses: a consumer must not keep e past the
+    next slice.  A sweep holds under 2 MiB at any n.
+    """
+    bits = min(g.n, _SLICE_BITS)
+    low = np.arange(1 << bits, dtype=np.uint32)
+    base = np.zeros(1 << bits, dtype=np.uint16)
+    for k in range(1, bits):
+        half = 1 << k
+        base[half : 2 * half] = base[:half] + np.bitwise_count(low[:half] & g.adj[k])
+    yield 0, base
+    high = g.n - bits
+    if not high:
+        return
+    cbits = bits // 2
+    cols, rows = low[: 1 << cbits], low[: 1 << (bits - cbits)] << cbits
+    a = np.zeros((1 << high, len(cols)), dtype=np.uint16)
+    b = np.zeros((1 << high, len(rows)), dtype=np.uint16)
+    inside = np.zeros(1 << high, dtype=np.uint16)
+    subsets = np.arange(1 << high, dtype=np.uint32)
+    for j in range(high):
+        half = 1 << j
+        adj = g.adj[bits + j]
+        np.add(a[:half], np.bitwise_count(cols & adj), out=a[half : 2 * half])
+        np.add(b[:half], np.bitwise_count(rows & adj), out=b[half : 2 * half])
+        np.add(
+            inside[:half],
+            np.bitwise_count(subsets[:half] & (adj >> bits)),
+            out=inside[half : 2 * half],
+        )
+    a += inside[:, None]
+    grid = base.reshape(len(rows), len(cols))
+    e = np.empty_like(base)
+    out = e.reshape(grid.shape)
+    for h in range(1, 1 << high):
+        np.add(grid, b[h][:, None], out=out)
+        out += a[h]
+        yield h << bits, e
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> Permutation | None:

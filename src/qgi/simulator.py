@@ -8,26 +8,29 @@ phase-estimation shape whole before any amplitude is touched, and
 raise InputError for any other circuit:
 - an H on every qubit of |0...0> as its first gates is the uniform
   state of amplitude 2^(-w/2);
-- the phase gates (p, cp, ccp) that follow, all with dyadic turns of at
-  most 16 bits, are merged per qubit set by exact sums of turns into
-  one integer phase index mod 2^T, written with the uniform amplitude
-  by one lookup in a 2^T-entry exp table;
+- the phase gates (p, cp, ccp) that follow, each on at most two graph
+  qubits and one estimation qubit, with dyadic turns of at most 16
+  bits, are merged per qubit set by exact sums of turns into one
+  integer phase index mod 2^T, written with the uniform amplitude by
+  one lookup in a 2^T-entry exp table;
 - an optional tail equal to the inverse QFT on the estimation register
   is one FFT along that register's axis.
 Each op before the FFT is diagonal and the FFT acts on the estimation
 register alone, so the 2^t final amplitudes of a graph basis state
 (a column) depend only on its phase units in each group of terms on
-the same estimation qubits: its signature.  A QPE circuit has at most
-m + 1 signatures, one per edge count.  `_signatures` takes the columns
-2^18 at a time, labels each with its signature, and builds the rows of
-the distinct signatures alone, about 2^16 amplitudes at a time.
-`readout` adds each signature's |rows|^2, weighted by how many columns
-share it, into the estimation-register marginal: its time grows as
-2^n_graph and its memory is one slice and the 2^t marginal at any
-width, so it has no width cap; only a marginal of more than 2^16
-values is admitted against MemAvailable.  `run` gathers every column
-from its signature's rows into the statevector.  Only `run` holds all 2^w amplitudes, so HARD_MAX_QUBITS
-and `peak_bytes` bound `run` (and `init_state`) alone.
+the same estimation qubit: its signature.  A group's units are shifted
+induced edge counts of a few graphs, its planes, and popcounts, so
+`_signatures` takes them from graphs._edge_counts, the one
+subset-doubling kernel, one slice of 2^16 columns at a time.  Every
+QPE circuit has one plane, its graph, and so at most m + 1 signatures;
+only their rows are built, about 2^16 amplitudes at a time.  `readout`
+adds each signature's |rows|^2, weighted by how many columns share it,
+into the estimation-register marginal: its time grows as 2^n_graph and
+its memory is one slice and the 2^t marginal at any width, so it has
+no width cap; only a marginal of more than 2^16 values is admitted
+against MemAvailable.  `run` gathers every column from its signature's
+rows into the statevector.  Only `run` holds all 2^w amplitudes, so
+HARD_MAX_QUBITS and `peak_bytes` bound `run` (and `init_state`) alone.
 
 The gate loop (`init_state`, then `apply_gate` for each gate) and
 `marginal` of its state are the reference that the tests compare `run`
@@ -39,7 +42,6 @@ apply_gate works in place on reshaped views; marginal holds |amp|^2,
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -48,9 +50,10 @@ from typing import TextIO
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _shifted, inverse_qft
+from . import graphs
+from .circuit import Circuit, Gate, _inverse_qft_at
 from .errors import InputError, InternalCheckError, ResourceLimitError
-from .graphs import MAX_VERTICES
+from .graphs import MAX_VERTICES, Graph
 
 # Widest circuit run and init_state accept, and widest estimation
 # register readout accepts: they allocate 2^w (readout 2^t) amplitudes,
@@ -127,8 +130,6 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 # so the integer phase index of every basis state fits in a uint16.
 _PHASE_BITS = 16
 _PHASE_KINDS = ("p", "cp", "ccp")
-# The signature kernel takes 2^_SLICE_BITS graph basis states at a time.
-_SLICE_BITS = 18
 # Signature chunks and dump chunks hold about 2^_BLOCK_BITS amplitudes,
 # so their temporaries stay in cache and small at any width.
 _BLOCK_BITS = 16
@@ -137,15 +138,18 @@ _BLOCK_BITS = 16
 _SHOT_CHUNK = 1 << 18
 _SHOT_BUCKETS = 1 << 12
 
-# Bytes at the peak of `run`: the complex128 amplitudes; per signature
-# and group of a slice, its complex128 row and the uint16 units of its
-# base, its slice and its signature; per column of a slice, the ids,
-# representatives, keys and sort or tally of the relabelling; per chunk
-# element, the uint16 index, its intp cast and the lookup.
+# Bytes at the peak of `run`: the complex128 amplitudes and rows; per
+# column of a slice, each plane's uint32 masks, its uint16 counts, output
+# and grid offsets, the vertex sets' masks and popcounts, and the ids,
+# keys and gathers of the relabelling; per chunk element, the uint16
+# index, its intp cast and the lookup; per entry of up to 2^16, the int64
+# dense tally and its inverse, and the exp table and its product.
 _AMP_BYTES = 16
-_SIG_BYTES = 16 + 2 + 2 + 2
-_COLUMN_TEMP_BYTES = 112
+_PLANE_BYTES = 4 + 2 + 2 + 2 + 2
+_SET_BYTES = 4 + 4 + 1 + 2 + 2
+_COLUMN_TEMP_BYTES = 56
 _BLOCK_TEMP_BYTES = 2 + 8 + 16
+_TABLE_BYTES = 8 + 8 + 16 + 16
 # Bytes per estimation value at the peak of `readout` once a chunk is a
 # single signature (t > _BLOCK_BITS): the float64 marginal, the uint16
 # index, the complex128 row, and its float64 modulus and square.
@@ -154,13 +158,19 @@ _READOUT_BYTES = 8 + 2 + 16 + 8 + 8
 
 @dataclass(frozen=True)
 class _Program:
-    """A compiled circuit: the uniform state times exp(2*pi*i * units /
-    2^bits) on the basis states with every qubit of a term set, for each
-    (sorted qubits, units) term; then an inverse QFT on the estimation
-    register if fft_tail."""
+    """A compiled circuit: the uniform state times exp(2*pi*i * u_g(S) /
+    2^bits) on graph basis state S where group g's estimation qubit is
+    set, for group 0 (no estimation qubit) and group 1 + j (estimation
+    qubit j); then an inverse QFT on the estimation register if fft_tail.
+    u_g(S) is const[g], plus e_P(S) << b for each (g, b) in planes[P],
+    plus |S & V| << b for each (g, b) in sets[V], mod 2^bits: bit b of
+    group g's units on pairs of graph qubits is the plane P, a graph, and
+    on single graph qubits the vertex set V."""
 
     bits: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
+    const: list[int]
+    planes: dict[Graph, list[tuple[int, int]]]
+    sets: dict[int, list[tuple[int, int]]]
     fft_tail: bool
 
 
@@ -172,30 +182,29 @@ def _dyadic_bits(turns: Fraction) -> int | None:
 
 _OFF_SHAPE = (
     "circuit is not of the phase-estimation shape: an H on every qubit, then "
-    "phase gates with dyadic turns of at most 16 bits, then optionally the "
-    "inverse QFT on the estimation register"
+    "phase gates on at most two graph qubits and one estimation qubit with "
+    "dyadic turns of at most 16 bits, then optionally the inverse QFT on the "
+    "estimation register"
 )
 
 
-@functools.lru_cache(maxsize=32)
-def _iqft_tail(n_graph: int, n_est: int) -> tuple[Gate, ...]:
-    return _shifted(inverse_qft(n_est), n_graph)
-
-
 def _compile(circuit: Circuit) -> _Program:
-    """The program of a circuit of the phase-estimation shape: an H on
-    every qubit as its first gates, in any order, then only phase gates
-    with dyadic turns of at most _PHASE_BITS bits, then optionally the
-    inverse QFT on the estimation register.  InputError for any other
-    circuit."""
-    w = circuit.width
+    """The program of a circuit of the phase-estimation shape (the H
+    layer in any order; _PHASE_BITS bits at most), InputError for any
+    other circuit, and ResourceLimitError for a graph register of more
+    than graphs.MAX_VERTICES qubits, on which no plane is a Graph."""
+    n, w = circuit.n_graph, circuit.width
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(
+            f"graph register of {n} qubits exceeds the {MAX_VERTICES}-vertex limit"
+        )
     gates = circuit.gates
     if {g.qubits[0] for g in gates[:w] if g.kind == "h"} != set(range(w)):
         raise InputError(_OFF_SHAPE)
     body = gates[w:]
     fft_tail = False
     if circuit.n_est:
-        tail = _iqft_tail(circuit.n_graph, circuit.n_est)
+        tail = _inverse_qft_at(circuit.n_est, n)
         if body[-len(tail) :] == tail:
             fft_tail = True
             body = body[: -len(tail)]
@@ -206,28 +215,58 @@ def _compile(circuit: Circuit) -> _Program:
         if bits is None or bits > _PHASE_BITS:
             raise InputError(_OFF_SHAPE)
         key = tuple(sorted(gate.qubits))
+        est = sum(q >= n for q in key)
+        if est > 1 or len(key) - est > 2:
+            raise InputError(_OFF_SHAPE)
         units = gate.turns.numerator << (_PHASE_BITS - bits)
         merged[key] = (merged.get(key, 0) + units) % (1 << _PHASE_BITS)
-    merged = {key: units for key, units in merged.items() if units}
     # The coarsest unit that still expresses every merged phase.
-    shift = min(((units & -units).bit_length() - 1 for units in merged.values()), default=0)
-    terms = tuple((key, units >> shift) for key, units in merged.items())
-    return _Program(_PHASE_BITS - shift if terms else 0, terms, fft_tail)
+    shift = min(((k & -k).bit_length() - 1 for k in merged.values() if k), default=_PHASE_BITS)
+    bits = _PHASE_BITS - shift
+    # Each group's terms, keyed by their graph qubits.
+    groups: list[dict[tuple[int, ...], int]] = [{} for _ in range(1 + circuit.n_est)]
+    for key, units in merged.items():
+        g = key[-1] - n + 1 if key[-1] >= n else 0
+        groups[g][key[:-1] if g else key] = units >> shift
+    planes: dict[Graph, list[tuple[int, int]]] = {}
+    sets: dict[int, list[tuple[int, int]]] = {}
+    for g, terms in enumerate(groups):
+        for b in range(bits):
+            on = [graph for graph, units in terms.items() if units >> b & 1]
+            edges = [graph for graph in on if len(graph) == 2]
+            vertices = sum(1 << graph[0] for graph in on if len(graph) == 1)
+            if edges:
+                planes.setdefault(Graph.from_edges(n, edges), []).append((g, b))
+            if vertices:
+                sets.setdefault(vertices, []).append((g, b))
+    const = [terms.get((), 0) for terms in groups]
+    return _Program(bits, const, planes, sets, fft_tail)
 
 
 def peak_bytes(circuit: Circuit) -> int:
-    """Estimated peak bytes of `run` on circuit: the complex128
-    amplitudes; the rows and units of one slice, as if each of its graph
-    basis states had a signature of its own and each set of estimation
-    qubits a group; the slice's column temporaries, whose dense tallies
-    hold at least 2^_BLOCK_BITS entries; and one chunk's temporaries."""
+    """Estimated peak bytes of `run` on circuit.  Raises as `run` does
+    for a circuit it cannot compile."""
+    return _peak_bytes(circuit, _compile(circuit))
+
+
+def _peak_bytes(circuit: Circuit, program: _Program) -> int:
+    """The amplitudes, one slice's columns, the rows of as many
+    signatures as the program can give a slice (a plane of m edges gives
+    a column one of m + 1 counts, a set of k vertices one of k + 1
+    popcounts), one chunk, the dense tally and the exp table."""
     t = circuit.n_est
-    cb = min(circuit.n_graph, _SLICE_BITS)
+    cb = min(circuit.n_graph, graphs._SLICE_BITS)
+    sigs = math.prod(plane.m + 1 for plane in program.planes)
+    sigs *= math.prod(vertices.bit_count() + 1 for vertices in program.sets)
+    sigs = min(sigs, 1 << cb)
+    per_column = 2 * (1 + t) + _PLANE_BYTES * len(program.planes) + _COLUMN_TEMP_BYTES
+    per_column += _SET_BYTES if program.sets else 0
     return (
         (_AMP_BYTES << circuit.width)
-        + (_SIG_BYTES << (t + cb))
-        + (_COLUMN_TEMP_BYTES << max(cb, _BLOCK_BITS))
+        + (per_column << cb)
+        + (_AMP_BYTES * sigs << t)
         + (_BLOCK_TEMP_BYTES << max(t, _BLOCK_BITS))
+        + (_TABLE_BYTES << _BLOCK_BITS)
     )
 
 
@@ -241,48 +280,6 @@ def _mem_available() -> int | None:
     except (OSError, ValueError):
         pass
     return None
-
-
-def _ones_view(arr: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """View of the rows of arr (its entries, if 1-D) whose index along
-    axis 0 has every bit in qubits (sorted ascending) set."""
-    shape: list[int] = []
-    low = 0
-    for q in qubits:
-        shape[:0] = [2, 1 << (q - low)]
-        low = q + 1
-    key = (slice(None),) + (1, slice(None)) * len(qubits)
-    return arr.reshape([-1, *shape, *arr.shape[1:]])[key]
-
-
-def _by_mask(entries: list[tuple[int, int, int]], groups: int) -> dict[int, np.ndarray]:
-    """{mask: uint16 units per group} from (group, units, bit) entries,
-    each of which adds units where bit is set (everywhere if bit is 0);
-    the bits of one group and units merge into one popcount mask."""
-    merged: dict[tuple[int, int, bool], int] = {}
-    for g, k, bit in entries:
-        merged[g, k, not bit] = merged.get((g, k, not bit), 0) | bit
-    sums: dict[int, list[int]] = {}
-    for (g, k, _), mask in merged.items():
-        sums.setdefault(mask, [0] * groups)[g] += k
-    return {
-        mask: np.array([k % (1 << _PHASE_BITS) for k in vec], dtype=np.uint16)
-        for mask, vec in sums.items()
-    }
-
-
-def _add_linear(cols: np.ndarray, terms: dict[int, np.ndarray], low: np.ndarray) -> None:
-    """Add to cols[c, g] the units that terms ({mask: units per group})
-    give graph basis state low[c] in group g: units * popcount(low[c] &
-    mask), or units for a mask of 0."""
-    for mask, vec in terms.items():
-        if not mask:
-            cols += vec
-            continue
-        ones = np.bitwise_count(low & mask)
-        for g, k in enumerate(vec):
-            if k:
-                cols[:, g] += ones * k
 
 
 def _relabel(
@@ -318,87 +315,46 @@ def _relabel(
 def _signatures(
     circuit: Circuit, program: _Program
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]]:
-    """(start, ids, counts, chunks) for each slice of 2^_SLICE_BITS
-    graph basis states, in ascending start.  Graph basis state start + c
-    has signature ids[c], counts[s] of them have signature s, and chunks
-    yields (s0, rows): rows[r, i] is the final amplitude of estimation
-    value r and every graph basis state of signature s0 + i.
-
-    Phase terms are grouped by their estimation qubits E, and a graph
-    basis state's signature is its phase units in every group.  All
-    groups' units are built at once by subset doubling over the graph
-    qubits below the slice, as in invariant._edge_counts: a term on at
-    most two graph qubits joins when its top qubit is doubled in, one
-    popcount per mask of partners, and a term on three or more goes
-    through _ones_view.  Terms on graph qubits above the slice are
-    gated against start.  The groups then refine the signature ids one
-    at a time (_relabel)."""
+    """(start, ids, counts, chunks) for each slice of graph basis states
+    that graphs._edge_counts yields, in ascending start.  Graph basis
+    state start + c has signature ids[c], counts[s] of them have
+    signature s, and chunks yields (s0, rows): rows[r, i] is the final
+    amplitude of estimation value r and every graph basis state of
+    signature s0 + i.  The groups' units, built from each plane's edge
+    counts and each vertex set's popcounts, refine the signature ids
+    one group at a time (_relabel)."""
     n = circuit.n_graph
-    cb = min(n, _SLICE_BITS)
-    low = np.arange(1 << cb, dtype=np.uint32)
-    bits, mask = program.bits, np.uint16((1 << program.bits) - 1)
-    # (group, units, partner bit) entries: doubled[v] join as graph qubit
-    # v is doubled in, gated[high] when start has every qubit of high,
-    # and views[below, high] add through _ones_view(cols, below).
-    est_of: dict[tuple[int, ...], int] = {}
-    doubled: dict = {}
-    gated: dict = {}
-    views: dict = {}
-    for qubits, k in program.terms:
-        g = est_of.setdefault(tuple(q - n for q in qubits if q >= n), len(est_of))
-        below = tuple(q for q in qubits if q < cb)
-        high = sum(1 << q for q in qubits if cb <= q < n)
-        if not high and 1 <= len(below) <= 2:
-            doubled.setdefault(below[-1], []).append((g, k, sum(1 << q for q in below[:-1])))
-        elif high and len(below) <= 1:
-            gated.setdefault(high, []).append((g, k, sum(1 << q for q in below)))
-        else:
-            views.setdefault((below, high), []).append((g, k, 0))
-    groups = len(est_of)
-    doubled = {v: _by_mask(e, groups) for v, e in doubled.items()}
-    gated = {high: _by_mask(e, groups) for high, e in gated.items()}
-    views = {key: _by_mask(e, groups)[0] for key, e in views.items()}
-    # base[c, g]: group g's units of column c from the ungated terms.
-    base = np.zeros((1 << cb, groups), dtype=np.uint16)
-    for v in range(cb):
-        h = 1 << v
-        base[h : 2 * h] = base[:h]
-        if v in doubled:
-            _add_linear(base[h : 2 * h], doubled[v], low[:h])
-    for (below, high), vec in views.items():
-        if not high:
-            _ones_view(base, below)[...] += vec
-    base &= mask
-    table = np.exp(2j * math.pi / (1 << bits) * np.arange(1 << bits))
+    cb = min(n, graphs._SLICE_BITS)
+    mask = np.uint16((1 << program.bits) - 1)
+    const = np.array(program.const, dtype=np.uint16)[:, None]
+    sweeps = [(graphs._edge_counts(plane), uses) for plane, uses in program.planes.items()]
+    table = np.exp(2j * math.pi / (1 << program.bits) * np.arange(1 << program.bits))
     table *= 2.0 ** (-circuit.width / 2)
 
     def signature_slice(start: int):
-        cols = base
-        if start:  # slice 0 has no qubit above it set: no gated term joins
-            cols = base.copy()
-            # One popcount per mask, however many gated terms share it.
-            active: dict[int, np.ndarray] = {}
-            for high, terms in gated.items():
-                if start & high == high:
-                    for m, vec in terms.items():
-                        active[m] = active.get(m, 0) + vec
-            _add_linear(cols, active, low)
-            for (below, high), vec in views.items():
-                if high and start & high == high:
-                    _ones_view(cols, below)[...] += vec
-            cols &= mask
+        cols = np.repeat(const, 1 << cb, axis=1)
+        for sweep, uses in sweeps:
+            _, e = next(sweep)
+            for g, b in uses:
+                cols[g] += e << b
+        if program.sets:
+            masks = np.arange(start, start + (1 << cb), dtype=np.uint32)
+            for vertices, uses in program.sets.items():
+                ones = np.bitwise_count(masks & np.uint32(vertices)).astype(np.uint16)
+                for g, b in uses:
+                    cols[g] += ones << b
+        cols &= mask
         ids = np.zeros(1 << cb, dtype=np.intp)
         counts = np.array([1 << cb])
         rep = np.zeros(1, dtype=np.intp)  # a column of each signature
-        for g in range(groups):
-            u = cols[:, g]
+        for u in cols:
             # A group that the signature already determines (in phase
-            # estimation, every group after the first) leaves it as is.
+            # estimation, all but estimation qubit 0's) leaves it as is.
             if not (np.take(u[rep], ids) == u).all():
-                ids, counts = _relabel(ids, len(counts), u, bits)
+                ids, counts = _relabel(ids, len(counts), u, program.bits)
                 rep = np.empty(len(counts), dtype=np.intp)
                 rep[ids] = np.arange(len(ids))
-        return start, ids, counts, _rows(circuit, program, table, est_of, cols[rep])
+        return start, ids, counts, _rows(circuit, program, table, cols[:, rep])
 
     # One call per slice, so nothing of a slice but what it returns
     # outlives it.
@@ -406,33 +362,26 @@ def _signatures(
 
 
 def _rows(
-    circuit: Circuit,
-    program: _Program,
-    table: np.ndarray,
-    est_of: dict[tuple[int, ...], int],
-    units: np.ndarray,
+    circuit: Circuit, program: _Program, table: np.ndarray, units: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yields (s0, rows) for the signatures of units (units[s, g] is
+    """Yields (s0, rows) for the signatures of units (units[g, s] is
     group g's phase units of signature s), about 2^_BLOCK_BITS
     amplitudes at a time: rows[r, i] is the final amplitude of
     estimation value r for signature s0 + i.
 
-    Row r's phase index sums the groups with E in r's bits, by subset
-    doubling over the estimation bits: a group joins when its top bit's
-    half is built, and later halves copy it.  One lookup in table, then
-    the FFT along the rows if the program has the inverse-QFT tail."""
+    Row r's phase index is group 0's units plus group 1 + j's for each
+    bit j of r, by subset doubling over the estimation bits.  One lookup
+    in table, then the FFT along the rows if the program has the
+    inverse-QFT tail."""
     t = circuit.n_est
     step = max(1, (1 << _BLOCK_BITS) >> t)
-    for s0 in range(0, len(units), step):
-        part = units[s0 : s0 + step]
-        idx = np.empty((1 << t, len(part)), dtype=np.uint16)
-        idx[0] = part[:, est_of[()]] if () in est_of else 0
+    for s0 in range(0, units.shape[1], step):
+        part = units[:, s0 : s0 + step]
+        idx = np.empty((1 << t, part.shape[1]), dtype=np.uint16)
+        idx[0] = part[0]
         for j in range(t):
             h = 1 << j
-            np.add(idx[:h], part[:, est_of[(j,)]] if (j,) in est_of else 0, out=idx[h : 2 * h])
-            for est, g in est_of.items():
-                if len(est) > 1 and est[-1] == j:
-                    _ones_view(idx[h : 2 * h], est[:-1])[...] += part[:, g]
+            np.add(idx[:h], part[1 + j], out=idx[h : 2 * h])
         idx &= np.uint16((1 << program.bits) - 1)
         # Every index is below len(table): "clip" skips the bounds check.
         rows = np.take(table, idx, mode="clip")
@@ -447,14 +396,15 @@ def run(circuit: Circuit) -> Statevector:
 
     Raises InputError unless circuit is of the phase-estimation shape,
     and ResourceLimitError before allocating when the width exceeds
-    HARD_MAX_QUBITS or peak_bytes exceeds MemAvailable.
+    HARD_MAX_QUBITS, the graph register graphs.MAX_VERTICES qubits, or
+    peak_bytes exceeds MemAvailable.
     """
     if circuit.width > HARD_MAX_QUBITS:
         raise ResourceLimitError(
             f"circuit width {circuit.width} exceeds the {HARD_MAX_QUBITS}-qubit limit"
         )
     program = _compile(circuit)
-    need = peak_bytes(circuit)
+    need = _peak_bytes(circuit, program)
     available = _mem_available()
     if available is not None and need > available:
         raise ResourceLimitError(

@@ -95,7 +95,10 @@ SIZE_CAPS = {
 
 
 def test_size_caps_are_pinned():
+    # Also: one module sets the slice of the one subset-doubling kernel,
+    # so a second edge-count kernel cannot come back with its own.
     caps = set()
+    slices = set()
     for path in Path(qgi.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.Assign):
@@ -104,12 +107,11 @@ def test_size_caps_are_pinned():
                 targets = [node.target]
             else:
                 continue
-            caps |= {
-                f"{path.stem}.{t.id}"
-                for t in targets
-                if isinstance(t, ast.Name) and "MAX" in t.id
-            }
+            names = {f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name)}
+            caps |= {name for name in names if "MAX" in name}
+            slices |= {name for name in names if name.endswith("._SLICE_BITS")}
     assert caps == SIZE_CAPS
+    assert slices == {"graphs._SLICE_BITS"}
 
 
 def test_cli_options_are_pinned():

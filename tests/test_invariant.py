@@ -18,6 +18,7 @@ from conftest import (
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qgi.graphs
 import qgi.invariant
 import qgi.simulator
 from qgi import (
@@ -43,7 +44,7 @@ from qgi import (
     run,
     spectra_equal,
 )
-from qgi.invariant import _SLICE_BITS, _edge_counts
+from qgi.graphs import _SLICE_BITS, _edge_counts
 
 FROZEN_COUNTS = {
     "c4": [7, 4, 4, 0, 1],
@@ -114,7 +115,7 @@ def test_edge_counts_match_per_mask_counts_in_small_slices(g, slice_bits):
     # Slices of 2 to 16 masks: many slices, up to nine high vertices, an
     # odd bit count, and at one bit a grid of a single column.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qgi.invariant, "_SLICE_BITS", slice_bits)
+        mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
         slices = [(start, e.tolist()) for start, e in _edge_counts(g)]
     size = 1 << min(g.n, slice_bits)
     assert [start for start, _ in slices] == list(range(0, 1 << g.n, size))
@@ -218,21 +219,22 @@ def test_quantum_edgeless_short_circuit(monkeypatch):
     assert shot.histogram is None and widths == [4]
 
 
-@pytest.mark.parametrize("slice_bits", [qgi.simulator._SLICE_BITS, 2])
+@pytest.mark.parametrize("slice_bits", [qgi.graphs._SLICE_BITS, 2])
 @given(g=graphs(max_n=8))
 def test_quantum_matches_sweep_on_random_graphs(slice_bits, g):
-    # With slices of 4 graph basis states the high vertices gate phase
-    # terms against start, as every vertex from 18 up does by default,
-    # and chunks of 4 amplitudes split the signatures.
+    # With slices of 4 graph basis states the edge counts of the high
+    # vertices come from the kernel's grid offsets, as every vertex from
+    # 16 up does by default, and chunks of 4 amplitudes split the
+    # signatures.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qgi.simulator, "_SLICE_BITS", slice_bits)
+        mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
         mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
         assert quantum_histogram(g).histogram.counts == classical_histogram(g).counts
 
 
 @pytest.mark.parametrize("m", [16, 100, 276])
 def test_quantum_matches_sweep_on_24_vertices(m):
-    # 64 slices of 2^18 subsets each, at widths 29, 31 and 33 (K24): the
+    # 256 slices of 2^16 subsets each, at widths 29, 31 and 33 (K24): the
     # read-out holds one slice, whatever the width.
     rng = random.Random(316)
     pairs = [(i, j) for i in range(24) for j in range(i + 1, 24)]

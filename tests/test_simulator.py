@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import qgi.graphs
 import qgi.simulator
 from qgi import Graph, build_oracle, build_qpe, inverse_qft, named_graph
 from qgi.circuit import Circuit, Gate, ccp, cp, h, p, swap
@@ -191,6 +192,20 @@ def test_run_respects_qubit_budget():
     assert run(build_qpe(named_graph("c4"))).n_qubits == 7
 
 
+def test_run_refuses_graph_registers_beyond_a_graph():
+    # 25 graph qubits fit the 28-qubit width, but no plane on them is a
+    # Graph: refused before any amplitude is allocated.
+    wide = Circuit(n_graph=25, n_est=0, gates=tuple(h(q) for q in range(25)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="24-vertex limit"):
+            run(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_readout_caps_its_registers():
     # The read-out sweeps 2^n_graph graph basis states and holds 2^n_est
     # amplitudes per signature: more than a graph's 24 vertices or
@@ -269,22 +284,32 @@ _OFF_GRID = st.sampled_from(
     [Fraction(1, 1 << 17), Fraction(1, 3), Fraction(2, 5), Fraction(7, 24)]
 )
 _ARITY = {"p": 1, "cp": 2, "ccp": 3}
+_KINDS = ("p", "cp", "ccp")
 
 
 @st.composite
 def _qpe_shaped(draw) -> Circuit:
-    """An H on every qubit in any order, dyadic phase gates, and an
-    optional inverse QFT on the estimation register."""
+    """An H on every qubit in any order, dyadic phase gates on at most
+    two graph qubits and at most one estimation qubit, and an optional
+    inverse QFT on the estimation register."""
     n_graph = draw(st.integers(1, 6))
     n_est = draw(st.integers(0, 8 - n_graph))
     tail = n_est > 0 and draw(st.booleans())
     w = n_graph + n_est
     gates = [h(q) for q in draw(st.permutations(range(w)))]
-    kinds = [k for k, a in _ARITY.items() if a <= w]
+    # (graph qubits, estimation qubits) of each accepted phase term.
+    shapes = [
+        (a, b)
+        for a in range(min(n_graph, 2) + 1)
+        for b in range(min(n_est, 1) + 1)
+        if a + b
+    ]
     for _ in range(draw(st.integers(0, 14))):
-        kind = draw(st.sampled_from(kinds))
-        qubits = tuple(draw(st.permutations(range(w)))[: _ARITY[kind]])
-        gates.append(Gate(kind, qubits, draw(_DYADIC)))
+        a, b = draw(st.sampled_from(shapes))
+        graph = draw(st.permutations(range(n_graph)))[:a]
+        est = draw(st.permutations(range(n_graph, w)))[:b]
+        qubits = tuple(draw(st.permutations(graph + est)))
+        gates.append(Gate(_KINDS[a + b - 1], qubits, draw(_DYADIC)))
     if tail:
         gates += _iqft_on_est(n_graph, n_est)
     return Circuit(n_graph=n_graph, n_est=n_est, gates=tuple(gates))
@@ -293,15 +318,18 @@ def _qpe_shaped(draw) -> Circuit:
 @st.composite
 def _off_shape(draw) -> Circuit:
     """A QPE-shaped circuit broken one way: the H of a graph qubit is
-    missing from the leading layer, or an H on a graph qubit, a swap or
-    a phase off the 16-bit grid is inserted after it.  None of these
-    gates can be mistaken for part of the inverse-QFT tail."""
+    missing from the leading layer, or an H on a graph qubit, a swap, a
+    phase off the 16-bit grid, a phase on three graph qubits or one on
+    two estimation qubits is inserted after it.  A gate that lands in
+    the inverse-QFT tail leaves the tail's H and swaps in the body, so
+    each is refused wherever it lands."""
     shaped = draw(_qpe_shaped())
-    w = shaped.width
+    n, w = shaped.n_graph, shaped.width
     gates = list(shaped.gates)
     qubits = draw(st.permutations(range(w)))
-    graph_qubit = draw(st.integers(0, shaped.n_graph - 1))
+    graph_qubit = draw(st.integers(0, n - 1))
     breaks = ["lead", "h", "phase"] + (["swap"] if w >= 2 else [])
+    breaks += (["three graph"] if n >= 3 else []) + (["two est"] if w - n >= 2 else [])
     broken = draw(st.sampled_from(breaks))
     if broken == "lead":
         gates.remove(h(graph_qubit))
@@ -310,6 +338,14 @@ def _off_shape(draw) -> Circuit:
             gate = h(graph_qubit)
         elif broken == "swap":
             gate = swap(*qubits[:2])
+        elif broken == "three graph":
+            gate = ccp(*draw(st.permutations(range(n)))[:3], draw(_DYADIC))
+        elif broken == "two est":
+            est = draw(st.permutations(range(n, w)))[:2]
+            others = [q for q in range(w) if q not in est]
+            extra = draw(st.sampled_from([()] + [(q,) for q in others]))
+            qubits = tuple(draw(st.permutations([*est, *extra])))
+            gate = Gate(_KINDS[len(qubits) - 1], qubits, draw(_DYADIC))
         else:
             phase = draw(st.sampled_from([k for k, a in _ARITY.items() if a <= w]))
             gate = Gate(phase, tuple(qubits[: _ARITY[phase]]), draw(_OFF_GRID))
@@ -317,28 +353,28 @@ def _off_shape(draw) -> Circuit:
     return Circuit(n_graph=shaped.n_graph, n_est=shaped.n_est, gates=tuple(gates))
 
 
-@pytest.mark.parametrize("slice_bits", [qgi.simulator._SLICE_BITS, 2])
+@pytest.mark.parametrize("slice_bits", [qgi.graphs._SLICE_BITS, 2])
 @given(circuit=_qpe_shaped())
 def test_compiled_run_matches_gate_loop(slice_bits, circuit):
-    # Slices of 4 graph basis states split phase terms between the
-    # doubling and the gating against start, as graphs on more than 18
-    # vertices do by default; chunks of 4 amplitudes split a slice's
-    # signatures, and a dense tally that small makes the relabel sort.
+    # Slices of 4 graph basis states take the planes' edge counts from
+    # the kernel's grid offsets and the vertex sets' popcounts from high
+    # masks, as graphs on more than 16 vertices do by default; chunks of
+    # 4 amplitudes split a slice's signatures, and a dense tally that
+    # small makes the relabel sort.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qgi.simulator, "_SLICE_BITS", slice_bits)
+        mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
         mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
         amps = run(circuit).amps
     np.testing.assert_allclose(amps, _gate_loop(circuit), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("slice_bits", [qgi.simulator._SLICE_BITS, 2])
+@pytest.mark.parametrize("slice_bits", [qgi.graphs._SLICE_BITS, 2])
 @given(circuit=_qpe_shaped().filter(lambda c: c.n_est))
 def test_readout_matches_marginal_of_run(slice_bits, circuit):
-    # As above: with slices of 4 the gating against start and the
-    # multi-bit estimation terms both matter, and every slice's
-    # |rows|^2 adds into the one marginal.
+    # As above, with slices of 4; every slice's |rows|^2 adds into the
+    # one marginal.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qgi.simulator, "_SLICE_BITS", slice_bits)
+        mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
         mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
         probs = readout(circuit)
     expect = marginal(_gate_loop_state(circuit), circuit.est_register)
@@ -361,12 +397,12 @@ def _distinct_columns(n_graph: int, n_est: int, seed: int) -> Circuit:
     return Circuit(n_graph=n_graph, n_est=n_est, gates=tuple(gates))
 
 
-@pytest.mark.parametrize("slice_bits", [qgi.simulator._SLICE_BITS, 2])
+@pytest.mark.parametrize("slice_bits", [qgi.graphs._SLICE_BITS, 2])
 def test_distinct_signatures_match_gate_loop(slice_bits, monkeypatch):
     # 16-bit units on 2^7 signatures overflow the dense tally, so the
     # relabel sorts; the 2^7 * 2^3 rows span several chunks of 2^6.
     circuit = _distinct_columns(7, 3, 418)
-    monkeypatch.setattr(qgi.simulator, "_SLICE_BITS", slice_bits)
+    monkeypatch.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
     monkeypatch.setattr(qgi.simulator, "_BLOCK_BITS", 6)
     state = _gate_loop_state(circuit)
     np.testing.assert_allclose(run(circuit).amps, state.amps, rtol=0, atol=1e-12)
@@ -427,33 +463,60 @@ def test_qpe_circuits_need_no_gate_loop(monkeypatch):
     assert applied == []
 
 
+def test_qpe_readout_sweeps_its_graph_once(monkeypatch):
+    # Every estimation qubit's units are a multiple of one plane's
+    # induced edge counts: the graph itself, swept once by the one
+    # subset-doubling kernel, fused or not.
+    swept = []
+    kernel = qgi.graphs._edge_counts
+
+    def recorded(plane):
+        swept.append(plane)
+        return kernel(plane)
+
+    monkeypatch.setattr(qgi.graphs, "_edge_counts", recorded)
+    for g in (named_graph("c4"), named_graph("petersen"), random_graph(random.Random(424), 9)):
+        for fuse in (True, False):
+            swept.clear()
+            readout(build_qpe(g, fuse=fuse))
+            assert swept == [g]
+
+
 # --- memory admission ---
 
 def test_peak_bytes_counts_amplitudes_and_temporaries():
-    # Amplitudes; per slice, a complex row and three uint16 units per
-    # signature and group, as if every graph basis state had a signature
-    # of its own and each of the 2^t estimation-qubit sets a group; 112
-    # bytes per column (at least 2^16, the dense tallies); one chunk of
-    # at least 2^16 amplitudes (index, intp cast, lookup).
-    w = 5
-    uniform = tuple(h(q) for q in range(w))
-    small = (26 + 112) << 16
-    assert peak_bytes(Circuit(n_graph=w, n_est=0, gates=uniform)) == (16 << 5) + (22 << 5) + small
-    assert peak_bytes(build_qpe(named_graph("c4"))) == (16 << 7) + (22 << 7) + small
-    # The estimate is pure arithmetic of the register sizes: width-28
-    # circuits allocate nothing, and a circuit that run refuses gets the
-    # same figure.  Slices hold 2^18 graph basis states.
+    # Amplitudes; per column of a slice, the groups' uint16 units, 12
+    # bytes per plane, 13 for the vertex sets and 56 for the relabel; per
+    # signature a slice can have, a complex row per estimation value; a
+    # chunk of at least 2^16 elements (index, intp cast, lookup); 48
+    # bytes per entry of the 2^16 tally and exp table.
+    fixed = (26 << 16) + (48 << 16)
+    uniform = tuple(h(q) for q in range(5))
+    assert peak_bytes(Circuit(n_graph=5, n_est=0, gates=uniform)) == (16 << 5) + (58 << 5) + 16 + fixed
+    # C4 has 4 edges, so its one plane gives a slice 5 signatures, and
+    # t = 3: 4 groups and 5 << 3 rows.
+    c4 = named_graph("c4")
+    expect = (16 << 7) + ((8 + 12 + 56) << 4) + (16 * 5 << 3) + fixed
+    assert peak_bytes(build_qpe(c4)) == peak_bytes(build_qpe(c4, fuse=True)) == expect
+    # Width 28 is arithmetic alone: one vertex set {0}, on estimation
+    # qubit 3 (group 4), gives 2 signatures per slice of 2^16.
     wide = tuple(h(q) for q in range(28))
-    for gates in (wide, wide + (cp(0, 27, Fraction(1, 4)),), wide + (h(3),)):
-        for n_graph, n_est in ((28, 0), (24, 4)):
-            circuit = Circuit(n_graph=n_graph, n_est=n_est, gates=gates)
-            assert peak_bytes(circuit) == (16 << 28) + (22 << (18 + n_est)) + (112 << 18) + (26 << 16)
+    quarter = Circuit(n_graph=24, n_est=4, gates=wide + (cp(0, 27, Fraction(1, 4)),))
+    expect = (16 << 28) + ((10 + 13 + 56) << 16) + (16 * 2 << 4) + fixed
+    assert peak_bytes(quarter) == expect
+    # A circuit that run refuses raises as run does.
+    with pytest.raises(InputError, match="phase-estimation shape"):
+        peak_bytes(Circuit(n_graph=24, n_est=4, gates=wide + (h(3),)))
+    with pytest.raises(ResourceLimitError, match="24-vertex limit"):
+        peak_bytes(Circuit(n_graph=28, n_est=0, gates=wide))
 
 
 def test_run_peak_stays_within_peak_bytes():
     # The admission cannot under-count: run's measured peak on a width-20
     # QPE circuit, and on circuits where nearly every graph basis state
-    # has its own signature, stays within peak_bytes.
+    # has its own signature, stays within peak_bytes.  On the QPE
+    # circuit, whose slices have at most m + 1 = 29 signatures, it
+    # over-counts by at most half.
     rng = random.Random(420)
     pairs = [(i, j) for i in range(15) for j in range(i + 1, 15)]
     qpe = build_qpe(Graph.from_edges(15, rng.sample(pairs, 28)), fuse=True)
@@ -466,11 +529,13 @@ def test_run_peak_stays_within_peak_bytes():
         finally:
             tracemalloc.stop()
         assert (16 << circuit.width) < peak <= peak_bytes(circuit)
+        if circuit is qpe:
+            assert peak_bytes(circuit) <= 1.5 * peak
 
 
 def test_readout_memory_is_one_slice():
     # Nearly 2^20 signatures of 2^4 rows at width 24: the read-out holds
-    # one slice of 2^18 graph basis states and one chunk of rows, never
+    # one slice of 2^16 graph basis states and one chunk of rows, never
     # the 2^24 amplitudes (256 MiB).
     circuit = _distinct_columns(20, 4, 423)
     tracemalloc.start()
