@@ -250,33 +250,37 @@ def export_qasm(circuit: Circuit, decompose_ccp: bool = False) -> str:
             angles[key] = _fmt_angle(turns)
         return angles[key]
 
-    for gate in circuit.gates:
+    def render(gate: Gate) -> str:
         qs = [names[q] for q in gate.qubits]
         if gate.kind == "h":
-            lines.append(f"h {qs[0]};")
-        elif gate.kind == "p":
-            lines.append(f"p({angle(gate.turns)}) {qs[0]};")
-        elif gate.kind == "cp":
-            lines.append(f"cp({angle(gate.turns)}) {qs[0]}, {qs[1]};")
-        elif gate.kind == "swap":
-            lines.append(f"swap {qs[0]}, {qs[1]};")
-        elif gate.kind == "ccp":
-            a, b, c = qs
-            if not decompose_ccp:
-                lines.append(f"ctrl @ cp({angle(gate.turns)}) {a}, {b}, {c};")
-            else:
-                key = (gate.turns.numerator, gate.turns.denominator)
-                if key not in halves:
-                    halves[key] = (
-                        _fmt_angle(gate.turns / 2),
-                        _fmt_angle((-gate.turns / 2) % 1),
-                    )
-                half, neg = halves[key]
-                lines.append(f"cp({half}) {b}, {c};")
-                lines.append(f"cx {a}, {b};")
-                lines.append(f"cp({neg}) {b}, {c};")
-                lines.append(f"cx {a}, {b};")
-                lines.append(f"cp({half}) {a}, {c};")
+            return f"h {qs[0]};"
+        if gate.kind == "p":
+            return f"p({angle(gate.turns)}) {qs[0]};"
+        if gate.kind == "cp":
+            return f"cp({angle(gate.turns)}) {qs[0]}, {qs[1]};"
+        if gate.kind == "swap":
+            return f"swap {qs[0]}, {qs[1]};"
+        a, b, c = qs  # ccp, the one kind left
+        if not decompose_ccp:
+            return f"ctrl @ cp({angle(gate.turns)}) {a}, {b}, {c};"
+        key = (gate.turns.numerator, gate.turns.denominator)
+        if key not in halves:
+            halves[key] = (_fmt_angle(gate.turns / 2), _fmt_angle((-gate.turns / 2) % 1))
+        half, neg = halves[key]
+        return (
+            f"cp({half}) {b}, {c};\ncx {a}, {b};\ncp({neg}) {b}, {c};\n"
+            f"cx {a}, {b};\ncp({half}) {a}, {c};"
+        )
+
+    # Each distinct gate object rendered once: the unfused circuit
+    # repeats each oracle power's gates 2^j times.  circuit.gates keeps
+    # every gate alive, so no two of them share an id.
+    rendered: dict[int, str] = {}
+    for gate in circuit.gates:
+        line = rendered.get(id(gate))
+        if line is None:
+            line = rendered[id(gate)] = render(gate)
+        lines.append(line)
     for k, q in enumerate(circuit.measure):
         lines.append(f"meas[{k}] = measure {names[q]};")
     return "\n".join(lines) + "\n"

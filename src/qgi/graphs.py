@@ -7,7 +7,8 @@ Graphs are immutable; every mutating-style operation returns a new
 Graph.
 
 _edge_counts is the one edge-count kernel: every subset sweep and the
-QPE simulator read induced edge counts from it.
+QPE simulator read induced edge counts from it, and _edge_tally is its
+histogram.
 """
 
 from __future__ import annotations
@@ -313,6 +314,15 @@ def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
         np.add(grid, b[h][:, None], out=out)
         out += a[h]
         yield h << bits, e
+
+
+def _edge_tally(g: Graph) -> np.ndarray:
+    """counts[k] (int64) is the number of subset masks inducing exactly
+    k edges, for k = 0..m: one np.bincount per slice of _edge_counts."""
+    counts = np.zeros(g.m + 1, dtype=np.int64)
+    for _, e in _edge_counts(g):
+        counts += np.bincount(e, minlength=g.m + 1)
+    return counts
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> Permutation | None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuit import PrecisionPlan, build_qpe, plan_precision
 from .errors import InputError, InternalCheckError
-from .graphs import Graph, Permutation, _edge_counts
+from .graphs import Graph, Permutation, _edge_counts, _edge_tally
 from .simulator import readout, sample
 
 @dataclass(frozen=True)
@@ -84,9 +84,7 @@ class QpeOutcome:
 
 def classical_histogram(g: Graph) -> EdgeHistogram:
     """Brute-force oracle: sweep all 2^n subsets and tally edge counts."""
-    counts = np.zeros(g.m + 1, dtype=np.int64)
-    for _, e in _edge_counts(g):
-        counts += np.bincount(e, minlength=g.m + 1)
+    counts = _edge_tally(g)
     return EdgeHistogram(n=g.n, m=g.m, counts=tuple(int(c) for c in counts))
 
 
@@ -101,10 +99,11 @@ def quantum_histogram(g: Graph, shots: int | None = None, seed: int = 0) -> QpeO
     [2^n]; shot mode samples its circuit like any other.  The circuit is
     the fused one: it compiles to the same phase program as the paper's
     repeated oracle powers, in fewer gates.  Both modes read the
-    estimation register with `readout`, which builds the rows of the at
-    most m + 1 column signatures, never the 2^w statevector, so no width
-    cap applies: every graph the sweep accepts runs, the complete graph
-    on 24 vertices (width 33) included.
+    estimation register with `readout`, which builds the m + 1
+    estimation rows once and weights them by the sweep kernel's tally of
+    edge counts, never the 2^w statevector, so no width cap applies:
+    every graph the sweep accepts runs, the complete graph on 24
+    vertices (width 33) included.
     """
     plan = plan_precision(g.m)
     if g.m == 0 and shots is None:

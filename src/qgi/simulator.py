@@ -8,29 +8,29 @@ phase-estimation shape whole before any amplitude is touched, and
 raise InputError for any other circuit:
 - an H on every qubit of |0...0> as its first gates is the uniform
   state of amplitude 2^(-w/2);
-- the phase gates (p, cp, ccp) that follow, each on at most two graph
-  qubits and one estimation qubit, with dyadic turns of at most 16
-  bits, are merged per qubit set by exact sums of turns into one
-  integer phase index mod 2^T, written with the uniform amplitude by
-  one lookup in a 2^T-entry exp table;
+- the phase gates (p, cp, ccp) that follow, with dyadic turns of at
+  most 16 bits, are merged per qubit set by exact sums of turns into
+  one integer phase index mod 2^T, written with the uniform amplitude
+  by one lookup in a 2^T-entry exp table.  Each merged term lies on
+  an edge of one graph, with equal turns on every edge under the same
+  estimation qubit, on one estimation qubit, or on both: the oracle
+  powers of phase estimation, fused or not;
 - an optional tail equal to the inverse QFT on the estimation register
   is one FFT along that register's axis.
 Each op before the FFT is diagonal and the FFT acts on the estimation
-register alone, so the 2^t final amplitudes of a graph basis state
-(a column) depend only on its phase units in each group of terms on
-the same estimation qubit: its signature.  A group's units are shifted
-induced edge counts of a few graphs, its planes, and popcounts, so
-`_signatures` takes them from graphs._edge_counts, the one
-subset-doubling kernel, one slice of 2^16 columns at a time.  Every
-QPE circuit has one plane, its graph, and so at most m + 1 signatures;
-only their rows are built, about 2^16 amplitudes at a time.  `readout`
-adds each signature's |rows|^2, weighted by how many columns share it,
-into the estimation-register marginal: its time grows as 2^n_graph and
-its memory is one slice and the 2^t marginal at any width, so it has
-no width cap; only a marginal of more than 2^16 values is admitted
-against MemAvailable.  `run` gathers every column from its signature's
-rows into the statevector.  Only `run` holds all 2^w amplitudes, so
-HARD_MAX_QUBITS and `peak_bytes` bound `run` (and `init_state`) alone.
+register alone, so the 2^t final amplitudes of a graph basis state S
+depend only on e(S), the number of the graph's edges that S induces:
+they are row e(S) of at most m + 1 rows, built once per circuit, about
+2^16 amplitudes at a time.  `readout` weights each row's |amp|^2 by
+graphs._edge_tally, how many subsets induce each edge count, which
+the one subset-doubling kernel graphs._edge_counts gives one slice of
+2^16 subsets at a time: its time grows as 2^n_graph and its memory is
+one slice and the 2^t marginal at any width, so it has no width cap;
+only a marginal of more than 2^16 values is admitted against
+MemAvailable.  `run` gathers every graph basis state's row, using the
+kernel's counts as row ids, into the statevector.  Only `run` holds
+all 2^w amplitudes, so HARD_MAX_QUBITS and `peak_bytes` bound `run`
+(and `init_state`) alone.
 
 The gate loop (`init_state`, then `apply_gate` for each gate) and
 `marginal` of its state are the reference that the tests compare `run`
@@ -130,8 +130,8 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 # so the integer phase index of every basis state fits in a uint16.
 _PHASE_BITS = 16
 _PHASE_KINDS = ("p", "cp", "ccp")
-# Signature chunks and dump chunks hold about 2^_BLOCK_BITS amplitudes,
-# so their temporaries stay in cache and small at any width.
+# Row chunks and dump chunks hold about 2^_BLOCK_BITS amplitudes, so
+# their temporaries stay in cache and small at any width.
 _BLOCK_BITS = 16
 # `sample` draws its shots this many at a time, and looks each one up in
 # one of _SHOT_BUCKETS equal parts of [0, 1).
@@ -139,20 +139,17 @@ _SHOT_CHUNK = 1 << 18
 _SHOT_BUCKETS = 1 << 12
 
 # Bytes at the peak of `run`: the complex128 amplitudes and rows; per
-# column of a slice, each plane's uint32 masks, its uint16 counts, output
-# and grid offsets, the vertex sets' masks and popcounts, and the ids,
-# keys and gathers of the relabelling; per chunk element, the uint16
-# index, its intp cast and the lookup; per entry of up to 2^16, the int64
-# dense tally and its inverse, and the exp table and its product.
+# subset of a slice, the kernel's uint32 masks, its uint16 counts,
+# output and grid offsets, and the intp row ids; per chunk element, the
+# uint16 index, its intp cast and the lookup; per entry of the 2^bits
+# exp table, its int64 exponents, their complex multiple and the table.
 _AMP_BYTES = 16
-_PLANE_BYTES = 4 + 2 + 2 + 2 + 2
-_SET_BYTES = 4 + 4 + 1 + 2 + 2
-_COLUMN_TEMP_BYTES = 56
+_COLUMN_BYTES = 4 + 2 + 2 + 2 + 2 + 8
 _BLOCK_TEMP_BYTES = 2 + 8 + 16
-_TABLE_BYTES = 8 + 8 + 16 + 16
+_TABLE_BYTES = 8 + 16 + 16
 # Bytes per estimation value at the peak of `readout` once a chunk is a
-# single signature (t > _BLOCK_BITS): the float64 marginal, the uint16
-# index, the complex128 row, and its float64 modulus and square.
+# single row (t > _BLOCK_BITS): the float64 marginal, the uint16 index,
+# the complex128 row, and its float64 modulus and square.
 _READOUT_BYTES = 8 + 2 + 16 + 8 + 8
 
 
@@ -162,15 +159,13 @@ class _Program:
     2^bits) on graph basis state S where group g's estimation qubit is
     set, for group 0 (no estimation qubit) and group 1 + j (estimation
     qubit j); then an inverse QFT on the estimation register if fft_tail.
-    u_g(S) is const[g], plus e_P(S) << b for each (g, b) in planes[P],
-    plus |S & V| << b for each (g, b) in sets[V], mod 2^bits: bit b of
-    group g's units on pairs of graph qubits is the plane P, a graph, and
-    on single graph qubits the vertex set V."""
+    u_g(S) is const[g] + weight[g] * e(S) mod 2^bits, where e(S) is the
+    number of edges of graph that S induces."""
 
     bits: int
     const: list[int]
-    planes: dict[Graph, list[tuple[int, int]]]
-    sets: dict[int, list[tuple[int, int]]]
+    graph: Graph
+    weight: list[int]
     fft_tail: bool
 
 
@@ -182,17 +177,18 @@ def _dyadic_bits(turns: Fraction) -> int | None:
 
 _OFF_SHAPE = (
     "circuit is not of the phase-estimation shape: an H on every qubit, then "
-    "phase gates on at most two graph qubits and one estimation qubit with "
-    "dyadic turns of at most 16 bits, then optionally the inverse QFT on the "
-    "estimation register"
+    "phase gates with dyadic turns of at most 16 bits, each on an edge of one "
+    "graph with equal turns per estimation qubit, on one estimation qubit, or "
+    "on both, then optionally the inverse QFT on the estimation register"
 )
 
 
 def _compile(circuit: Circuit) -> _Program:
     """The program of a circuit of the phase-estimation shape (the H
-    layer in any order; _PHASE_BITS bits at most), InputError for any
-    other circuit, and ResourceLimitError for a graph register of more
-    than graphs.MAX_VERTICES qubits, on which no plane is a Graph."""
+    layer in any order; _PHASE_BITS bits at most; terms whose merged
+    turns are whole turns dropped), InputError for any other circuit,
+    and ResourceLimitError for a graph register of more than
+    graphs.MAX_VERTICES qubits, which no Graph can hold."""
     n, w = circuit.n_graph, circuit.width
     if n > MAX_VERTICES:
         raise ResourceLimitError(
@@ -215,32 +211,32 @@ def _compile(circuit: Circuit) -> _Program:
         if bits is None or bits > _PHASE_BITS:
             raise InputError(_OFF_SHAPE)
         key = tuple(sorted(gate.qubits))
-        est = sum(q >= n for q in key)
-        if est > 1 or len(key) - est > 2:
-            raise InputError(_OFF_SHAPE)
         units = gate.turns.numerator << (_PHASE_BITS - bits)
         merged[key] = (merged.get(key, 0) + units) % (1 << _PHASE_BITS)
     # The coarsest unit that still expresses every merged phase.
     shift = min(((k & -k).bit_length() - 1 for k in merged.values() if k), default=_PHASE_BITS)
     bits = _PHASE_BITS - shift
-    # Each group's terms, keyed by their graph qubits.
-    groups: list[dict[tuple[int, ...], int]] = [{} for _ in range(1 + circuit.n_est)]
+    const = [0] * (1 + circuit.n_est)
+    weight = [0] * (1 + circuit.n_est)
+    edges: list[set[tuple[int, ...]]] = [set() for _ in const]
     for key, units in merged.items():
         g = key[-1] - n + 1 if key[-1] >= n else 0
-        groups[g][key[:-1] if g else key] = units >> shift
-    planes: dict[Graph, list[tuple[int, int]]] = {}
-    sets: dict[int, list[tuple[int, int]]] = {}
-    for g, terms in enumerate(groups):
-        for b in range(bits):
-            on = [graph for graph, units in terms.items() if units >> b & 1]
-            edges = [graph for graph in on if len(graph) == 2]
-            vertices = sum(1 << graph[0] for graph in on if len(graph) == 1)
-            if edges:
-                planes.setdefault(Graph.from_edges(n, edges), []).append((g, b))
-            if vertices:
-                sets.setdefault(vertices, []).append((g, b))
-    const = [terms.get((), 0) for terms in groups]
-    return _Program(bits, const, planes, sets, fft_tail)
+        pair = key[:-1] if g else key
+        units >>= shift
+        if not units:
+            continue
+        if not pair:
+            const[g] = units
+        elif len(pair) == 2 and pair[1] < n and weight[g] in (0, units):
+            weight[g] = units
+            edges[g].add(pair)
+        else:
+            raise InputError(_OFF_SHAPE)
+    edge_sets = {frozenset(group) for group in edges if group}
+    if len(edge_sets) > 1:
+        raise InputError(_OFF_SHAPE)
+    graph = Graph.from_edges(n, next(iter(edge_sets), ()))
+    return _Program(bits, const, graph, weight, fft_tail)
 
 
 def peak_bytes(circuit: Circuit) -> int:
@@ -250,23 +246,15 @@ def peak_bytes(circuit: Circuit) -> int:
 
 
 def _peak_bytes(circuit: Circuit, program: _Program) -> int:
-    """The amplitudes, one slice's columns, the rows of as many
-    signatures as the program can give a slice (a plane of m edges gives
-    a column one of m + 1 counts, a set of k vertices one of k + 1
-    popcounts), one chunk, the dense tally and the exp table."""
+    """The amplitudes, the m + 1 rows, one slice of subsets, one chunk
+    and the exp table."""
     t = circuit.n_est
-    cb = min(circuit.n_graph, graphs._SLICE_BITS)
-    sigs = math.prod(plane.m + 1 for plane in program.planes)
-    sigs *= math.prod(vertices.bit_count() + 1 for vertices in program.sets)
-    sigs = min(sigs, 1 << cb)
-    per_column = 2 * (1 + t) + _PLANE_BYTES * len(program.planes) + _COLUMN_TEMP_BYTES
-    per_column += _SET_BYTES if program.sets else 0
     return (
         (_AMP_BYTES << circuit.width)
-        + (per_column << cb)
-        + (_AMP_BYTES * sigs << t)
+        + (_AMP_BYTES * (program.graph.m + 1) << t)
+        + (_COLUMN_BYTES << min(circuit.n_graph, graphs._SLICE_BITS))
         + (_BLOCK_TEMP_BYTES << max(t, _BLOCK_BITS))
-        + (_TABLE_BYTES << _BLOCK_BITS)
+        + (_TABLE_BYTES << program.bits)
     )
 
 
@@ -282,117 +270,43 @@ def _mem_available() -> int | None:
     return None
 
 
-def _relabel(
-    ids: np.ndarray, count: int, units: np.ndarray, bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refine count signature ids by one more group's units below 2^bits.
-
-    Returns (ids, counts): the new ids number the distinct pairs (id,
-    units) in sorted order, and counts[s] columns have new id s.  A
-    dense tally of the count << bits keys up to the slice length or a
-    chunk, whichever is larger; a sort beyond that."""
-    key = ids << bits
-    key |= units
-    size = count << bits
-    if size > max(len(key), 1 << _BLOCK_BITS):
-        # np.unique(key, return_inverse=True) in a third of its memory.
-        order = np.argsort(key)
-        key = key[order]
-        first = np.empty(len(key), dtype=bool)
-        first[0] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        del key
-        ids = np.empty_like(order)
-        ids[order] = np.cumsum(first) - 1
-        return ids, np.diff(np.flatnonzero(first), append=len(first))
-    tally = np.bincount(key, minlength=size)
-    keys = np.flatnonzero(tally)
-    new = np.empty(size, dtype=np.intp)
-    new[keys] = np.arange(len(keys))
-    return np.take(new, key), tally[keys]
-
-
-def _signatures(
-    circuit: Circuit, program: _Program
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]]:
-    """(start, ids, counts, chunks) for each slice of graph basis states
-    that graphs._edge_counts yields, in ascending start.  Graph basis
-    state start + c has signature ids[c], counts[s] of them have
-    signature s, and chunks yields (s0, rows): rows[r, i] is the final
-    amplitude of estimation value r and every graph basis state of
-    signature s0 + i.  The groups' units, built from each plane's edge
-    counts and each vertex set's popcounts, refine the signature ids
-    one group at a time (_relabel)."""
-    n = circuit.n_graph
-    cb = min(n, graphs._SLICE_BITS)
-    mask = np.uint16((1 << program.bits) - 1)
-    const = np.array(program.const, dtype=np.uint16)[:, None]
-    sweeps = [(graphs._edge_counts(plane), uses) for plane, uses in program.planes.items()]
-    table = np.exp(2j * math.pi / (1 << program.bits) * np.arange(1 << program.bits))
-    table *= 2.0 ** (-circuit.width / 2)
-
-    def signature_slice(start: int):
-        cols = np.repeat(const, 1 << cb, axis=1)
-        for sweep, uses in sweeps:
-            _, e = next(sweep)
-            for g, b in uses:
-                cols[g] += e << b
-        if program.sets:
-            masks = np.arange(start, start + (1 << cb), dtype=np.uint32)
-            for vertices, uses in program.sets.items():
-                ones = np.bitwise_count(masks & np.uint32(vertices)).astype(np.uint16)
-                for g, b in uses:
-                    cols[g] += ones << b
-        cols &= mask
-        ids = np.zeros(1 << cb, dtype=np.intp)
-        counts = np.array([1 << cb])
-        rep = np.zeros(1, dtype=np.intp)  # a column of each signature
-        for u in cols:
-            # A group that the signature already determines (in phase
-            # estimation, all but estimation qubit 0's) leaves it as is.
-            if not (np.take(u[rep], ids) == u).all():
-                ids, counts = _relabel(ids, len(counts), u, program.bits)
-                rep = np.empty(len(counts), dtype=np.intp)
-                rep[ids] = np.arange(len(ids))
-        return start, ids, counts, _rows(circuit, program, table, cols[:, rep])
-
-    # One call per slice, so nothing of a slice but what it returns
-    # outlives it.
-    return map(signature_slice, range(0, 1 << n, 1 << cb))
-
-
-def _rows(
-    circuit: Circuit, program: _Program, table: np.ndarray, units: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yields (s0, rows) for the signatures of units (units[g, s] is
-    group g's phase units of signature s), about 2^_BLOCK_BITS
-    amplitudes at a time: rows[r, i] is the final amplitude of
-    estimation value r for signature s0 + i.
+def _rows(circuit: Circuit, program: _Program) -> Iterator[tuple[int, np.ndarray]]:
+    """Yields (k0, rows) for the edge counts 0..m of program.graph, about
+    2^_BLOCK_BITS amplitudes at a time: rows[r, i] is the final
+    amplitude of estimation value r for every graph basis state that
+    induces k0 + i edges.
 
     Row r's phase index is group 0's units plus group 1 + j's for each
     bit j of r, by subset doubling over the estimation bits.  One lookup
-    in table, then the FFT along the rows if the program has the
+    in the exp table, then the FFT along the rows if the program has the
     inverse-QFT tail."""
     t = circuit.n_est
+    mask = (1 << program.bits) - 1
+    k = np.arange(program.graph.m + 1)
+    units = (np.array(program.const)[:, None] + np.outer(program.weight, k)) & mask
+    units = units.astype(np.uint16)
+    table = np.exp(2j * math.pi / (1 << program.bits) * np.arange(1 << program.bits))
+    table *= 2.0 ** (-circuit.width / 2)
     step = max(1, (1 << _BLOCK_BITS) >> t)
-    for s0 in range(0, units.shape[1], step):
-        part = units[:, s0 : s0 + step]
+    for k0 in range(0, len(k), step):
+        part = units[:, k0 : k0 + step]
         idx = np.empty((1 << t, part.shape[1]), dtype=np.uint16)
         idx[0] = part[0]
         for j in range(t):
             h = 1 << j
             np.add(idx[:h], part[1 + j], out=idx[h : 2 * h])
-        idx &= np.uint16((1 << program.bits) - 1)
+        idx &= np.uint16(mask)
         # Every index is below len(table): "clip" skips the bounds check.
         rows = np.take(table, idx, mode="clip")
         if program.fft_tail:
             np.fft.fft(rows, axis=0, norm="ortho", out=rows)
-        yield s0, rows
+        yield k0, rows
 
 
 def run(circuit: Circuit) -> Statevector:
-    """Simulate from |0...0>, returning the final statevector, written
-    slice by slice from the rows of each slice's signatures.
+    """Simulate from |0...0>, returning the final statevector: the m + 1
+    rows are built once, then each slice of graph basis states gathers
+    its rows by the edge counts that graphs._edge_counts gives it.
 
     Raises InputError unless circuit is of the phase-estimation shape,
     and ResourceLimitError before allocating when the width exceeds
@@ -413,14 +327,14 @@ def run(circuit: Circuit) -> Statevector:
         )
     state = Statevector(circuit.width, np.empty(1 << circuit.width, dtype=np.complex128))
     block = state.amps.reshape(1 << circuit.n_est, -1)
-    for start, ids, counts, chunks in _signatures(circuit, program):
-        rows = np.empty((len(block), len(counts)), dtype=np.complex128)
-        for s0, part in chunks:
-            rows[:, s0 : s0 + part.shape[1]] = part
+    rows = np.empty((len(block), program.graph.m + 1), dtype=np.complex128)
+    for k0, part in _rows(circuit, program):
+        rows[:, k0 : k0 + part.shape[1]] = part
+    for start, e in graphs._edge_counts(program.graph):
+        ids = e.astype(np.intp)
         # Row by row, so each gather writes a contiguous run in place.
         for r in range(len(rows)):
             np.take(rows[r], ids, out=block[r, start : start + len(ids)], mode="clip")
-        del rows  # before the next slice's signatures are built
     norm = state.norm_sq()
     if abs(norm - 1.0) > 1e-9:
         raise InternalCheckError(f"norm drifted to {norm!r} after {len(circuit.gates)} gates")
@@ -430,16 +344,16 @@ def run(circuit: Circuit) -> Statevector:
 def readout(circuit: Circuit) -> np.ndarray:
     """`marginal` of circuit.est_register after running circuit.
 
-    Adds up |rows|^2 weighted by how many graph basis states share each
-    signature, so it never holds the statevector; its time grows as
-    2^n_graph.  Its memory is one slice and 2^n_est estimation values;
-    above 2^_BLOCK_BITS of them (no `build_qpe` circuit comes near)
-    they are admitted against MemAvailable at _READOUT_BYTES each.
-    Raises ResourceLimitError when the graph register exceeds
-    graphs.MAX_VERTICES qubits, the estimation register HARD_MAX_QUBITS
-    or the memory available, InputError unless circuit is of the
-    phase-estimation shape, and InternalCheckError unless the total
-    mass is within 1e-9 of 1."""
+    Adds up |rows|^2 weighted by graphs._edge_tally, how many graph
+    basis states induce each edge count, so it never holds the
+    statevector; its time grows as 2^n_graph.  Its memory is one slice
+    and 2^n_est estimation values; above 2^_BLOCK_BITS of them (no
+    `build_qpe` circuit comes near) they are admitted against
+    MemAvailable at _READOUT_BYTES each.  Raises ResourceLimitError when
+    the graph register exceeds graphs.MAX_VERTICES qubits, the
+    estimation register HARD_MAX_QUBITS or the memory available,
+    InputError unless circuit is of the phase-estimation shape, and
+    InternalCheckError unless the total mass is within 1e-9 of 1."""
     if not circuit.n_est:
         raise InputError("empty measurement register")
     if circuit.n_graph > MAX_VERTICES or circuit.n_est > HARD_MAX_QUBITS:
@@ -456,10 +370,10 @@ def readout(circuit: Circuit) -> np.ndarray:
                 f"{need / 2**20:.1f} MiB, only {available / 2**20:.1f} MiB available"
             )
     program = _compile(circuit)
+    tally = graphs._edge_tally(program.graph)
     probs = np.zeros(1 << circuit.n_est)
-    for _, _, counts, chunks in _signatures(circuit, program):
-        for s0, rows in chunks:
-            probs += (np.abs(rows) ** 2) @ counts[s0 : s0 + rows.shape[1]]
+    for k0, rows in _rows(circuit, program):
+        probs += (np.abs(rows) ** 2) @ tally[k0 : k0 + rows.shape[1]]
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise InternalCheckError(f"read-out mass drifted to {total!r}")

@@ -293,6 +293,29 @@ def test_export_qasm_text_is_pinned(graph, fuse, decompose, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("decompose", [False, True])
+def test_export_qasm_renders_repeated_gates_as_each_alone(decompose):
+    # The unfused circuit repeats each oracle power's gate objects 2^j
+    # times; the export equals that of a copy in which every gate is an
+    # object of its own, and the header and measurements are whatever
+    # the gate-free circuit exports.
+    rng = random.Random(426)
+    for g in (named_graph("c4"), named_graph("petersen"), random_graph(rng, 8)):
+        circuit = build_qpe(g, fuse=False)
+        fresh = tuple(Gate(gate.kind, gate.qubits, gate.turns) for gate in circuit.gates)
+        assert len({id(gate) for gate in circuit.gates}) < len(fresh)
+        lines = []
+        for gate in fresh:
+            one = Circuit(circuit.n_graph, circuit.n_est, (gate,))
+            lines += export_qasm(one, decompose_ccp=decompose).splitlines()[4:]
+        empty = export_qasm(Circuit(circuit.n_graph, circuit.n_est, (), circuit.measure))
+        head, meas = empty.splitlines()[:5], empty.splitlines()[5:]
+        expect = "\n".join(head + lines + meas) + "\n"
+        assert export_qasm(circuit, decompose_ccp=decompose) == expect
+        assert export_qasm(Circuit(circuit.n_graph, circuit.n_est, fresh, circuit.measure),
+                           decompose_ccp=decompose) == expect
+
+
 def test_qasm_roundtrip():
     for graph in ("c4", "m3", "petersen"):
         for fuse in (False, True):

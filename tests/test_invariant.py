@@ -224,8 +224,8 @@ def test_quantum_edgeless_short_circuit(monkeypatch):
 def test_quantum_matches_sweep_on_random_graphs(slice_bits, g):
     # With slices of 4 graph basis states the edge counts of the high
     # vertices come from the kernel's grid offsets, as every vertex from
-    # 16 up does by default, and chunks of 4 amplitudes split the
-    # signatures.
+    # 16 up does by default, and chunks of 4 amplitudes split the m + 1
+    # rows.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
         mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
@@ -254,7 +254,7 @@ def test_quantum_histogram_streams_without_the_statevector(monkeypatch):
         raise AssertionError("the full-state path ran")
 
     # Neither `run` nor its memory admission: the read-out holds one
-    # slice of signatures.
+    # slice of subsets and the m + 1 rows.
     monkeypatch.setattr(qgi.simulator, "run", refuse)
     monkeypatch.setattr(qgi.simulator, "_mem_available", refuse)
     rng = random.Random(310)

@@ -208,7 +208,7 @@ def test_run_refuses_graph_registers_beyond_a_graph():
 
 def test_readout_caps_its_registers():
     # The read-out sweeps 2^n_graph graph basis states and holds 2^n_est
-    # amplitudes per signature: more than a graph's 24 vertices or
+    # amplitudes per edge count: more than a graph's 24 vertices or
     # HARD_MAX_QUBITS estimation qubits is refused before any work.
     for n_graph, n_est in ((25, 1), (1, 29)):
         w = n_graph + n_est
@@ -287,29 +287,58 @@ _ARITY = {"p": 1, "cp": 2, "ccp": 3}
 _KINDS = ("p", "cp", "ccp")
 
 
+def _merged_turns(gates, qubits: tuple[int, ...]) -> Fraction:
+    """The sum mod 1 of the turns of the phase gates on exactly qubits."""
+    key = tuple(sorted(qubits))
+    return sum(
+        (g.turns for g in gates if g.kind in _KINDS and tuple(sorted(g.qubits)) == key),
+        Fraction(0),
+    ) % 1
+
+
+@st.composite
+def _terms(draw, qubits: tuple[int, ...], turns: Fraction) -> list[Gate]:
+    """Phase gates on qubits, in any qubit order, whose turns add up to
+    turns mod 1: one gate, or two, as the repeated oracle powers of
+    unfused phase estimation split one fused term."""
+    if draw(st.booleans()):
+        parts = [turns]
+    else:
+        first = draw(_DYADIC)
+        parts = [first, (turns - first) % 1]
+    kind = _KINDS[len(qubits) - 1]
+    return [Gate(kind, tuple(draw(st.permutations(qubits))), part) for part in parts]
+
+
 @st.composite
 def _qpe_shaped(draw) -> Circuit:
-    """An H on every qubit in any order, dyadic phase gates on at most
-    two graph qubits and at most one estimation qubit, and an optional
-    inverse QFT on the estimation register."""
+    """An H on every qubit in any order, then the phases of one random
+    graph: group 0 (no estimation qubit) and each estimation qubit get
+    a random weight on every edge (cp on group 0's pairs, ccp on an
+    estimation qubit and a pair), and each estimation qubit a random
+    constant (p), each term as one gate or two, all in any order; and
+    an optional inverse QFT on the estimation register.  A weight of 0
+    drawn as two gates merges to whole turns, which are dropped, and so
+    do up to two more such terms on any one to three qubits."""
     n_graph = draw(st.integers(1, 6))
     n_est = draw(st.integers(0, 8 - n_graph))
     tail = n_est > 0 and draw(st.booleans())
     w = n_graph + n_est
+    pairs = [(a, b) for b in range(n_graph) for a in range(b)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = st.one_of(st.just(Fraction(0)), _DYADIC)
+    phases: list[Gate] = []
+    for est in [()] + [(q,) for q in range(n_graph, w)]:
+        weight = draw(weights)
+        for edge in edges:
+            phases += draw(_terms(edge + est, weight))
+        if est:
+            phases += draw(_terms(est, draw(weights)))
+    for _ in range(draw(st.integers(0, 2))):
+        qubits = draw(st.permutations(range(w)))[: draw(st.integers(1, min(w, 3)))]
+        phases += draw(_terms(tuple(qubits), Fraction(0)))
     gates = [h(q) for q in draw(st.permutations(range(w)))]
-    # (graph qubits, estimation qubits) of each accepted phase term.
-    shapes = [
-        (a, b)
-        for a in range(min(n_graph, 2) + 1)
-        for b in range(min(n_est, 1) + 1)
-        if a + b
-    ]
-    for _ in range(draw(st.integers(0, 14))):
-        a, b = draw(st.sampled_from(shapes))
-        graph = draw(st.permutations(range(n_graph)))[:a]
-        est = draw(st.permutations(range(n_graph, w)))[:b]
-        qubits = tuple(draw(st.permutations(graph + est)))
-        gates.append(Gate(_KINDS[a + b - 1], qubits, draw(_DYADIC)))
+    gates += draw(st.permutations(phases))
     if tail:
         gates += _iqft_on_est(n_graph, n_est)
     return Circuit(n_graph=n_graph, n_est=n_est, gates=tuple(gates))
@@ -318,49 +347,84 @@ def _qpe_shaped(draw) -> Circuit:
 @st.composite
 def _off_shape(draw) -> Circuit:
     """A QPE-shaped circuit broken one way: the H of a graph qubit is
-    missing from the leading layer, or an H on a graph qubit, a swap, a
-    phase off the 16-bit grid, a phase on three graph qubits or one on
-    two estimation qubits is inserted after it.  A gate that lands in
-    the inverse-QFT tail leaves the tail's H and swaps in the body, so
-    each is refused wherever it lands."""
+    missing from the leading layer, or gates are inserted after it: an
+    H on a graph qubit, a swap, a phase off the 16-bit grid, a phase on
+    three graph qubits or on two estimation qubits, a phase on one
+    graph qubit (alone or with an estimation qubit), unequal turns on
+    two pairs under the same estimation qubit (or none), or two groups
+    on different edge sets.  The last three set the merged turns of the
+    terms they touch whatever the circuit had there, and land before
+    the inverse-QFT tail.  Any other gate that lands in the tail leaves
+    the tail's H and swaps in the body, so each is refused wherever it
+    lands."""
     shaped = draw(_qpe_shaped())
     n, w = shaped.n_graph, shaped.width
     gates = list(shaped.gates)
     qubits = draw(st.permutations(range(w)))
     graph_qubit = draw(st.integers(0, n - 1))
-    breaks = ["lead", "h", "phase"] + (["swap"] if w >= 2 else [])
-    breaks += (["three graph"] if n >= 3 else []) + (["two est"] if w - n >= 2 else [])
+    groups = [()] + [(q,) for q in range(n, w)]
+    breaks = ["lead", "h", "phase", "one graph"] + (["swap"] if w >= 2 else [])
+    breaks += (["three graph", "unequal"] if n >= 3 else []) + (["two est"] if w - n >= 2 else [])
+    breaks += ["two graphs"] if n >= 3 and w > n else []
     broken = draw(st.sampled_from(breaks))
+
+    def set_turns(qubits: tuple[int, ...], turns: Fraction) -> list[Gate]:
+        """Gates that make the merged turns on qubits equal turns."""
+        return draw(_terms(qubits, (turns - _merged_turns(shaped.gates, qubits)) % 1))
+
     if broken == "lead":
         gates.remove(h(graph_qubit))
+        inserted = []
+    elif broken == "h":
+        inserted = [h(graph_qubit)]
+    elif broken == "swap":
+        inserted = [swap(*qubits[:2])]
+    elif broken == "three graph":
+        inserted = [ccp(*draw(st.permutations(range(n)))[:3], draw(_DYADIC))]
+    elif broken == "two est":
+        est = draw(st.permutations(range(n, w)))[:2]
+        others = [q for q in range(w) if q not in est]
+        extra = draw(st.sampled_from([()] + [(q,) for q in others]))
+        qubits = tuple(draw(st.permutations([*est, *extra])))
+        inserted = [Gate(_KINDS[len(qubits) - 1], qubits, draw(_DYADIC))]
+    elif broken == "one graph":
+        inserted = set_turns((graph_qubit, *draw(st.sampled_from(groups))), draw(_DYADIC))
+    elif broken == "unequal":
+        est = draw(st.sampled_from(groups))
+        a, b, c = draw(st.permutations(range(n)))[:3]
+        x = draw(_DYADIC)
+        y = draw(_DYADIC.filter(lambda y: y != x))
+        inserted = set_turns((a, b, *est), x) + set_turns((b, c, *est), y)
+    elif broken == "two graphs":
+        # One edge each, so each group's turns are equal.
+        est1, est2 = draw(st.permutations(groups))[:2]
+        a, b, c = draw(st.permutations(range(n)))[:3]
+        inserted = []
+        for est, edge in ((est1, {a, b}), (est2, {b, c})):
+            turns = draw(_DYADIC)
+            for pair in [(i, j) for j in range(n) for i in range(j)]:
+                if set(pair) == edge:
+                    inserted += set_turns(pair + est, turns)
+                elif _merged_turns(shaped.gates, pair + est):
+                    inserted += set_turns(pair + est, Fraction(0))
     else:
-        if broken == "h":
-            gate = h(graph_qubit)
-        elif broken == "swap":
-            gate = swap(*qubits[:2])
-        elif broken == "three graph":
-            gate = ccp(*draw(st.permutations(range(n)))[:3], draw(_DYADIC))
-        elif broken == "two est":
-            est = draw(st.permutations(range(n, w)))[:2]
-            others = [q for q in range(w) if q not in est]
-            extra = draw(st.sampled_from([()] + [(q,) for q in others]))
-            qubits = tuple(draw(st.permutations([*est, *extra])))
-            gate = Gate(_KINDS[len(qubits) - 1], qubits, draw(_DYADIC))
-        else:
-            phase = draw(st.sampled_from([k for k, a in _ARITY.items() if a <= w]))
-            gate = Gate(phase, tuple(qubits[: _ARITY[phase]]), draw(_OFF_GRID))
-        gates.insert(draw(st.integers(w, len(gates))), gate)
+        phase = draw(st.sampled_from([k for k, a in _ARITY.items() if a <= w]))
+        inserted = [Gate(phase, tuple(qubits[: _ARITY[phase]]), draw(_OFF_GRID))]
+    iqft = _iqft_on_est(n, w - n) if w > n else ()
+    end = len(gates) - len(iqft) if iqft and tuple(gates[-len(iqft) :]) == iqft else len(gates)
+    for gate in inserted:
+        merged_term = broken in ("one graph", "unequal", "two graphs")
+        gates.insert(draw(st.integers(w, end if merged_term else len(gates))), gate)
+        end += 1
     return Circuit(n_graph=shaped.n_graph, n_est=shaped.n_est, gates=tuple(gates))
 
 
 @pytest.mark.parametrize("slice_bits", [qgi.graphs._SLICE_BITS, 2])
 @given(circuit=_qpe_shaped())
 def test_compiled_run_matches_gate_loop(slice_bits, circuit):
-    # Slices of 4 graph basis states take the planes' edge counts from
-    # the kernel's grid offsets and the vertex sets' popcounts from high
-    # masks, as graphs on more than 16 vertices do by default; chunks of
-    # 4 amplitudes split a slice's signatures, and a dense tally that
-    # small makes the relabel sort.
+    # Slices of 4 graph basis states take the edge counts from the
+    # kernel's grid offsets, as graphs on more than 16 vertices do by
+    # default, and chunks of 4 amplitudes split the rows.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
         mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
@@ -371,8 +435,8 @@ def test_compiled_run_matches_gate_loop(slice_bits, circuit):
 @pytest.mark.parametrize("slice_bits", [qgi.graphs._SLICE_BITS, 2])
 @given(circuit=_qpe_shaped().filter(lambda c: c.n_est))
 def test_readout_matches_marginal_of_run(slice_bits, circuit):
-    # As above, with slices of 4; every slice's |rows|^2 adds into the
-    # one marginal.
+    # As above, with slices of 4; every slice's counts add into the one
+    # tally.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
         mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
@@ -381,52 +445,9 @@ def test_readout_matches_marginal_of_run(slice_bits, circuit):
     np.testing.assert_allclose(probs, expect, rtol=0, atol=1e-12)
 
 
-def _distinct_columns(n_graph: int, n_est: int, seed: int) -> Circuit:
-    """A QPE-shaped circuit with random 16-bit turns on every pair of
-    graph qubits and on every graph-estimation pair, so that almost every
-    graph basis state has a signature of its own."""
-    rng = random.Random(seed)
-    w = n_graph + n_est
-
-    def turns() -> Fraction:
-        return Fraction(rng.randrange(1, 1 << 16), 1 << 16)
-
-    gates = [h(q) for q in range(w)]
-    gates += [cp(a, b, turns()) for a in range(n_graph) for b in range(a + 1, w)]
-    gates += _iqft_on_est(n_graph, n_est)
-    return Circuit(n_graph=n_graph, n_est=n_est, gates=tuple(gates))
-
-
-@pytest.mark.parametrize("slice_bits", [qgi.graphs._SLICE_BITS, 2])
-def test_distinct_signatures_match_gate_loop(slice_bits, monkeypatch):
-    # 16-bit units on 2^7 signatures overflow the dense tally, so the
-    # relabel sorts; the 2^7 * 2^3 rows span several chunks of 2^6.
-    circuit = _distinct_columns(7, 3, 418)
-    monkeypatch.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
-    monkeypatch.setattr(qgi.simulator, "_BLOCK_BITS", 6)
-    state = _gate_loop_state(circuit)
-    np.testing.assert_allclose(run(circuit).amps, state.amps, rtol=0, atol=1e-12)
-    expect = marginal(state, circuit.est_register)
-    np.testing.assert_allclose(readout(circuit), expect, rtol=0, atol=1e-12)
-
-
-def test_relabel_sorts_as_unique_does():
-    # Both branches, the dense tally (the second case) and the sort,
-    # number the distinct (id, units) pairs in sorted order, as np.unique
-    # does, and count them.
-    rng = np.random.default_rng(419)
-    for count, bits, size in ((1 << 12, 16, 1 << 14), (3, 2, 1 << 17), (1 << 10, 9, 1 << 18)):
-        ids = rng.integers(0, count, size=size).astype(np.intp)
-        units = rng.integers(0, 1 << bits, size=size).astype(np.uint16)
-        got_ids, got_counts = qgi.simulator._relabel(ids, count, units, bits)
-        _, inverse, counts = np.unique(
-            (ids << bits) | units, return_inverse=True, return_counts=True
-        )
-        np.testing.assert_array_equal(got_ids, inverse)
-        np.testing.assert_array_equal(got_counts, counts)
-
-
 @given(circuit=_off_shape())
+# A pair of graph and estimation qubits under another estimation qubit.
+@example(circuit=Circuit(2, 2, tuple(h(q) for q in range(4)) + (ccp(0, 2, 3, Fraction(1, 4)),)))
 def test_other_circuits_are_refused(circuit):
     # Only the gate loop, called directly, simulates such a circuit.
     with pytest.raises(InputError, match="phase-estimation shape"):
@@ -464,15 +485,15 @@ def test_qpe_circuits_need_no_gate_loop(monkeypatch):
 
 
 def test_qpe_readout_sweeps_its_graph_once(monkeypatch):
-    # Every estimation qubit's units are a multiple of one plane's
-    # induced edge counts: the graph itself, swept once by the one
-    # subset-doubling kernel, fused or not.
+    # Every estimation qubit's units are a multiple of the graph's
+    # induced edge counts, swept once by the one subset-doubling kernel,
+    # fused or not.
     swept = []
     kernel = qgi.graphs._edge_counts
 
-    def recorded(plane):
-        swept.append(plane)
-        return kernel(plane)
+    def recorded(graph):
+        swept.append(graph)
+        return kernel(graph)
 
     monkeypatch.setattr(qgi.graphs, "_edge_counts", recorded)
     for g in (named_graph("c4"), named_graph("petersen"), random_graph(random.Random(424), 9)):
@@ -482,62 +503,94 @@ def test_qpe_readout_sweeps_its_graph_once(monkeypatch):
             assert swept == [g]
 
 
+def test_rows_are_built_once_per_circuit(monkeypatch):
+    # 256 slices of 4 graph basis states, and one build of the rows for
+    # the read-out and one for the run.
+    built = []
+    rows = qgi.simulator._rows
+
+    def recorded(circuit, program):
+        built.append(circuit)
+        return rows(circuit, program)
+
+    monkeypatch.setattr(qgi.simulator, "_rows", recorded)
+    monkeypatch.setattr(qgi.graphs, "_SLICE_BITS", 2)
+    circuit = build_qpe(named_graph("petersen"), fuse=True)
+    state = run(circuit)
+    np.testing.assert_allclose(
+        readout(circuit), marginal(state, circuit.est_register), rtol=0, atol=1e-12
+    )
+    assert built == [circuit, circuit]
+
+
 # --- memory admission ---
 
 def test_peak_bytes_counts_amplitudes_and_temporaries():
-    # Amplitudes; per column of a slice, the groups' uint16 units, 12
-    # bytes per plane, 13 for the vertex sets and 56 for the relabel; per
-    # signature a slice can have, a complex row per estimation value; a
-    # chunk of at least 2^16 elements (index, intp cast, lookup); 48
-    # bytes per entry of the 2^16 tally and exp table.
-    fixed = (26 << 16) + (48 << 16)
+    # Amplitudes; a complex row per estimation value for each of the
+    # m + 1 edge counts; per subset of a slice, 12 bytes for the kernel
+    # and 8 for the row ids; a chunk of at least 2^16 elements (index,
+    # intp cast, lookup); 40 bytes per entry of the exp table, one entry
+    # per phase unit of the circuit.
+    chunk = 26 << 16
     uniform = tuple(h(q) for q in range(5))
-    assert peak_bytes(Circuit(n_graph=5, n_est=0, gates=uniform)) == (16 << 5) + (58 << 5) + 16 + fixed
-    # C4 has 4 edges, so its one plane gives a slice 5 signatures, and
-    # t = 3: 4 groups and 5 << 3 rows.
+    expect = (16 << 5) + 16 + (20 << 5) + chunk + 40
+    assert peak_bytes(Circuit(n_graph=5, n_est=0, gates=uniform)) == expect
+    # C4 has 4 edges, so 5 rows, and t = 3: phases in units of 1/8 turn.
     c4 = named_graph("c4")
-    expect = (16 << 7) + ((8 + 12 + 56) << 4) + (16 * 5 << 3) + fixed
+    expect = (16 << 7) + (16 * 5 << 3) + (20 << 4) + chunk + (40 << 3)
     assert peak_bytes(build_qpe(c4)) == peak_bytes(build_qpe(c4, fuse=True)) == expect
-    # Width 28 is arithmetic alone: one vertex set {0}, on estimation
-    # qubit 3 (group 4), gives 2 signatures per slice of 2^16.
-    wide = tuple(h(q) for q in range(28))
-    quarter = Circuit(n_graph=24, n_est=4, gates=wide + (cp(0, 27, Fraction(1, 4)),))
-    expect = (16 << 28) + ((10 + 13 + 56) << 16) + (16 * 2 << 4) + fixed
-    assert peak_bytes(quarter) == expect
-    # A circuit that run refuses raises as run does.
-    with pytest.raises(InputError, match="phase-estimation shape"):
-        peak_bytes(Circuit(n_graph=24, n_est=4, gates=wide + (h(3),)))
+    # Width 28 is arithmetic alone: 24 vertices and 15 edges, so t = 4.
+    rng = random.Random(425)
+    pairs = [(i, j) for i in range(24) for j in range(i + 1, 24)]
+    wide = build_qpe(Graph.from_edges(24, rng.sample(pairs, 15)), fuse=True)
+    assert wide.width == 28
+    assert peak_bytes(wide) == (16 << 28) + (16 * 16 << 4) + (20 << 16) + chunk + (40 << 4)
+    # A circuit that run refuses raises as run does: a phase on graph
+    # qubit 0 under estimation qubit 3, an H after the leading layer,
+    # and 28 graph qubits.
+    layer = tuple(h(q) for q in range(28))
+    for gate in (cp(0, 27, Fraction(1, 4)), h(3)):
+        with pytest.raises(InputError, match="phase-estimation shape"):
+            peak_bytes(Circuit(n_graph=24, n_est=4, gates=layer + (gate,)))
     with pytest.raises(ResourceLimitError, match="24-vertex limit"):
-        peak_bytes(Circuit(n_graph=28, n_est=0, gates=wide))
+        peak_bytes(Circuit(n_graph=28, n_est=0, gates=layer))
 
 
 def test_run_peak_stays_within_peak_bytes():
-    # The admission cannot under-count: run's measured peak on a width-20
-    # QPE circuit, and on circuits where nearly every graph basis state
-    # has its own signature, stays within peak_bytes.  On the QPE
-    # circuit, whose slices have at most m + 1 = 29 signatures, it
-    # over-counts by at most half.
+    # The admission cannot under-count: run's measured peak on QPE
+    # circuits of width 19 to 21, fused and not, sparse and dense, stays
+    # within peak_bytes, which over-counts it by at most half.
     rng = random.Random(420)
-    pairs = [(i, j) for i in range(15) for j in range(i + 1, 15)]
-    qpe = build_qpe(Graph.from_edges(15, rng.sample(pairs, 28)), fuse=True)
-    assert qpe.width == 20
-    for circuit in (qpe, _distinct_columns(12, 4, 421), _distinct_columns(19, 2, 422)):
+
+    def graph(n: int, m: int) -> Graph:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return Graph.from_edges(n, rng.sample(pairs, m))
+
+    circuits = [
+        build_qpe(graph(15, 28), fuse=True),
+        build_qpe(graph(15, 28)),
+        build_qpe(graph(12, 66), fuse=True),
+        build_qpe(graph(19, 2), fuse=True),
+    ]
+    assert [c.width for c in circuits] == [20, 20, 19, 21]
+    for circuit in circuits:
         tracemalloc.start()
         try:
             run(circuit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (16 << circuit.width) < peak <= peak_bytes(circuit)
-        if circuit is qpe:
-            assert peak_bytes(circuit) <= 1.5 * peak
+        assert (16 << circuit.width) < peak <= peak_bytes(circuit) <= 1.5 * peak
 
 
 def test_readout_memory_is_one_slice():
-    # Nearly 2^20 signatures of 2^4 rows at width 24: the read-out holds
-    # one slice of 2^16 graph basis states and one chunk of rows, never
-    # the 2^24 amplitudes (256 MiB).
-    circuit = _distinct_columns(20, 4, 423)
+    # A 22-vertex graph at width 28: the read-out holds one slice of
+    # 2^16 graph basis states and one chunk of rows, never the 2^28
+    # amplitudes (4 GiB).
+    rng = random.Random(423)
+    pairs = [(i, j) for i in range(22) for j in range(i + 1, 22)]
+    circuit = build_qpe(Graph.from_edges(22, rng.sample(pairs, 60)), fuse=True)
+    assert circuit.width == 28
     tracemalloc.start()
     try:
         probs = readout(circuit)
