@@ -31,7 +31,7 @@ from .invariant import (
     spectra_equal,
 )
 from .simulator import dump_amplitudes, run
-from .survey import SURVEY_MAX_VERTICES, enumerate_classes, load_report, run_survey, save_report
+from .survey import SURVEY_MAX_VERTICES, load_report, run_survey, save_report
 
 _TABLE_HEADER = "#(edges)  %Probability  #(subgraphs)"
 _SHOTS_HEADER = "#(edges)  %Probability  #(shots)"
@@ -193,15 +193,12 @@ def cmd_survey(args) -> int:
         )
     cache = _cache_path(args)
     reports = []
-    reps: tuple[Graph, ...] = ()  # the classes of the highest order built so far
     for n in range(1, args.n + 1):
         report = None
         if cache:
             report = load_report(cache, n, args.source)
         if report is None:
-            # Built from the last order enumerated, so no order is built twice.
-            reps = enumerate_classes(n, below=reps)
-            report = run_survey(n, source=args.source, reps=reps)
+            report = run_survey(n, source=args.source)
             if cache:
                 save_report(report, cache)
         reports.append(report)

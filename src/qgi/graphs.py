@@ -8,14 +8,15 @@ Graph.
 
 _edge_counts is the one edge-count kernel: every subset sweep and the
 QPE simulator read induced edge counts from it, and _edge_tally is its
-histogram.
+histogram.  _pair_weights is the one labelling table: canonical codes
+and _extension_codes, the survey's class enumeration, sum its rows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations
 
 import numpy as np
@@ -24,7 +25,9 @@ from .errors import GraphParseError, InputError, ResourceLimitError
 
 # Hard limit on vertices: subset sweeps enumerate all 2^n masks.
 MAX_VERTICES = 24
-# Canonical codes minimize over all n! labelings.
+# Canonical codes minimize over all n! labelings of _pair_weights, a
+# table of 4.5 MB at n=8 and 52 MB at n=9; the cap also keeps a code's
+# n(n-1)/2 bits (28 at n=8) within uint32.
 CANONICAL_MAX_VERTICES = 8
 # Exact isomorphism search is intended for small inputs.
 ISOMORPHISM_MAX_VERTICES = 10
@@ -318,7 +321,10 @@ def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
 
 def _edge_tally(g: Graph) -> np.ndarray:
     """counts[k] (int64) is the number of subset masks inducing exactly
-    k edges, for k = 0..m: one np.bincount per slice of _edge_counts."""
+    k edges, for k = 0..m: one np.bincount per slice of _edge_counts.
+    An edgeless graph needs no sweep: every mask induces 0 edges."""
+    if g.m == 0:
+        return np.array([1 << g.n], dtype=np.int64)
     counts = np.zeros(g.m + 1, dtype=np.int64)
     for _, e in _edge_counts(g):
         counts += np.bincount(e, minlength=g.m + 1)
@@ -372,49 +378,63 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Permutation | None:
     return tuple(mapping)
 
 
-# Lazily built per-n tables for canonical codes: all n! permutations as
-# flattened gather indices into an n*n adjacency array, one row per
-# upper-triangle pair in column-major order.
-_CANON_TABLES: dict[int, tuple[np.ndarray, list[int]]] = {}
-
-
-def _canon_tables(n: int) -> tuple[np.ndarray, list[int]]:
-    cached = _CANON_TABLES.get(n)
-    if cached is not None:
-        return cached
-    perms = np.array(list(permutations(range(n))), dtype=np.intp)
-    pairs = _pair_order(n)
-    flat = np.stack([perms[:, i] * n + perms[:, j] for i, j in pairs])
-    shifts = [len(pairs) - 1 - k for k in range(len(pairs))]
-    _CANON_TABLES[n] = (flat, shifts)
-    return _CANON_TABLES[n]
+@cache
+def _pair_weights(n: int) -> np.ndarray:
+    """weights[q, p] (uint32) is the code bit that vertex pair q, in
+    _pair_order, sets under labelling p, one column per permutation of
+    0..n-1.  Each labelling puts each pair at one position, so a graph's
+    code under p is the sum of its edge rows in column p: no sum carries.
+    """
+    nbits = n * (n - 1) // 2
+    perms = np.array(list(permutations(range(n))), dtype=np.uint8).T
+    weights = np.empty((nbits, perms.shape[1]), dtype=np.uint32)
+    for q, (i, j) in enumerate(_pair_order(n)):
+        lo, hi = np.minimum(perms[i], perms[j]), np.maximum(perms[i], perms[j])
+        weights[q] = np.uint32(1) << (nbits - 1 - (hi * (hi - 1) // 2 + lo))
+    return weights
 
 
 def canonical_code(g: Graph) -> str:
     """Canonical form: lexicographically smallest upper-triangle bit
     string over all relabelings.  Equal codes <=> isomorphic graphs.
 
-    Brute force over n! permutations, so capped at n <= 8.
+    The minimum over all n! columns of _pair_weights, so capped at n <= 8.
     """
     if g.n > CANONICAL_MAX_VERTICES:
         raise ResourceLimitError(
             f"canonical_code supports n <= {CANONICAL_MAX_VERTICES}, got {g.n}"
         )
-    n = g.n
-    nbits = n * (n - 1) // 2
+    nbits = g.n * (g.n - 1) // 2
     if nbits == 0:
         return ""
-    flat, shifts = _canon_tables(n)
-    a = np.zeros(n * n, dtype=np.uint32)
-    for i, j in g.edges():
-        a[i * n + j] = 1
-        a[j * n + i] = 1
-    bits = a[flat]
-    codes = np.zeros(bits.shape[1], dtype=np.uint32)
-    for k, sh in enumerate(shifts):
-        codes |= bits[k] << sh
-    best = int(codes.min())
-    return format(best, f"0{nbits}b")
+    return format(int(_labelled_codes(g, g.n).min()), f"0{nbits}b")
+
+
+def _extension_codes(reps: list[Graph]) -> set[int]:
+    """Canonical codes of all graphs that add a vertex k-1 to one of
+    reps, of order k-1.  Per rep, row 0 of one 2^(k-1) x k! block is its
+    code under each labelling; adding pair (i, k-1)'s weights to rows
+    0 .. 2^i - 1 gives rows 2^i .. 2^(i+1) - 1 (subset doubling, as in
+    _edge_counts), so row s's minimum is the code of the extension whose
+    new vertex is adjacent to mask s."""
+    k = reps[0].n + 1
+    spokes = _pair_weights(k)[-(k - 1) :]  # pairs (i, k-1) come last
+    block = np.empty((1 << (k - 1), spokes.shape[1]), dtype=np.uint32)
+    codes: set[int] = set()
+    for g in reps:
+        block[0] = _labelled_codes(g, k)
+        for i, spoke in enumerate(spokes):
+            np.add(block[: 1 << i], spoke, out=block[1 << i : 2 << i])
+        codes.update(block.min(axis=1).tolist())
+    return codes
+
+
+def _labelled_codes(g: Graph, n: int) -> np.ndarray:
+    """g's code under every labelling of n >= g.n vertices (uint32): the
+    sum of g's edge rows of _pair_weights(n), where pair (i, j) is row
+    j(j-1)/2 + i at every n > j."""
+    rows = _pair_weights(n)[[j * (j - 1) // 2 + i for i, j in g.edges()]]
+    return rows.sum(axis=0, dtype=np.uint32)
 
 
 def from_canonical_code(n: int, code: str) -> Graph:

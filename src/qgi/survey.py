@@ -2,11 +2,10 @@
 isomorphism classes, and where does it collide?
 
 Classes are enumerated by extending each (n-1)-vertex representative
-with one new vertex over all 2^(n-1) neighborhoods, deduplicating by
-canonical code.  Representatives are rebuilt from sorted codes, so the
-output is deterministic.  Everything runs on one thread: the per-class
-work is many short numpy and pure-Python calls, and a thread pool won
-under a tenth on two cores.
+with one new vertex over all 2^(n-1) neighborhoods, whose canonical
+codes graphs._extension_codes finds in one block per representative.
+Representatives are rebuilt from sorted codes, so the output is
+deterministic.  On one thread of 2 vCPUs `survey --n 8` takes about 10 s.
 """
 
 from __future__ import annotations
@@ -19,12 +18,12 @@ import time
 from dataclasses import dataclass
 
 from .errors import CacheError, InputError, InternalCheckError, ResourceLimitError
-from .graphs import Graph, are_isomorphic, canonical_code, encode_graph6, from_canonical_code
+from .graphs import Graph, _extension_codes, are_isomorphic, encode_graph6, from_canonical_code
 from .invariant import char_poly, classical_histogram, quantum_histogram
 
-# Enumeration runs canonical_code, an n! search, on every candidate.
-# At n=8 on 2 vCPUs it takes about 5 minutes, and the QPE histograms of
-# the 12,346 classes 18 s, so one order cap serves both sources.
+# The cap guards one representative's block of extension codes, 2^(n-1)
+# x n! uint32: 20.6 MB at n=8 and 372 MB at n=9.  The QPE histograms of
+# the 12,346 classes at n=8 take about 10 s, so one cap serves both sources.
 SURVEY_MAX_VERTICES = 8
 
 CACHE_VERSION = 1
@@ -50,48 +49,32 @@ class SurveyReport:
         }
 
 
-def enumerate_classes(n: int, below: tuple[Graph, ...] = ()) -> tuple[Graph, ...]:
+def enumerate_classes(n: int) -> tuple[Graph, ...]:
     """One representative of every isomorphism class on exactly n
-    vertices (n <= 8), sorted by canonical code.
-
-    Each order is built from the one under it.  below, the classes of
-    an order under n as this function returned them, starts the build
-    there instead of at one vertex, so a caller that walks up the
-    orders enumerates each of them once."""
+    vertices (n <= 8), sorted by canonical code; each order is built
+    from the classes of the order under it."""
     if not 1 <= n <= SURVEY_MAX_VERTICES:
         raise ResourceLimitError(
             f"class enumeration supports 1 <= n <= {SURVEY_MAX_VERTICES}, got {n}"
         )
-    if below and below[0].n >= n:
-        raise InputError(f"classes of order {below[0].n} are not below order {n}")
-    reps = list(below) or [Graph(1, (0,))]
-    for k in range(reps[0].n + 1, n + 1):
-        candidates = []
-        for g in reps:
-            base = g.adj
-            for nb in range(1 << (k - 1)):
-                rows = [base[i] | (((nb >> i) & 1) << (k - 1)) for i in range(k - 1)]
-                rows.append(nb)
-                candidates.append(Graph(k, tuple(rows)))
-        codes = {canonical_code(c) for c in candidates}
-        reps = [from_canonical_code(k, c) for c in sorted(codes)]
+    reps = [Graph(1, (0,))]
+    for k in range(2, n + 1):
+        nbits = k * (k - 1) // 2
+        codes = sorted(_extension_codes(reps))
+        reps = [from_canonical_code(k, format(c, f"0{nbits}b")) for c in codes]
     return tuple(reps)
 
 
-def run_survey(
-    n: int, source: str = "classical", reps: tuple[Graph, ...] | None = None
-) -> SurveyReport:
+def run_survey(n: int, source: str = "classical") -> SurveyReport:
     """Histogram and spectrum statistics over all classes on n vertices.
 
-    reps, if given, is enumerate_classes(n), which is then not rebuilt.
     Every pair of representatives sharing a histogram is re-checked to
     be non-isomorphic; a failure indicates an enumeration bug.
     """
     if source not in ("classical", "qpe-exact"):
         raise InputError(f"unknown survey source {source!r}")
     start = time.perf_counter()
-    if reps is None:
-        reps = enumerate_classes(n)
+    reps = enumerate_classes(n)
 
     if source == "classical":
         fingerprints = [classical_histogram(g).counts for g in reps]

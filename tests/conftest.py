@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 from hypothesis import settings
@@ -52,6 +52,16 @@ def slow_histogram(g: Graph) -> list[int]:
     return counts
 
 
+def slow_canonical_code(g: Graph) -> str:
+    """Reference canonical code: the smallest column-major upper-triangle
+    bit string over all n! relabellings, by plain itertools."""
+    pairs = [(i, j) for j in range(1, g.n) for i in range(j)]
+    return min(
+        "".join("1" if g.has_edge(p[i], p[j]) else "0" for i, j in pairs)
+        for p in permutations(range(g.n))
+    )
+
+
 def reference_sample(probs, shots: int, seed: int) -> np.ndarray:
     """Reference shot sampler: all shots drawn at once, each by a binary
     search of the whole CDF."""
@@ -91,8 +101,6 @@ def exact_char_poly(g: Graph) -> list[int]:
 def slow_char_poly(g: Graph) -> list[int]:
     """Reference characteristic polynomial of det(xI - A) by the Leibniz
     permutation expansion over integer polynomials (usable for n <= 7)."""
-    from itertools import permutations
-
     n = g.n
     total = [0] * (n + 1)
     for perm in permutations(range(n)):

@@ -114,6 +114,21 @@ def test_size_caps_are_pinned():
     assert slices == {"graphs._SLICE_BITS"}
 
 
+def test_one_module_enumerates_labellings():
+    # graphs._pair_weights is the one n! table, so a second brute-force
+    # labelling engine cannot come back unnoticed.
+    users = set()
+    for path in Path(qgi.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            imported = isinstance(node, ast.ImportFrom) and node.module == "itertools" and any(
+                alias.name == "permutations" for alias in node.names
+            )
+            attribute = isinstance(node, ast.Attribute) and node.attr == "permutations"
+            if imported or attribute:
+                users.add(path.stem)
+    assert users == {"graphs"}
+
+
 def test_cli_options_are_pinned():
     # A new flag is a deliberate change to these sets, as a public name
     # is to PUBLIC.

@@ -438,20 +438,19 @@ def test_survey_cache_flag(capsys, tmp_path):
 def test_survey_enumerates_each_order_once(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("QGI_CACHE_DIR", raising=False)
     orders = []
-    code_of = qgi.survey.canonical_code
-    monkeypatch.setattr(qgi.survey, "canonical_code", lambda g: orders.append(g.n) or code_of(g))
-    # Order k extends each class of order k - 1 (1, 2, 4 and 11 of them)
-    # by 2^(k-1) neighbourhoods, once per command.
-    once = [2] * 2 + [3] * 8 + [4] * 32 + [5] * 176
+    enumerate_classes = qgi.survey.enumerate_classes
+    monkeypatch.setattr(
+        qgi.survey, "enumerate_classes", lambda n: orders.append(n) or enumerate_classes(n)
+    )
     code, plain, _ = run_cli(capsys, "survey", "--n", "5")
-    assert code == 0 and orders == once
-    # Orders 1..3 cached: the missing ones still build from one vertex up,
-    # each once, and print the same table.
+    assert code == 0 and orders == [1, 2, 3, 4, 5]
+    # Orders 1..3 cached: only the missing ones are enumerated, and the
+    # table is the same.
     cache = str(tmp_path / "reports.jsonl")
     run_cli(capsys, "survey", "--n", "3", "--cache", cache)
     orders.clear()
     code, cached, _ = run_cli(capsys, "survey", "--n", "5", "--cache", cache)
-    assert code == 0 and cached == plain and orders == once
+    assert code == 0 and cached == plain and orders == [4, 5]
     orders.clear()
     code, warm, _ = run_cli(capsys, "survey", "--n", "5", "--cache", cache)
     assert code == 0 and warm == plain and orders == []

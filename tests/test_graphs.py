@@ -3,8 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import graphs, random_graph, random_permutation
-from hypothesis import given
+from conftest import graphs, random_graph, random_permutation, slow_canonical_code
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgi import (
@@ -263,6 +263,12 @@ def test_canonical_code_matches_isomorphism():
         g2 = random_graph(rng, n)
         same_code = canonical_code(g1) == canonical_code(g2)
         assert same_code == (are_isomorphic(g1, g2) is not None)
+
+
+@settings(max_examples=40)
+@given(graphs(max_n=7))
+def test_canonical_code_matches_brute_force(g):
+    assert canonical_code(g) == slow_canonical_code(g)
 
 
 def test_canonical_code_cap():

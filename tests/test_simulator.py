@@ -503,6 +503,23 @@ def test_qpe_readout_sweeps_its_graph_once(monkeypatch):
             assert swept == [g]
 
 
+def test_edgeless_readout_does_not_sweep(monkeypatch):
+    # Every subset of an edgeless graph induces 0 edges: the tally is
+    # [2^n] without the 2^24-mask sweep, and the read-out is unchanged.
+    g = Graph(24, (0,) * 24)
+    circuit = build_qpe(g, fuse=True)
+    swept = sum(np.bincount(e, minlength=1) for _, e in qgi.graphs._edge_counts(g))
+    with monkeypatch.context() as mp:
+        mp.setattr(qgi.graphs, "_edge_tally", lambda graph: swept)
+        before = readout(circuit)
+
+    def kernel(graph):
+        raise AssertionError("edgeless graph swept")
+
+    monkeypatch.setattr(qgi.graphs, "_edge_counts", kernel)
+    assert np.array_equal(readout(circuit), before)
+
+
 def test_rows_are_built_once_per_circuit(monkeypatch):
     # 256 slices of 4 graph basis states, and one build of the rows for
     # the read-out and one for the run.

@@ -3,11 +3,14 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import tracemalloc
 
 import pytest
 
+import qgi.graphs
 from qgi import (
     CacheError,
+    Graph,
     InputError,
     ResourceLimitError,
     are_isomorphic,
@@ -48,11 +51,29 @@ def test_representatives_sorted_by_canonical_code():
         assert len(set(codes)) == len(codes)
 
 
-def test_enumeration_resumes_from_a_lower_order():
-    assert enumerate_classes(6, below=enumerate_classes(4)) == enumerate_classes(6)
-    assert enumerate_classes(2, below=enumerate_classes(1)) == enumerate_classes(2)
-    with pytest.raises(InputError, match="not below order 4"):
-        enumerate_classes(4, below=enumerate_classes(4))
+def test_order_eight_classes_in_bounded_memory():
+    # OEIS A000088; one class's block of extension codes is 20.6 MB,
+    # the labelling table 4.5 MB.
+    qgi.graphs._pair_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        count = len(enumerate_classes(8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 12346
+    assert peak < 64 << 20
+
+
+def test_classes_match_the_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas: dict[int, set[str]] = {}
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes():
+            g = Graph.from_edges(h.number_of_nodes(), h.edges())
+            atlas.setdefault(g.n, set()).add(canonical_code(g))
+    for n in range(1, 8):
+        assert [canonical_code(g) for g in enumerate_classes(n)] == sorted(atlas[n]), n
 
 
 def test_enumeration_caps():
