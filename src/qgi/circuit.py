@@ -21,13 +21,13 @@ from fractions import Fraction
 from .errors import InputError
 from .graphs import Graph
 
-_ARITY = {"h": 1, "p": 1, "cp": 2, "ccp": 3, "swap": 2}
-_PHASED = {"p", "cp", "ccp"}
+_ARITY = {"h": 1, "cp": 2, "ccp": 3, "swap": 2}
+_PHASED = {"cp", "ccp"}
 
 
 @dataclass(frozen=True)
 class Gate:
-    """One primitive gate: kind in {h, p, cp, ccp, swap}.
+    """One primitive gate: kind in {h, cp, ccp, swap}.
 
     Phase gates carry `turns`, the angle as an exact fraction of a full
     turn in [0, 1).  Controls and targets are interchangeable for the
@@ -70,10 +70,6 @@ def h(q: int) -> Gate:
     return Gate("h", (q,))
 
 
-def p(q: int, turns: Fraction | int) -> Gate:
-    return Gate("p", (q,), Fraction(turns) % 1)
-
-
 def cp(a: int, b: int, turns: Fraction | int) -> Gate:
     return Gate("cp", (a, b), Fraction(turns) % 1)
 
@@ -90,14 +86,13 @@ def swap(a: int, b: int) -> Gate:
 class Circuit:
     """Gate list over a graph register and an estimation register.
 
-    width = n_graph + n_est.  `measure` lists the qubits to read out,
-    LSB of the outcome first.
+    width = n_graph + n_est.  The estimation register is the one
+    read-out, LSB of the outcome first.
     """
 
     n_graph: int
     n_est: int
     gates: tuple[Gate, ...]
-    measure: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.n_graph < 1 or self.n_est < 0:
@@ -106,18 +101,10 @@ class Circuit:
         for g in self.gates:
             if max(g.qubits) >= w:
                 raise InputError(f"gate {g.kind} on {g.qubits} exceeds width {w}")
-        if len(set(self.measure)) != len(self.measure):
-            raise InputError("duplicate qubit in measurement list")
-        if any(not 0 <= q < w for q in self.measure):
-            raise InputError("measured qubit out of range")
 
     @property
     def width(self) -> int:
         return self.n_graph + self.n_est
-
-    @property
-    def graph_register(self) -> tuple[int, ...]:
-        return tuple(range(self.n_graph))
 
     @property
     def est_register(self) -> tuple[int, ...]:
@@ -199,8 +186,7 @@ def build_qpe(g: Graph, fuse: bool = False) -> Circuit:
     """
     plan = plan_precision(g.m)
     n, t = g.n, plan.t
-    width = n + t
-    gates: list[Gate] = [h(q) for q in range(width)]
+    gates: list[Gate] = [h(q) for q in range(n + t)]
     edges = g.edges()
     for j in range(t):
         # Oracle power 2^j controlled on estimation qubit j: one fused
@@ -209,12 +195,7 @@ def build_qpe(g: Graph, fuse: bool = False) -> Circuit:
         power = tuple(Gate("ccp", (n + j, a, b), turns) for a, b in edges)
         gates.extend(power if fuse else power * (1 << j))
     gates.extend(_inverse_qft_at(t, n))
-    return Circuit(
-        n_graph=n,
-        n_est=t,
-        gates=tuple(gates),
-        measure=tuple(range(n, width)),
-    )
+    return Circuit(n_graph=n, n_est=t, gates=tuple(gates))
 
 
 def _fmt_angle(turns: Fraction) -> str:
@@ -224,7 +205,8 @@ def _fmt_angle(turns: Fraction) -> str:
 def export_qasm(circuit: Circuit, decompose_ccp: bool = False) -> str:
     """Render as OpenQASM 3, one gate per line, deterministically.
 
-    Registers are declared as `g` (graph) and `e` (estimation).  The
+    Registers are declared as `g` (graph) and `e` (estimation), and
+    every estimation qubit e[j] is measured into bit meas[j].  The
     doubly-controlled phase is emitted as `ctrl @ cp(...)` by default;
     with decompose_ccp it is lowered to the standard two-qubit gate
     pattern cp/cx/cp/cx/cp (that output uses cx and is not re-readable
@@ -234,8 +216,7 @@ def export_qasm(circuit: Circuit, decompose_ccp: bool = False) -> str:
     lines.append(f"qubit[{circuit.n_graph}] g;")
     if circuit.n_est:
         lines.append(f"qubit[{circuit.n_est}] e;")
-    if circuit.measure:
-        lines.append(f"bit[{len(circuit.measure)}] meas;")
+        lines.append(f"bit[{circuit.n_est}] meas;")
 
     names = [f"g[{q}]" for q in range(circuit.n_graph)]
     names += [f"e[{j}]" for j in range(circuit.n_est)]
@@ -254,8 +235,6 @@ def export_qasm(circuit: Circuit, decompose_ccp: bool = False) -> str:
         qs = [names[q] for q in gate.qubits]
         if gate.kind == "h":
             return f"h {qs[0]};"
-        if gate.kind == "p":
-            return f"p({angle(gate.turns)}) {qs[0]};"
         if gate.kind == "cp":
             return f"cp({angle(gate.turns)}) {qs[0]}, {qs[1]};"
         if gate.kind == "swap":
@@ -281,21 +260,19 @@ def export_qasm(circuit: Circuit, decompose_ccp: bool = False) -> str:
         if line is None:
             line = rendered[id(gate)] = render(gate)
         lines.append(line)
-    for k, q in enumerate(circuit.measure):
-        lines.append(f"meas[{k}] = measure {names[q]};")
+    lines += [f"meas[{j}] = measure e[{j}];" for j in range(circuit.n_est)]
     return "\n".join(lines) + "\n"
 
 
 _DECL_RE = re.compile(r"qubit\[(\d+)\] ([ge]);")
 _BIT_RE = re.compile(r"bit\[(\d+)\] (meas);")
 _H_RE = re.compile(r"h ([ge])\[(\d+)\];")
-_P_RE = re.compile(r"p\(([^)]+)\) ([ge])\[(\d+)\];")
 _CP_RE = re.compile(r"cp\(([^)]+)\) ([ge])\[(\d+)\], ([ge])\[(\d+)\];")
 _CCP_RE = re.compile(
     r"ctrl @ cp\(([^)]+)\) ([ge])\[(\d+)\], ([ge])\[(\d+)\], ([ge])\[(\d+)\];"
 )
 _SWAP_RE = re.compile(r"swap ([ge])\[(\d+)\], ([ge])\[(\d+)\];")
-_MEAS_RE = re.compile(r"meas\[(\d+)\] = measure ([ge])\[(\d+)\];")
+_MEAS_RE = re.compile(r"meas\[(\d+)\] = measure e\[(\d+)\];")
 
 
 def _angle_to_turns(tok: str) -> Fraction:
@@ -312,7 +289,9 @@ def _angle_to_turns(tok: str) -> Fraction:
 
 
 def parse_qasm(text: str) -> Circuit:
-    """Re-read a circuit produced by export_qasm (default lowering only)."""
+    """Re-read a circuit produced by export_qasm (default lowering only).
+    A measurement, if any, must be the one export_qasm writes: bit[t]
+    meas; then meas[j] = measure e[j]; for j = 0..t-1, t = n_est >= 1."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("//", 1)[0].strip()
@@ -341,16 +320,14 @@ def parse_qasm(text: str) -> Circuit:
         if line.startswith("include"):
             continue
         if mt := _DECL_RE.fullmatch(line) or _BIT_RE.fullmatch(line):
-            # qb() and meas[k] read the sizes seen so far, so a register
-            # declared twice would move or admit earlier statements.
+            # qb() reads the sizes seen so far, so a register declared
+            # twice would move or admit earlier statements.
             if mt.group(2) in declared:
                 raise InputError(f"register {mt.group(2)} declared twice")
             declared.add(mt.group(2))
             sizes[mt.group(2)] = num(mt.group(1))
         elif mt := _H_RE.fullmatch(line):
             gates.append(h(qb(mt.group(1), mt.group(2))))
-        elif mt := _P_RE.fullmatch(line):
-            gates.append(p(qb(mt.group(2), mt.group(3)), _angle_to_turns(mt.group(1))))
         elif mt := _CP_RE.fullmatch(line):
             gates.append(
                 cp(
@@ -371,20 +348,17 @@ def parse_qasm(text: str) -> Circuit:
         elif mt := _SWAP_RE.fullmatch(line):
             gates.append(swap(qb(mt.group(1), mt.group(2)), qb(mt.group(3), mt.group(4))))
         elif mt := _MEAS_RE.fullmatch(line):
-            k = num(mt.group(1))
-            if k >= sizes["meas"]:
-                raise InputError(f"meas[{k}] outside declared bit register")
-            meas.append((k, qb(mt.group(2), mt.group(3))))
+            meas.append((num(mt.group(1)), num(mt.group(2))))
         else:
             raise InputError(f"unsupported statement: {line!r}")
     if sizes["g"] < 1:
         raise InputError("missing graph register declaration")
-    meas.sort()
-    if [k for k, _ in meas] != list(range(len(meas))):
-        raise InputError("measurement bits must be meas[0..k-1]")
-    return Circuit(
-        n_graph=sizes["g"],
-        n_est=sizes["e"],
-        gates=tuple(gates),
-        measure=tuple(q for _, q in meas),
-    )
+    t = sizes["e"]
+    if ("meas" in declared or meas) and (
+        not t or sizes["meas"] != t or meas != [(j, j) for j in range(t)]
+    ):
+        raise InputError(
+            "a measurement must be bit[t] meas; then meas[j] = measure e[j]; "
+            "for each estimation qubit j in order"
+        )
+    return Circuit(n_graph=sizes["g"], n_est=t, gates=tuple(gates))

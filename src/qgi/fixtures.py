@@ -90,7 +90,7 @@ _MATRICES = {
     "g2": _G2,
 }
 
-FIXTURE_NAMES = ("c4", "m1", "m2", "m3", "petersen", "prism5", "g1", "g2")
+FIXTURE_NAMES = tuple(_MATRICES)
 
 
 def named_graph(name: str) -> Graph:

@@ -8,13 +8,13 @@ phase-estimation shape whole before any amplitude is touched, and
 raise InputError for any other circuit:
 - an H on every qubit of |0...0> as its first gates is the uniform
   state of amplitude 2^(-w/2);
-- the phase gates (p, cp, ccp) that follow, with dyadic turns of at
-  most 16 bits, are merged per qubit set by exact sums of turns into
-  one integer phase index mod 2^T, written with the uniform amplitude
-  by one lookup in a 2^T-entry exp table.  Each merged term lies on
-  an edge of one graph, with equal turns on every edge under the same
-  estimation qubit, on one estimation qubit, or on both: the oracle
-  powers of phase estimation, fused or not;
+- the phase gates (cp, ccp) that follow, with dyadic turns of at most
+  16 bits, are merged per qubit set by exact sums of turns into one
+  integer phase index mod 2^T, written with the uniform amplitude by
+  one lookup in a 2^T-entry exp table.  Each merged term lies on an
+  edge of one graph, alone or under one estimation qubit, with equal
+  turns on every edge under the same estimation qubit (or none): the
+  oracle powers of phase estimation, fused or not;
 - an optional tail equal to the inverse QFT on the estimation register
   is one FFT along that register's axis.
 Each op before the FFT is diagonal and the FFT acts on the estimation
@@ -103,10 +103,6 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
         hi = v[:, 1, :]
         v[:, 0, :] = (lo + hi) * _INV_SQRT2
         v[:, 1, :] = (lo - hi) * _INV_SQRT2
-    elif kind == "p":
-        (q,) = gate.qubits
-        v = amps.reshape(-1, 2, 1 << q)
-        v[:, 1, :] *= np.exp(1j * gate.phase)
     elif kind == "cp":
         a, b = sorted(gate.qubits)
         v = amps.reshape(-1, 2, 1 << (b - a - 1), 2, 1 << a)
@@ -129,7 +125,7 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 # A program accumulates turns in units of 2^-T with T <= _PHASE_BITS,
 # so the integer phase index of every basis state fits in a uint16.
 _PHASE_BITS = 16
-_PHASE_KINDS = ("p", "cp", "ccp")
+_PHASE_KINDS = ("cp", "ccp")
 # Row chunks and dump chunks hold about 2^_BLOCK_BITS amplitudes, so
 # their temporaries stay in cache and small at any width.
 _BLOCK_BITS = 16
@@ -137,6 +133,8 @@ _BLOCK_BITS = 16
 # one of _SHOT_BUCKETS equal parts of [0, 1).
 _SHOT_CHUNK = 1 << 18
 _SHOT_BUCKETS = 1 << 12
+# Largest distance, in radians, of a phase_table phase from its multiple.
+_PHASE_ATOL = 1e-6
 
 # Bytes at the peak of `run`: the complex128 amplitudes and rows; per
 # subset of a slice, the kernel's uint32 masks, its uint16 counts,
@@ -159,11 +157,10 @@ class _Program:
     2^bits) on graph basis state S where group g's estimation qubit is
     set, for group 0 (no estimation qubit) and group 1 + j (estimation
     qubit j); then an inverse QFT on the estimation register if fft_tail.
-    u_g(S) is const[g] + weight[g] * e(S) mod 2^bits, where e(S) is the
-    number of edges of graph that S induces."""
+    u_g(S) is weight[g] * e(S) mod 2^bits, where e(S) is the number of
+    edges of graph that S induces."""
 
     bits: int
-    const: list[int]
     graph: Graph
     weight: list[int]
     fft_tail: bool
@@ -178,15 +175,17 @@ def _dyadic_bits(turns: Fraction) -> int | None:
 _OFF_SHAPE = (
     "circuit is not of the phase-estimation shape: an H on every qubit, then "
     "phase gates with dyadic turns of at most 16 bits, each on an edge of one "
-    "graph with equal turns per estimation qubit, on one estimation qubit, or "
-    "on both, then optionally the inverse QFT on the estimation register"
+    "graph, alone or under one estimation qubit, with equal turns per "
+    "estimation qubit, then optionally the inverse QFT on the estimation register"
 )
 
 
 def _compile(circuit: Circuit) -> _Program:
     """The program of a circuit of the phase-estimation shape (the H
     layer in any order; _PHASE_BITS bits at most; terms whose merged
-    turns are whole turns dropped), InputError for any other circuit,
+    turns are whole turns dropped; every other term an edge of
+    program.graph, under one estimation qubit or none, at that group's
+    weight), InputError for any other circuit,
     and ResourceLimitError for a graph register of more than
     graphs.MAX_VERTICES qubits, which no Graph can hold."""
     n, w = circuit.n_graph, circuit.width
@@ -216,18 +215,15 @@ def _compile(circuit: Circuit) -> _Program:
     # The coarsest unit that still expresses every merged phase.
     shift = min(((k & -k).bit_length() - 1 for k in merged.values() if k), default=_PHASE_BITS)
     bits = _PHASE_BITS - shift
-    const = [0] * (1 + circuit.n_est)
     weight = [0] * (1 + circuit.n_est)
-    edges: list[set[tuple[int, ...]]] = [set() for _ in const]
+    edges: list[set[tuple[int, ...]]] = [set() for _ in weight]
     for key, units in merged.items():
         g = key[-1] - n + 1 if key[-1] >= n else 0
         pair = key[:-1] if g else key
         units >>= shift
         if not units:
             continue
-        if not pair:
-            const[g] = units
-        elif len(pair) == 2 and pair[1] < n and weight[g] in (0, units):
+        if len(pair) == 2 and pair[1] < n and weight[g] in (0, units):
             weight[g] = units
             edges[g].add(pair)
         else:
@@ -236,7 +232,7 @@ def _compile(circuit: Circuit) -> _Program:
     if len(edge_sets) > 1:
         raise InputError(_OFF_SHAPE)
     graph = Graph.from_edges(n, next(iter(edge_sets), ()))
-    return _Program(bits, const, graph, weight, fft_tail)
+    return _Program(bits, graph, weight, fft_tail)
 
 
 def peak_bytes(circuit: Circuit) -> int:
@@ -270,6 +266,17 @@ def _mem_available() -> int | None:
     return None
 
 
+def _admit(need: int, what: str) -> None:
+    """ResourceLimitError if need bytes exceed MemAvailable, where it
+    can be read."""
+    available = _mem_available()
+    if available is not None and need > available:
+        raise ResourceLimitError(
+            f"{what} needs about {need / 2**20:.1f} MiB, "
+            f"only {available / 2**20:.1f} MiB available"
+        )
+
+
 def _rows(circuit: Circuit, program: _Program) -> Iterator[tuple[int, np.ndarray]]:
     """Yields (k0, rows) for the edge counts 0..m of program.graph, about
     2^_BLOCK_BITS amplitudes at a time: rows[r, i] is the final
@@ -283,8 +290,7 @@ def _rows(circuit: Circuit, program: _Program) -> Iterator[tuple[int, np.ndarray
     t = circuit.n_est
     mask = (1 << program.bits) - 1
     k = np.arange(program.graph.m + 1)
-    units = (np.array(program.const)[:, None] + np.outer(program.weight, k)) & mask
-    units = units.astype(np.uint16)
+    units = (np.outer(program.weight, k) & mask).astype(np.uint16)
     table = np.exp(2j * math.pi / (1 << program.bits) * np.arange(1 << program.bits))
     table *= 2.0 ** (-circuit.width / 2)
     step = max(1, (1 << _BLOCK_BITS) >> t)
@@ -318,13 +324,7 @@ def run(circuit: Circuit) -> Statevector:
             f"circuit width {circuit.width} exceeds the {HARD_MAX_QUBITS}-qubit limit"
         )
     program = _compile(circuit)
-    need = _peak_bytes(circuit, program)
-    available = _mem_available()
-    if available is not None and need > available:
-        raise ResourceLimitError(
-            f"circuit width {circuit.width} needs about {need / 2**20:.1f} MiB, "
-            f"only {available / 2**20:.1f} MiB available"
-        )
+    _admit(_peak_bytes(circuit, program), f"circuit width {circuit.width}")
     state = Statevector(circuit.width, np.empty(1 << circuit.width, dtype=np.complex128))
     block = state.amps.reshape(1 << circuit.n_est, -1)
     rows = np.empty((len(block), program.graph.m + 1), dtype=np.complex128)
@@ -362,13 +362,7 @@ def readout(circuit: Circuit) -> np.ndarray:
             f"qubits exceed the {MAX_VERTICES}-vertex or {HARD_MAX_QUBITS}-qubit limit"
         )
     if circuit.n_est > _BLOCK_BITS:
-        need = _READOUT_BYTES << circuit.n_est
-        available = _mem_available()
-        if available is not None and need > available:
-            raise ResourceLimitError(
-                f"a {circuit.n_est}-qubit estimation register needs about "
-                f"{need / 2**20:.1f} MiB, only {available / 2**20:.1f} MiB available"
-            )
+        _admit(_READOUT_BYTES << circuit.n_est, f"a {circuit.n_est}-qubit estimation register")
     program = _compile(circuit)
     tally = graphs._edge_tally(program.graph)
     probs = np.zeros(1 << circuit.n_est)
@@ -445,12 +439,13 @@ def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return counts
 
 
-def phase_table(state: Statevector, theta: float, atol: float = 1e-6) -> dict[int, int]:
+def phase_table(state: Statevector, theta: float) -> dict[int, int]:
     """Rotation counts of a diagonal-evolution state.
 
     For each nonzero amplitude, returns the integer k with
     arg(amp) = k * theta (mod 2*pi).  Raises InternalCheckError if any
-    amplitude's phase is farther than atol from every such multiple.
+    amplitude's phase is farther than _PHASE_ATOL from every such
+    multiple.
     """
     if theta <= 0:
         raise InputError(f"theta must be positive, got {theta}")
@@ -459,12 +454,12 @@ def phase_table(state: Statevector, theta: float, atol: float = 1e-6) -> dict[in
     # rint picks the nearest multiple, so the residual is <= theta/2;
     # k == 2*pi/theta is folded back to 0 below.
     ks = np.rint(angles / theta).astype(np.int64)
-    bad = np.abs(angles - ks * theta) > atol
+    bad = np.abs(angles - ks * theta) > _PHASE_ATOL
     if np.any(bad):
         first = int(idx[bad][0])
         raise InternalCheckError(
             f"amplitude {first} phase {float(angles[bad][0])!r} is not a "
-            f"multiple of theta={theta!r} within {atol}"
+            f"multiple of theta={theta!r} within {_PHASE_ATOL}"
         )
     table: dict[int, int] = {}
     full = round(math.tau / theta) if abs(math.tau / theta - round(math.tau / theta)) < 1e-9 else 0

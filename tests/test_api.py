@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 from pathlib import Path
 
 import qgi
+import qgi.circuit
+import qgi.simulator
 from qgi.cli import build_parser
 
 PUBLIC = {
@@ -81,6 +84,22 @@ def test_public_surface_is_pinned():
     assert len(qgi.__all__) == len(PUBLIC)
     for name in PUBLIC:
         assert hasattr(qgi, name), name
+
+
+# The circuit model: the paper's gates, its one read-out register (the
+# estimation qubits, so no field for it), and the terms a compiled
+# phase-estimation circuit keeps.
+GATE_KINDS = {"h", "cp", "ccp", "swap"}
+CIRCUIT_FIELDS = ("n_graph", "n_est", "gates")
+PROGRAM_FIELDS = ("bits", "graph", "weight", "fft_tail")
+
+
+def test_circuit_model_is_pinned():
+    # A new gate kind, circuit field or compiled term is a deliberate
+    # change to these, as a public name is to PUBLIC.
+    assert set(qgi.circuit._ARITY) == GATE_KINDS
+    assert tuple(f.name for f in dataclasses.fields(qgi.Circuit)) == CIRCUIT_FIELDS
+    assert tuple(f.name for f in dataclasses.fields(qgi.simulator._Program)) == PROGRAM_FIELDS
 
 
 # Every module-level size cap in src/qgi.  Each guards a resource that

@@ -84,7 +84,7 @@ def test_gate_validation():
         Gate("h", (0,), Fraction(1, 2))
     with pytest.raises(InputError, match="requires a phase"):
         Gate("cp", (0, 1))
-    for kind, qubits in (("p", (0,)), ("cp", (0, 1)), ("ccp", (0, 1, 2))):
+    for kind, qubits in (("cp", (0, 1)), ("ccp", (0, 1, 2))):
         for turns in (Fraction(1), 1, Fraction(-1, 2), 0.5, None):
             with pytest.raises(InputError):
                 Gate(kind, qubits, turns)
@@ -93,11 +93,15 @@ def test_gate_validation():
     assert ccp(0, 1, 2, Fraction(9, 8)).turns == Fraction(1, 8)
 
 
+def test_single_qubit_phase_is_no_gate():
+    # No part of the paper's circuit is a phase on one qubit.
+    with pytest.raises(InputError, match="unknown gate kind 'p'"):
+        Gate("p", (0,), Fraction(1, 4))
+
+
 def test_circuit_validation():
     with pytest.raises(InputError, match="width"):
         Circuit(n_graph=2, n_est=0, gates=(h(2),))
-    with pytest.raises(InputError, match="duplicate"):
-        Circuit(n_graph=2, n_est=0, gates=(), measure=(0, 0))
 
 
 # --- oracle ---
@@ -149,9 +153,7 @@ def test_oracle_gate_order_is_immaterial():
 def test_build_qpe_c4_shape():
     qpe = build_qpe(named_graph("c4"), fuse=True)
     assert qpe.width == 7
-    assert qpe.graph_register == (0, 1, 2, 3)
     assert qpe.est_register == (4, 5, 6)
-    assert qpe.measure == (4, 5, 6)
     ccps = [g for g in qpe.gates if g.kind == "ccp"]
     assert len(ccps) == 12  # 3 estimation qubits x 4 edges, fused
     unfused = build_qpe(named_graph("c4"), fuse=False)
@@ -304,15 +306,17 @@ def test_export_qasm_renders_repeated_gates_as_each_alone(decompose):
         circuit = build_qpe(g, fuse=False)
         fresh = tuple(Gate(gate.kind, gate.qubits, gate.turns) for gate in circuit.gates)
         assert len({id(gate) for gate in circuit.gates}) < len(fresh)
+        empty = export_qasm(Circuit(circuit.n_graph, circuit.n_est, ())).splitlines()
+        head, meas = empty[:5], empty[5:]
+        assert len(meas) == circuit.n_est
         lines = []
         for gate in fresh:
-            one = Circuit(circuit.n_graph, circuit.n_est, (gate,))
-            lines += export_qasm(one, decompose_ccp=decompose).splitlines()[4:]
-        empty = export_qasm(Circuit(circuit.n_graph, circuit.n_est, (), circuit.measure))
-        head, meas = empty.splitlines()[:5], empty.splitlines()[5:]
+            one = export_qasm(Circuit(circuit.n_graph, circuit.n_est, (gate,)),
+                              decompose_ccp=decompose).splitlines()
+            lines += one[len(head) : len(one) - len(meas)]
         expect = "\n".join(head + lines + meas) + "\n"
         assert export_qasm(circuit, decompose_ccp=decompose) == expect
-        assert export_qasm(Circuit(circuit.n_graph, circuit.n_est, fresh, circuit.measure),
+        assert export_qasm(Circuit(circuit.n_graph, circuit.n_est, fresh),
                            decompose_ccp=decompose) == expect
 
 
@@ -413,18 +417,41 @@ def test_parse_qasm_errors():
         with pytest.raises(InputError, match="declared twice"):
             parse_qasm(f"OPENQASM 3.0;\nqubit[2] g;\nqubit[1] e;\nh e[0];\nqubit[3] {reg};")
     head = "OPENQASM 3.0;\nqubit[2] g;\n"
-    with pytest.raises(InputError, match="outside declared bit register"):
-        parse_qasm(head + "bit[1] meas;\nmeas[0] = measure g[0];\nmeas[1] = measure g[1];")
     with pytest.raises(InputError, match="declared twice"):
         parse_qasm(head + "bit[1] meas;\nbit[5] meas;")
-    with pytest.raises(InputError, match="outside declared bit register"):
-        parse_qasm(head + "meas[0] = measure g[0];")
+    # A single-qubit phase is no statement of export_qasm's.
+    with pytest.raises(InputError, match="unsupported"):
+        parse_qasm(head + "p(0.785398163397) g[0];")
+
+
+def test_parse_qasm_reads_only_the_estimation_register_measured():
+    # export_qasm measures e[j] into meas[j], every j; any other
+    # measurement would read out something the simulator does not.
+    head = "OPENQASM 3.0;\nqubit[2] g;\nqubit[2] e;\n"
+    full = "bit[2] meas;\nmeas[0] = measure e[0];\nmeas[1] = measure e[1];"
+    assert parse_qasm(head + full) == parse_qasm(head) == Circuit(2, 2, ())
+    with pytest.raises(InputError, match="unsupported"):
+        parse_qasm(head + "bit[1] meas;\nmeas[0] = measure g[0];")
+    for section in (
+        "bit[2] meas;",  # declared, nothing measured
+        "meas[0] = measure e[0];\nmeas[1] = measure e[1];",  # no bit register
+        "bit[2] meas;\nmeas[0] = measure e[0];",  # e[1] unread
+        "bit[1] meas;\nmeas[0] = measure e[0];",  # a partial register
+        "bit[2] meas;\nmeas[0] = measure e[1];\nmeas[1] = measure e[0];",  # reversed
+        "bit[3] meas;\nmeas[0] = measure e[0];\nmeas[1] = measure e[1];",
+        full + "\nmeas[1] = measure e[1];",  # measured twice
+    ):
+        with pytest.raises(InputError, match="a measurement must be"):
+            parse_qasm(head + section)
+    # No estimation register, so no measurement at all.
+    with pytest.raises(InputError, match="a measurement must be"):
+        parse_qasm("OPENQASM 3.0;\nqubit[2] g;\nbit[0] meas;")
 
 
 @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "1e999"])
 def test_parse_qasm_rejects_non_finite_angles(literal):
     with pytest.raises(InputError, match="bad angle literal"):
-        parse_qasm(f"OPENQASM 3.0;\nqubit[1] g;\np({literal}) g[0];")
+        parse_qasm(f"OPENQASM 3.0;\nqubit[2] g;\ncp({literal}) g[0], g[1];")
 
 
 def test_parse_qasm_rejects_overlong_numbers():
@@ -439,7 +466,6 @@ _QASM_STATEMENTS = (
     ("qubit[{}] {};", "ir"),
     ("bit[{}] meas;", "i"),
     ("h {}[{}];", "ri"),
-    ("p({}) {}[{}];", "ari"),
     ("cp({}) {}[{}], {}[{}];", "ariri"),
     ("ctrl @ cp({}) {}[{}], {}[{}], {}[{}];", "aririri"),
     ("swap {}[{}], {}[{}];", "riri"),
@@ -481,17 +507,22 @@ def test_parse_qasm_raises_only_input_error(text):
     except InputError:
         return
     assert isinstance(circuit, Circuit)
-    # Every measured bit lies inside the one bit register declared, if any.
-    lines = (raw.split("//", 1)[0].strip() for raw in text.splitlines())
+    # A measurement, if any, reads the whole estimation register.
+    lines = [raw.split("//", 1)[0].strip() for raw in text.splitlines()]
     declared = [
         int(mt.group(1)) for ln in lines if (mt := re.fullmatch(r"bit\[(\d+)\] meas;", ln))
     ]
-    assert len(declared) <= 1
-    assert len(circuit.measure) <= sum(declared)
+    measured = [ln for ln in lines if ln.startswith("meas[")]
+    assert declared == ([circuit.n_est] if measured else [])
+    assert len(measured) == (circuit.n_est if declared else 0)
 
 
 def test_measurement_roundtrip_order():
-    circuit = build_qpe(named_graph("m3"))
+    # The 3-vertex path has m = 2, so t = 2: the QASM measures e[0] and
+    # e[1], the register that readout's marginal is over.
+    circuit = build_qpe(parse_edge_list("3; 0 1; 1 2"))
     text = export_qasm(circuit)
-    assert "meas[0] = measure e[0];" in text
-    assert parse_qasm(text).measure == circuit.measure
+    assert "bit[2] meas;\n" in text
+    assert text.endswith("meas[0] = measure e[0];\nmeas[1] = measure e[1];\n")
+    assert parse_qasm(text) == circuit
+    assert readout(circuit).tolist() == pytest.approx([0.625, 0.25, 0.125, 0.0], abs=1e-12)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import qgi.graphs
 import qgi.simulator
 from qgi import Graph, build_oracle, build_qpe, inverse_qft, named_graph
-from qgi.circuit import Circuit, Gate, ccp, cp, h, p, swap
+from qgi.circuit import Circuit, Gate, ccp, cp, h, swap
 from qgi.errors import InputError, InternalCheckError, ResourceLimitError
 from qgi.simulator import (
     Statevector,
@@ -59,7 +59,7 @@ def _slow_apply(amps: np.ndarray, gate) -> np.ndarray:
             base = i & ~(1 << qs[0])
             lo, hi = amps[base], amps[base | (1 << qs[0])]
             out[i] = (lo + hi) / math.sqrt(2) if not bits[0] else (lo - hi) / math.sqrt(2)
-        elif gate.kind in ("p", "cp", "ccp"):
+        elif gate.kind in ("cp", "ccp"):
             out[i] = amps[i] * (np.exp(1j * gate.phase) if all(bits) else 1.0)
         elif gate.kind == "swap":
             j = i
@@ -105,7 +105,6 @@ def test_gates_match_reference_action():
         gate = pyrng.choice(
             [
                 h(qubits[0]),
-                p(qubits[0], turns),
                 cp(qubits[0], qubits[1], turns),
                 swap(qubits[0], qubits[1]),
             ]
@@ -129,7 +128,6 @@ def test_phase_gate_inverses():
     state = _random_state(rng, 4)
     before = state.amps.copy()
     for gate, inv in [
-        (p(1, Fraction(3, 8)), p(1, Fraction(-3, 8))),
         (cp(0, 3, Fraction(1, 4)), cp(3, 0, Fraction(-1, 4))),
         (ccp(0, 1, 2, Fraction(5, 16)), ccp(2, 1, 0, Fraction(-5, 16))),
         (swap(1, 3), swap(1, 3)),
@@ -160,7 +158,7 @@ def test_norm_preserved_by_random_circuits():
     for _ in range(60):
         a, b, c = pyrng.sample(range(5), k=3)
         gate = pyrng.choice(
-            [h(a), p(a, Fraction(7, 16)), cp(a, b, Fraction(1, 8)),
+            [h(a), cp(a, b, Fraction(1, 8)),
              ccp(a, b, c, Fraction(3, 4)), swap(a, b)]
         )
         apply_gate(state, gate)
@@ -283,8 +281,8 @@ _DYADIC = st.builds(
 _OFF_GRID = st.sampled_from(
     [Fraction(1, 1 << 17), Fraction(1, 3), Fraction(2, 5), Fraction(7, 24)]
 )
-_ARITY = {"p": 1, "cp": 2, "ccp": 3}
-_KINDS = ("p", "cp", "ccp")
+_ARITY = {"cp": 2, "ccp": 3}
+_KINDS = ("cp", "ccp")
 
 
 def _merged_turns(gates, qubits: tuple[int, ...]) -> Fraction:
@@ -306,7 +304,7 @@ def _terms(draw, qubits: tuple[int, ...], turns: Fraction) -> list[Gate]:
     else:
         first = draw(_DYADIC)
         parts = [first, (turns - first) % 1]
-    kind = _KINDS[len(qubits) - 1]
+    kind = _KINDS[len(qubits) - 2]
     return [Gate(kind, tuple(draw(st.permutations(qubits))), part) for part in parts]
 
 
@@ -315,11 +313,11 @@ def _qpe_shaped(draw) -> Circuit:
     """An H on every qubit in any order, then the phases of one random
     graph: group 0 (no estimation qubit) and each estimation qubit get
     a random weight on every edge (cp on group 0's pairs, ccp on an
-    estimation qubit and a pair), and each estimation qubit a random
-    constant (p), each term as one gate or two, all in any order; and
-    an optional inverse QFT on the estimation register.  A weight of 0
-    drawn as two gates merges to whole turns, which are dropped, and so
-    do up to two more such terms on any one to three qubits."""
+    estimation qubit and a pair), each term as one gate or two, all in
+    any order; and an optional inverse QFT on the estimation register.
+    A weight of 0 drawn as two gates merges to whole turns, which are
+    dropped, and so do up to two more such terms on any two or three
+    qubits."""
     n_graph = draw(st.integers(1, 6))
     n_est = draw(st.integers(0, 8 - n_graph))
     tail = n_est > 0 and draw(st.booleans())
@@ -332,10 +330,8 @@ def _qpe_shaped(draw) -> Circuit:
         weight = draw(weights)
         for edge in edges:
             phases += draw(_terms(edge + est, weight))
-        if est:
-            phases += draw(_terms(est, draw(weights)))
-    for _ in range(draw(st.integers(0, 2))):
-        qubits = draw(st.permutations(range(w)))[: draw(st.integers(1, min(w, 3)))]
+    for _ in range(draw(st.integers(0, 2)) if w >= 2 else 0):
+        qubits = draw(st.permutations(range(w)))[: draw(st.integers(2, min(w, 3)))]
         phases += draw(_terms(tuple(qubits), Fraction(0)))
     gates = [h(q) for q in draw(st.permutations(range(w)))]
     gates += draw(st.permutations(phases))
@@ -349,21 +345,21 @@ def _off_shape(draw) -> Circuit:
     """A QPE-shaped circuit broken one way: the H of a graph qubit is
     missing from the leading layer, or gates are inserted after it: an
     H on a graph qubit, a swap, a phase off the 16-bit grid, a phase on
-    three graph qubits or on two estimation qubits, a phase on one
-    graph qubit (alone or with an estimation qubit), unequal turns on
-    two pairs under the same estimation qubit (or none), or two groups
-    on different edge sets.  The last three set the merged turns of the
-    terms they touch whatever the circuit had there, and land before
-    the inverse-QFT tail.  Any other gate that lands in the tail leaves
-    the tail's H and swaps in the body, so each is refused wherever it
-    lands."""
+    three graph qubits or on two estimation qubits, a phase on a graph
+    qubit and an estimation qubit, unequal turns on two pairs under the
+    same estimation qubit (or none), or two groups on different edge
+    sets.  The last three set the merged turns of the terms they touch
+    whatever the circuit had there, and land before the inverse-QFT
+    tail.  Any other gate that lands in the tail leaves the tail's H
+    and swaps in the body, so each is refused wherever it lands."""
     shaped = draw(_qpe_shaped())
     n, w = shaped.n_graph, shaped.width
     gates = list(shaped.gates)
     qubits = draw(st.permutations(range(w)))
     graph_qubit = draw(st.integers(0, n - 1))
     groups = [()] + [(q,) for q in range(n, w)]
-    breaks = ["lead", "h", "phase", "one graph"] + (["swap"] if w >= 2 else [])
+    breaks = ["lead", "h"] + (["phase", "swap"] if w >= 2 else [])
+    breaks += ["graph est"] if w > n else []
     breaks += (["three graph", "unequal"] if n >= 3 else []) + (["two est"] if w - n >= 2 else [])
     breaks += ["two graphs"] if n >= 3 and w > n else []
     broken = draw(st.sampled_from(breaks))
@@ -386,9 +382,9 @@ def _off_shape(draw) -> Circuit:
         others = [q for q in range(w) if q not in est]
         extra = draw(st.sampled_from([()] + [(q,) for q in others]))
         qubits = tuple(draw(st.permutations([*est, *extra])))
-        inserted = [Gate(_KINDS[len(qubits) - 1], qubits, draw(_DYADIC))]
-    elif broken == "one graph":
-        inserted = set_turns((graph_qubit, *draw(st.sampled_from(groups))), draw(_DYADIC))
+        inserted = [Gate(_KINDS[len(qubits) - 2], qubits, draw(_DYADIC))]
+    elif broken == "graph est":
+        inserted = set_turns((graph_qubit, draw(st.integers(n, w - 1))), draw(_DYADIC))
     elif broken == "unequal":
         est = draw(st.sampled_from(groups))
         a, b, c = draw(st.permutations(range(n)))[:3]
@@ -413,7 +409,7 @@ def _off_shape(draw) -> Circuit:
     iqft = _iqft_on_est(n, w - n) if w > n else ()
     end = len(gates) - len(iqft) if iqft and tuple(gates[-len(iqft) :]) == iqft else len(gates)
     for gate in inserted:
-        merged_term = broken in ("one graph", "unequal", "two graphs")
+        merged_term = broken in ("graph est", "unequal", "two graphs")
         gates.insert(draw(st.integers(w, end if merged_term else len(gates))), gate)
         end += 1
     return Circuit(n_graph=shaped.n_graph, n_est=shaped.n_est, gates=tuple(gates))
