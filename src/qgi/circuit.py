@@ -23,6 +23,9 @@ from .graphs import Graph
 
 _ARITY = {"h": 1, "cp": 2, "ccp": 3, "swap": 2}
 _PHASED = {"cp", "ccp"}
+# The one OpenQASM 3 spelling of each kind, written by export_qasm and
+# read by parse_qasm; a phase kind's angle follows it in parentheses.
+_QASM_NAMES = {"h": "h", "cp": "cp", "ccp": "ctrl @ cp", "swap": "swap"}
 
 
 @dataclass(frozen=True)
@@ -233,23 +236,18 @@ def export_qasm(circuit: Circuit, decompose_ccp: bool = False) -> str:
 
     def render(gate: Gate) -> str:
         qs = [names[q] for q in gate.qubits]
-        if gate.kind == "h":
-            return f"h {qs[0]};"
-        if gate.kind == "cp":
-            return f"cp({angle(gate.turns)}) {qs[0]}, {qs[1]};"
-        if gate.kind == "swap":
-            return f"swap {qs[0]}, {qs[1]};"
-        a, b, c = qs  # ccp, the one kind left
-        if not decompose_ccp:
-            return f"ctrl @ cp({angle(gate.turns)}) {a}, {b}, {c};"
-        key = (gate.turns.numerator, gate.turns.denominator)
-        if key not in halves:
-            halves[key] = (_fmt_angle(gate.turns / 2), _fmt_angle((-gate.turns / 2) % 1))
-        half, neg = halves[key]
-        return (
-            f"cp({half}) {b}, {c};\ncx {a}, {b};\ncp({neg}) {b}, {c};\n"
-            f"cx {a}, {b};\ncp({half}) {a}, {c};"
-        )
+        if gate.kind == "ccp" and decompose_ccp:
+            a, b, c = qs
+            key = (gate.turns.numerator, gate.turns.denominator)
+            if key not in halves:
+                halves[key] = (_fmt_angle(gate.turns / 2), _fmt_angle((-gate.turns / 2) % 1))
+            half, neg = halves[key]
+            return (
+                f"cp({half}) {b}, {c};\ncx {a}, {b};\ncp({neg}) {b}, {c};\n"
+                f"cx {a}, {b};\ncp({half}) {a}, {c};"
+            )
+        phase = "" if gate.turns is None else f"({angle(gate.turns)})"
+        return f"{_QASM_NAMES[gate.kind]}{phase} {', '.join(qs)};"
 
     # Each distinct gate object rendered once: the unfused circuit
     # repeats each oracle power's gates 2^j times.  circuit.gates keeps
@@ -264,15 +262,20 @@ def export_qasm(circuit: Circuit, decompose_ccp: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-_DECL_RE = re.compile(r"qubit\[(\d+)\] ([ge]);")
-_BIT_RE = re.compile(r"bit\[(\d+)\] (meas);")
-_H_RE = re.compile(r"h ([ge])\[(\d+)\];")
-_CP_RE = re.compile(r"cp\(([^)]+)\) ([ge])\[(\d+)\], ([ge])\[(\d+)\];")
-_CCP_RE = re.compile(
-    r"ctrl @ cp\(([^)]+)\) ([ge])\[(\d+)\], ([ge])\[(\d+)\], ([ge])\[(\d+)\];"
+_DECL_RE = re.compile(r"(qubit|bit)\[(\d+)\] ([ge]|meas);")
+_GATE_RE = re.compile(
+    "(" + "|".join(map(re.escape, _QASM_NAMES.values())) + r")(?:\(([^)]+)\))? (.+);"
 )
-_SWAP_RE = re.compile(r"swap ([ge])\[(\d+)\], ([ge])\[(\d+)\];")
+_OPERAND_RE = re.compile(r"([ge])\[(\d+)\]")
 _MEAS_RE = re.compile(r"meas\[(\d+)\] = measure e\[(\d+)\];")
+_KINDS = {name: kind for kind, name in _QASM_NAMES.items()}
+
+
+def _num(tok: str) -> int:
+    # int() refuses digit strings past a few thousand digits.
+    if len(tok) > 9:
+        raise InputError(f"number {tok[:12]}... is too large")
+    return int(tok)
 
 
 def _angle_to_turns(tok: str) -> Fraction:
@@ -290,75 +293,51 @@ def _angle_to_turns(tok: str) -> Fraction:
 
 def parse_qasm(text: str) -> Circuit:
     """Re-read a circuit produced by export_qasm (default lowering only).
+
+    A gate statement is a _QASM_NAMES spelling, an angle in parentheses
+    for a phase, then its operands; Gate checks each one.  Operands are
+    placed only after every declaration is read: g[i] is qubit i and
+    e[j] is qubit n_graph + j, wherever `qubit[n_graph] g;` stands.
     A measurement, if any, must be the one export_qasm writes: bit[t]
     meas; then meas[j] = measure e[j]; for j = 0..t-1, t = n_est >= 1."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("//", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = [line for raw in text.splitlines() if (line := raw.split("//", 1)[0].strip())]
     if not lines or lines[0] != "OPENQASM 3.0;":
         raise InputError("expected an OPENQASM 3.0 header")
-    sizes = {"g": 0, "e": 0, "meas": 0}
-    declared: set[str] = set()
-    gates: list[Gate] = []
+    sizes: dict[str, int] = {}  # declared registers
+    statements: list[tuple[str, list[tuple[str, int]], Fraction | None]] = []
     meas: list[tuple[int, int]] = []
-
-    def num(tok: str) -> int:
-        # int() refuses digit strings past a few thousand digits.
-        if len(tok) > 9:
-            raise InputError(f"number {tok[:12]}... is too large")
-        return int(tok)
-
-    def qb(reg: str, idx: str) -> int:
-        i = num(idx)
-        if i >= sizes[reg]:
-            raise InputError(f"qubit {reg}[{i}] outside declared register")
-        return i if reg == "g" else sizes["g"] + i
-
     for line in lines[1:]:
         if line.startswith("include"):
             continue
-        if mt := _DECL_RE.fullmatch(line) or _BIT_RE.fullmatch(line):
-            # qb() reads the sizes seen so far, so a register declared
-            # twice would move or admit earlier statements.
-            if mt.group(2) in declared:
-                raise InputError(f"register {mt.group(2)} declared twice")
-            declared.add(mt.group(2))
-            sizes[mt.group(2)] = num(mt.group(1))
-        elif mt := _H_RE.fullmatch(line):
-            gates.append(h(qb(mt.group(1), mt.group(2))))
-        elif mt := _CP_RE.fullmatch(line):
-            gates.append(
-                cp(
-                    qb(mt.group(2), mt.group(3)),
-                    qb(mt.group(4), mt.group(5)),
-                    _angle_to_turns(mt.group(1)),
-                )
-            )
-        elif mt := _CCP_RE.fullmatch(line):
-            gates.append(
-                ccp(
-                    qb(mt.group(2), mt.group(3)),
-                    qb(mt.group(4), mt.group(5)),
-                    qb(mt.group(6), mt.group(7)),
-                    _angle_to_turns(mt.group(1)),
-                )
-            )
-        elif mt := _SWAP_RE.fullmatch(line):
-            gates.append(swap(qb(mt.group(1), mt.group(2)), qb(mt.group(3), mt.group(4))))
+        if (mt := _DECL_RE.fullmatch(line)) and (mt[1] == "bit") == (mt[3] == "meas"):
+            # A register declared twice would have no one size to place by.
+            if mt[3] in sizes:
+                raise InputError(f"register {mt[3]} declared twice")
+            sizes[mt[3]] = _num(mt[2])
+        elif (mt := _GATE_RE.fullmatch(line)) and all(
+            ops := [_OPERAND_RE.fullmatch(op) for op in mt[3].split(", ")]
+        ):
+            turns = None if mt[2] is None else _angle_to_turns(mt[2])
+            statements.append((_KINDS[mt[1]], [(op[1], _num(op[2])) for op in ops], turns))
         elif mt := _MEAS_RE.fullmatch(line):
-            meas.append((num(mt.group(1)), num(mt.group(2))))
+            meas.append((_num(mt[1]), _num(mt[2])))
         else:
             raise InputError(f"unsupported statement: {line!r}")
-    if sizes["g"] < 1:
+    if sizes.get("g", 0) < 1:
         raise InputError("missing graph register declaration")
-    t = sizes["e"]
-    if ("meas" in declared or meas) and (
-        not t or sizes["meas"] != t or meas != [(j, j) for j in range(t)]
+    t = sizes.get("e", 0)
+    if ("meas" in sizes or meas) and (
+        not t or sizes.get("meas") != t or meas != [(j, j) for j in range(t)]
     ):
         raise InputError(
             "a measurement must be bit[t] meas; then meas[j] = measure e[j]; "
             "for each estimation qubit j in order"
         )
+    offset = {"g": 0, "e": sizes["g"]}
+    gates = []
+    for kind, ops, turns in statements:
+        for reg, i in ops:
+            if i >= sizes.get(reg, 0):
+                raise InputError(f"qubit {reg}[{i}] outside declared register")
+        gates.append(Gate(kind, tuple(offset[reg] + i for reg, i in ops), turns))
     return Circuit(n_graph=sizes["g"], n_est=t, gates=tuple(gates))

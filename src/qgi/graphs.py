@@ -161,7 +161,13 @@ def parse_graph6(text: str) -> Graph:
     pad = 6 * nchars - nbits
     if pad and bits & ((1 << pad) - 1):
         raise GraphParseError(f"byte {nchars}: nonzero padding bits")
-    bits >>= pad
+    return _from_pair_bits(n, bits >> pad)
+
+
+def _from_pair_bits(n: int, bits: int) -> Graph:
+    """The graph whose pairs, in _pair_order, are the n(n-1)/2 bits of
+    bits, the first pair at the most significant bit."""
+    nbits = n * (n - 1) // 2
     adj = [0] * n
     for k, (i, j) in enumerate(_pair_order(n)):
         if (bits >> (nbits - 1 - k)) & 1:
@@ -443,9 +449,6 @@ def from_canonical_code(n: int, code: str) -> Graph:
     nbits = n * (n - 1) // 2
     if len(code) != nbits:
         raise InputError(f"code length {len(code)} != {nbits} for n={n}")
-    adj = [0] * n
-    for k, (i, j) in enumerate(_pair_order(n)):
-        if code[k] == "1":
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    if code.strip("01"):
+        raise InputError(f"code {code!r} has a character other than 0 or 1")
+    return _from_pair_bits(n, int(code or "0", 2))

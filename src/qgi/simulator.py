@@ -125,7 +125,6 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 # A program accumulates turns in units of 2^-T with T <= _PHASE_BITS,
 # so the integer phase index of every basis state fits in a uint16.
 _PHASE_BITS = 16
-_PHASE_KINDS = ("cp", "ccp")
 # Row chunks and dump chunks hold about 2^_BLOCK_BITS amplitudes, so
 # their temporaries stay in cache and small at any width.
 _BLOCK_BITS = 16
@@ -206,7 +205,7 @@ def _compile(circuit: Circuit) -> _Program:
     # Exact sums of the turns per qubit set, in units of 2^-_PHASE_BITS.
     merged: dict[tuple[int, ...], int] = {}
     for gate in body:
-        bits = _dyadic_bits(gate.turns) if gate.kind in _PHASE_KINDS else None
+        bits = None if gate.turns is None else _dyadic_bits(gate.turns)
         if bits is None or bits > _PHASE_BITS:
             raise InputError(_OFF_SHAPE)
         key = tuple(sorted(gate.qubits))

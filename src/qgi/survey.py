@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import CacheError, InputError, InternalCheckError, ResourceLimitError
-from .graphs import Graph, _extension_codes, are_isomorphic, encode_graph6, from_canonical_code
+from .graphs import Graph, _extension_codes, _from_pair_bits, are_isomorphic, encode_graph6
 from .invariant import char_poly, classical_histogram, quantum_histogram
 
 # The cap guards one representative's block of extension codes, 2^(n-1)
@@ -59,9 +59,7 @@ def enumerate_classes(n: int) -> tuple[Graph, ...]:
         )
     reps = [Graph(1, (0,))]
     for k in range(2, n + 1):
-        nbits = k * (k - 1) // 2
-        codes = sorted(_extension_codes(reps))
-        reps = [from_canonical_code(k, format(c, f"0{nbits}b")) for c in codes]
+        reps = [_from_pair_bits(k, c) for c in sorted(_extension_codes(reps))]
     return tuple(reps)
 
 

@@ -98,6 +98,7 @@ def test_circuit_model_is_pinned():
     # A new gate kind, circuit field or compiled term is a deliberate
     # change to these, as a public name is to PUBLIC.
     assert set(qgi.circuit._ARITY) == GATE_KINDS
+    assert set(qgi.circuit._QASM_NAMES) == GATE_KINDS
     assert tuple(f.name for f in dataclasses.fields(qgi.Circuit)) == CIRCUIT_FIELDS
     assert tuple(f.name for f in dataclasses.fields(qgi.simulator._Program)) == PROGRAM_FIELDS
 

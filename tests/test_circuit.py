@@ -424,6 +424,37 @@ def test_parse_qasm_errors():
         parse_qasm(head + "p(0.785398163397) g[0];")
 
 
+def test_parse_qasm_places_qubits_after_every_declaration():
+    # e[j] is qubit n_graph + j wherever the graph register is declared.
+    text = "OPENQASM 3.0;\nqubit[1] e;\nh e[0];\nqubit[2] g;"
+    assert parse_qasm(text) == Circuit(2, 1, (Gate("h", (2,)),))
+    assert parse_qasm("OPENQASM 3.0;\nh g[1];\nqubit[2] g;") == Circuit(2, 0, (Gate("h", (1,)),))
+    with pytest.raises(InputError, match=r"qubit e\[1\] outside declared"):
+        parse_qasm("OPENQASM 3.0;\nh e[1];\nqubit[2] g;\nqubit[1] e;")
+
+
+_HALF_TURN = "3.14159265359"  # export_qasm's spelling of Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    ("statement", "message"),
+    [
+        (f"h({_HALF_TURN}) g[0];", "h takes no phase"),
+        (f"swap({_HALF_TURN}) g[0], g[1];", "swap takes no phase"),
+        ("cp g[0], g[1];", "cp requires a phase"),
+        ("swap g[0];", "swap expects 2 qubits"),
+        (f"ctrl @ cp({_HALF_TURN}) g[0], g[1];", "ccp expects 3 qubits"),
+        (f"cp({_HALF_TURN}) g[0], g[0];", "qubits must be distinct"),
+        # 0.5 rad is no dyadic turn, so these fail on the angle first.
+        ("h(0.5) g[0];", "not a recognized dyadic"),
+        ("ctrl @ cp(0.5) g[0], g[1];", "not a recognized dyadic"),
+    ],
+)
+def test_parse_qasm_checks_each_statement_as_a_gate(statement, message):
+    with pytest.raises(InputError, match=message):
+        parse_qasm("OPENQASM 3.0;\nqubit[2] g;\n" + statement)
+
+
 def test_parse_qasm_reads_only_the_estimation_register_measured():
     # export_qasm measures e[j] into meas[j], every j; any other
     # measurement would read out something the simulator does not.
@@ -470,11 +501,20 @@ _QASM_STATEMENTS = (
     ("ctrl @ cp({}) {}[{}], {}[{}], {}[{}];", "aririri"),
     ("swap {}[{}], {}[{}];", "riri"),
     ("meas[{}] = measure {}[{}];", "iri"),
+    # Spellings export_qasm never writes, which Gate refuses: a phase on
+    # h or swap, cp without one, one operand too many or too few.
+    ("h({}) {}[{}];", "ari"),
+    ("swap({}) {}[{}], {}[{}];", "ariri"),
+    ("cp {}[{}], {}[{}];", "riri"),
+    ("h {}[{}], {}[{}];", "riri"),
+    ("cp({}) {}[{}];", "ari"),
+    ("ctrl @ cp({}) {}[{}], {}[{}];", "ariri"),
+    ("swap {}[{}], {}[{}], {}[{}];", "ririri"),
 )
 _QASM_FIELDS = {
     "a": st.one_of(
         st.floats().map(repr),
-        st.sampled_from(["nan", "inf", "-inf", "1e999", "pi", ""]),
+        st.sampled_from(["nan", "inf", "-inf", "1e999", "pi", "", "0", _HALF_TURN]),
         st.text(max_size=8),
     ),
     "i": st.one_of(st.integers(0, 3).map(str), st.from_regex(r"[0-9]{1,12}", fullmatch=True)),

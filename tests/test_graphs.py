@@ -285,3 +285,11 @@ def test_from_canonical_code_roundtrip():
         rebuilt = from_canonical_code(n, code)
         assert canonical_code(rebuilt) == code
         assert are_isomorphic(g, rebuilt) is not None
+
+
+def test_from_canonical_code_reads_only_bits():
+    # A code is bits: no other character reads as a 0.
+    for code in ("2x1", "0 1", "+11", "1_0"):
+        with pytest.raises(InputError, match="other than 0 or 1"):
+            from_canonical_code(3, code)
+    assert from_canonical_code(3, "101") == Graph(3, (2, 5, 2))  # the path 0-1-2
