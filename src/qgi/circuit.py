@@ -307,7 +307,7 @@ def parse_qasm(text: str) -> Circuit:
     statements: list[tuple[str, list[tuple[str, int]], Fraction | None]] = []
     meas: list[tuple[int, int]] = []
     for line in lines[1:]:
-        if line.startswith("include"):
+        if line == 'include "stdgates.inc";':
             continue
         if (mt := _DECL_RE.fullmatch(line)) and (mt[1] == "bit") == (mt[3] == "meas"):
             # A register declared twice would have no one size to place by.

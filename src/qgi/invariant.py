@@ -2,10 +2,11 @@
 
 The invariant of a graph is the vector counts[0..m] where counts[k] is
 the number of vertex subsets inducing exactly k edges.  It can be read
-off a phase-estimation circuit (quantum_histogram) or computed by a
-brute-force subset sweep (classical_histogram); both must agree
-exactly.  char_poly provides the classical spectral invariant used for
-comparison, exact in int64 for every graph the sweep accepts.
+off the phase program of the precision plan, which the phase-estimation
+circuit compiles to (quantum_histogram), or computed by a brute-force
+subset sweep (classical_histogram); both must agree exactly.  char_poly
+provides the classical spectral invariant used for comparison, exact in
+int64 for every graph the sweep accepts.
 
 Every subset sweep reads induced edge counts from graphs._edge_counts,
 the one edge-count kernel, which the QPE simulator shares.
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import PrecisionPlan, build_qpe, plan_precision
+from .circuit import PrecisionPlan, plan_precision
 from .errors import InputError, InternalCheckError
 from .graphs import Graph, Permutation, _edge_counts, _edge_tally
-from .simulator import readout, sample
+from .simulator import _qpe_program, _readout, sample
 
 @dataclass(frozen=True)
 class EdgeHistogram:
@@ -89,28 +90,25 @@ def classical_histogram(g: Graph) -> EdgeHistogram:
 
 
 def quantum_histogram(g: Graph, shots: int | None = None, seed: int = 0) -> QpeOutcome:
-    """Read the invariant off the phase-estimation circuit.
+    """Read the invariant off the phase-estimation program of g's plan.
 
     Exact mode (shots=None) converts outcome probabilities p(x) to
     integer subset counts p(x) * 2^n, verifying each is within 1e-6 of
     an integer and that outcomes above m have zero mass.  Shot mode
     reports sampled per-outcome counts without conversion.  In exact
     mode an edgeless graph short-circuits to the trivial histogram
-    [2^n]; shot mode samples its circuit like any other.  The circuit is
-    the fused one: it compiles to the same phase program as the paper's
-    repeated oracle powers, in fewer gates.  Both modes read the
-    estimation register with `readout`, which builds the m + 1
+    [2^n]; shot mode samples its program like any other.  No circuit
+    is built: both modes read out the plan's program, what the QPE
+    circuit (fused or not) compiles to.  `_readout` builds its m + 1
     estimation rows once and weights them by the sweep kernel's tally of
     edge counts, never the 2^w statevector, so no width cap applies:
-    every graph the sweep accepts runs, the complete graph on 24
-    vertices (width 33) included.
+    every graph the sweep accepts runs, K24 (width 33) included.
     """
     plan = plan_precision(g.m)
     if g.m == 0 and shots is None:
         hist = EdgeHistogram(n=g.n, m=0, counts=(1 << g.n,))
         return QpeOutcome("qpe-exact", plan, hist, (1.0,))
-    circuit = build_qpe(g, fuse=True)
-    probs = readout(circuit)
+    probs = _readout(_qpe_program(g, plan.t))
     if shots is None:
         scaled = probs * (1 << g.n)
         rounded = np.rint(scaled)

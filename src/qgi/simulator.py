@@ -27,9 +27,10 @@ the one subset-doubling kernel graphs._edge_counts gives one slice of
 2^16 subsets at a time: its time grows as 2^n_graph and its memory is
 one slice and the 2^t marginal at any width, so it has no width cap;
 only a marginal of more than 2^16 values is admitted against
-MemAvailable.  `run` gathers every graph basis state's row, using the
-kernel's counts as row ids, into the statevector.  Only `run` holds
-all 2^w amplitudes, so HARD_MAX_QUBITS and `peak_bytes` bound `run`
+MemAvailable.  quantum_histogram builds no circuit: it reads out
+`_qpe_program`, what build_qpe's circuit compiles to.  `run` gathers
+every graph basis state's row, using the kernel's counts as row ids,
+into the statevector.  Only `run` holds all 2^w amplitudes, so HARD_MAX_QUBITS and `peak_bytes` bound `run`
 (and `init_state`) alone.
 
 The gate loop (`init_state`, then `apply_gate` for each gate) and
@@ -152,7 +153,8 @@ _READOUT_BYTES = 8 + 2 + 16 + 8 + 8
 
 @dataclass(frozen=True)
 class _Program:
-    """A compiled circuit: the uniform state times exp(2*pi*i * u_g(S) /
+    """A compiled circuit, or the program of a precision plan
+    (`_qpe_program`): the uniform state times exp(2*pi*i * u_g(S) /
     2^bits) on graph basis state S where group g's estimation qubit is
     set, for group 0 (no estimation qubit) and group 1 + j (estimation
     qubit j); then an inverse QFT on the estimation register if fft_tail.
@@ -234,20 +236,28 @@ def _compile(circuit: Circuit) -> _Program:
     return _Program(bits, graph, weight, fft_tail)
 
 
+def _qpe_program(g: Graph, t: int) -> _Program:
+    """_compile(build_qpe(g)), fused or not, for t estimation qubits:
+    2^j / 2^t turns per edge under estimation qubit j; none if edgeless."""
+    if not g.m:
+        return _Program(0, g, [0] * (t + 1), True)
+    return _Program(t, g, [0] + [1 << j for j in range(t)], True)
+
+
 def peak_bytes(circuit: Circuit) -> int:
     """Estimated peak bytes of `run` on circuit.  Raises as `run` does
     for a circuit it cannot compile."""
-    return _peak_bytes(circuit, _compile(circuit))
+    return _peak_bytes(_compile(circuit))
 
 
-def _peak_bytes(circuit: Circuit, program: _Program) -> int:
+def _peak_bytes(program: _Program) -> int:
     """The amplitudes, the m + 1 rows, one slice of subsets, one chunk
     and the exp table."""
-    t = circuit.n_est
+    n, t = program.graph.n, len(program.weight) - 1
     return (
-        (_AMP_BYTES << circuit.width)
+        (_AMP_BYTES << (n + t))
         + (_AMP_BYTES * (program.graph.m + 1) << t)
-        + (_COLUMN_BYTES << min(circuit.n_graph, graphs._SLICE_BITS))
+        + (_COLUMN_BYTES << min(n, graphs._SLICE_BITS))
         + (_BLOCK_TEMP_BYTES << max(t, _BLOCK_BITS))
         + (_TABLE_BYTES << program.bits)
     )
@@ -276,7 +286,7 @@ def _admit(need: int, what: str) -> None:
         )
 
 
-def _rows(circuit: Circuit, program: _Program) -> Iterator[tuple[int, np.ndarray]]:
+def _rows(program: _Program) -> Iterator[tuple[int, np.ndarray]]:
     """Yields (k0, rows) for the edge counts 0..m of program.graph, about
     2^_BLOCK_BITS amplitudes at a time: rows[r, i] is the final
     amplitude of estimation value r for every graph basis state that
@@ -286,12 +296,12 @@ def _rows(circuit: Circuit, program: _Program) -> Iterator[tuple[int, np.ndarray
     bit j of r, by subset doubling over the estimation bits.  One lookup
     in the exp table, then the FFT along the rows if the program has the
     inverse-QFT tail."""
-    t = circuit.n_est
+    t = len(program.weight) - 1
     mask = (1 << program.bits) - 1
     k = np.arange(program.graph.m + 1)
     units = (np.outer(program.weight, k) & mask).astype(np.uint16)
     table = np.exp(2j * math.pi / (1 << program.bits) * np.arange(1 << program.bits))
-    table *= 2.0 ** (-circuit.width / 2)
+    table *= 2.0 ** (-(program.graph.n + t) / 2)
     step = max(1, (1 << _BLOCK_BITS) >> t)
     for k0 in range(0, len(k), step):
         part = units[:, k0 : k0 + step]
@@ -323,11 +333,11 @@ def run(circuit: Circuit) -> Statevector:
             f"circuit width {circuit.width} exceeds the {HARD_MAX_QUBITS}-qubit limit"
         )
     program = _compile(circuit)
-    _admit(_peak_bytes(circuit, program), f"circuit width {circuit.width}")
+    _admit(_peak_bytes(program), f"circuit width {circuit.width}")
     state = Statevector(circuit.width, np.empty(1 << circuit.width, dtype=np.complex128))
     block = state.amps.reshape(1 << circuit.n_est, -1)
     rows = np.empty((len(block), program.graph.m + 1), dtype=np.complex128)
-    for k0, part in _rows(circuit, program):
+    for k0, part in _rows(program):
         rows[:, k0 : k0 + part.shape[1]] = part
     for start, e in graphs._edge_counts(program.graph):
         ids = e.astype(np.intp)
@@ -362,10 +372,16 @@ def readout(circuit: Circuit) -> np.ndarray:
         )
     if circuit.n_est > _BLOCK_BITS:
         _admit(_READOUT_BYTES << circuit.n_est, f"a {circuit.n_est}-qubit estimation register")
-    program = _compile(circuit)
+    return _readout(_compile(circuit))
+
+
+def _readout(program: _Program) -> np.ndarray:
+    """The estimation-register distribution of program: |rows|^2
+    weighted by graphs._edge_tally.  InternalCheckError unless the total
+    mass is within 1e-9 of 1."""
     tally = graphs._edge_tally(program.graph)
-    probs = np.zeros(1 << circuit.n_est)
-    for k0, rows in _rows(circuit, program):
+    probs = np.zeros(1 << (len(program.weight) - 1))
+    for k0, rows in _rows(program):
         probs += (np.abs(rows) ** 2) @ tally[k0 : k0 + rows.shape[1]]
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:

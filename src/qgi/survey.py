@@ -5,7 +5,8 @@ Classes are enumerated by extending each (n-1)-vertex representative
 with one new vertex over all 2^(n-1) neighborhoods, whose canonical
 codes graphs._extension_codes finds in one block per representative.
 Representatives are rebuilt from sorted codes, so the output is
-deterministic.  On one thread of 2 vCPUs `survey --n 8` takes about 10 s.
+deterministic.  On one thread of 2 vCPUs `survey --n 8` takes about 7 s,
+8 s with `--source qpe-exact`, whose histograms need no circuit built.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .invariant import char_poly, classical_histogram, quantum_histogram
 
 # The cap guards one representative's block of extension codes, 2^(n-1)
 # x n! uint32: 20.6 MB at n=8 and 372 MB at n=9.  The QPE histograms of
-# the 12,346 classes at n=8 take about 10 s, so one cap serves both sources.
+# the 12,346 classes at n=8 take about 1.2 s, so one cap serves both sources.
 SURVEY_MAX_VERTICES = 8
 
 CACHE_VERSION = 1

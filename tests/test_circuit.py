@@ -424,6 +424,16 @@ def test_parse_qasm_errors():
         parse_qasm(head + "p(0.785398163397) g[0];")
 
 
+@pytest.mark.parametrize(
+    "line", ["includes are ignored here h g[0];", 'include "other.inc";']
+)
+def test_parse_qasm_skips_only_the_include_export_qasm_writes(line):
+    # Any other line starting with "include" is a statement like any other.
+    with pytest.raises(InputError, match="unsupported statement"):
+        parse_qasm(f"OPENQASM 3.0;\n{line}\nqubit[1] g;")
+    assert parse_qasm('OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit[1] g;') == Circuit(1, 0, ())
+
+
 def test_parse_qasm_places_qubits_after_every_declaration():
     # e[j] is qubit n_graph + j wherever the graph register is declared.
     text = "OPENQASM 3.0;\nqubit[1] e;\nh e[0];\nqubit[2] g;"

@@ -18,6 +18,7 @@ from conftest import (
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qgi.circuit
 import qgi.graphs
 import qgi.invariant
 import qgi.simulator
@@ -40,7 +41,6 @@ from qgi import (
     parse_edge_list,
     prop1_check,
     quantum_histogram,
-    readout,
     run,
     spectra_equal,
 )
@@ -201,22 +201,37 @@ def test_quantum_fuse_equivalent():
 
 def test_quantum_edgeless_short_circuit(monkeypatch):
     widths = []
+    read = qgi.invariant._readout
 
-    def recorded(circuit, **kwargs):
-        widths.append(circuit.width)
-        return readout(circuit, **kwargs)
+    def recorded(program):
+        widths.append(program.graph.n + len(program.weight) - 1)
+        return read(program)
 
-    monkeypatch.setattr(qgi.invariant, "readout", recorded)
+    monkeypatch.setattr(qgi.invariant, "_readout", recorded)
     g = parse_edge_list("3;")
     outcome = quantum_histogram(g)
     assert outcome.histogram.counts == (8,)
     assert outcome.probabilities == (1.0,)
     assert outcome.plan.t == 1
     assert widths == []
-    # Shot mode samples the width-4 circuit like any other graph.
+    # Shot mode samples the width-4 program like any other graph.
     shot = quantum_histogram(g, shots=100, seed=3)
     assert shot.shot_counts == (100,) and shot.source == "qpe-shots"
     assert shot.histogram is None and widths == [4]
+
+
+def test_quantum_histogram_builds_no_circuit(monkeypatch):
+    # Both modes read out the precision plan's program directly.
+    def refused(*args, **kwargs):
+        raise AssertionError("circuit built or compiled")
+
+    monkeypatch.setattr(qgi.simulator, "_compile", refused)
+    monkeypatch.setattr(qgi.circuit, "build_qpe", refused)
+    pairs = list(itertools.combinations(range(16), 2))
+    wide = Graph.from_edges(16, random.Random(2024).sample(pairs, 24))
+    for g in (named_graph("petersen"), wide):
+        assert quantum_histogram(g).histogram.counts == classical_histogram(g).counts
+        assert sum(quantum_histogram(g, shots=1000, seed=5).shot_counts) == 1000
 
 
 @pytest.mark.parametrize("slice_bits", [qgi.graphs._SLICE_BITS, 2])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import random
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import qgi.graphs
 import qgi.simulator
 from qgi import Graph, build_oracle, build_qpe, inverse_qft, named_graph
-from qgi.circuit import Circuit, Gate, ccp, cp, h, swap
+from qgi.circuit import Circuit, Gate, ccp, cp, h, plan_precision, swap
 from qgi.errors import InputError, InternalCheckError, ResourceLimitError
 from qgi.simulator import (
     Statevector,
@@ -469,6 +470,35 @@ def test_fused_and_unfused_qpe_compile_alike():
         np.testing.assert_allclose(_gate_loop(unfused), amps, rtol=0, atol=1e-12)
 
 
+def _labelled_graphs(n: int):
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [e for k, e in enumerate(pairs) if (bits >> k) & 1])
+
+
+def test_qpe_circuits_compile_to_the_plans_program():
+    # quantum_histogram reads out _qpe_program(g, t) without building a
+    # circuit; the circuit of phase estimation, fused or not, compiles
+    # to that program on every graph acceptance criterion 6 reads out.
+    graphs = [g for n in range(1, 6) for g in _labelled_graphs(n)]
+    assert len(graphs) == 1099
+    rng = random.Random(606)
+    for _ in range(50):
+        n = rng.randint(6, 8)
+        graphs.append(
+            Graph.from_edges(
+                n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+            )
+        )
+    graphs.append(Graph.from_edges(24, itertools.combinations(range(24), 2)))
+    graphs.append(Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)]))
+    assert graphs[-1].m == 8
+    for g in graphs:
+        program = qgi.simulator._qpe_program(g, plan_precision(g.m).t)
+        for fuse in (True, False):
+            assert qgi.simulator._compile(build_qpe(g, fuse=fuse)) == program
+
+
 def test_qpe_circuits_need_no_gate_loop(monkeypatch):
     # Uniform fill, one phase run and the FFT tail cover every QPE gate.
     applied = []
@@ -522,9 +552,9 @@ def test_rows_are_built_once_per_circuit(monkeypatch):
     built = []
     rows = qgi.simulator._rows
 
-    def recorded(circuit, program):
-        built.append(circuit)
-        return rows(circuit, program)
+    def recorded(program):
+        built.append(program)
+        return rows(program)
 
     monkeypatch.setattr(qgi.simulator, "_rows", recorded)
     monkeypatch.setattr(qgi.graphs, "_SLICE_BITS", 2)
@@ -533,7 +563,7 @@ def test_rows_are_built_once_per_circuit(monkeypatch):
     np.testing.assert_allclose(
         readout(circuit), marginal(state, circuit.est_register), rtol=0, atol=1e-12
     )
-    assert built == [circuit, circuit]
+    assert built == [qgi.simulator._compile(circuit)] * 2
 
 
 # --- memory admission ---
