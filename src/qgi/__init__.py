@@ -14,7 +14,6 @@ from .circuit import (
     build_oracle,
     build_qpe,
     export_qasm,
-    inverse_qft,
     parse_qasm,
     plan_precision,
 )
@@ -32,7 +31,6 @@ from .graphs import (
     are_isomorphic,
     canonical_code,
     encode_graph6,
-    from_canonical_code,
     induced_edge_count,
     parse_adjacency,
     parse_edge_list,
@@ -56,9 +54,7 @@ from .simulator import (
     dump_amplitudes,
     init_state,
     marginal,
-    peak_bytes,
     phase_table,
-    readout,
     run,
     sample,
 )
@@ -100,11 +96,9 @@ __all__ = [
     "encode_graph6",
     "enumerate_classes",
     "export_qasm",
-    "from_canonical_code",
     "induced_edge_count",
     "init_state",
     "invariant_equal",
-    "inverse_qft",
     "is_fixture",
     "load_report",
     "marginal",
@@ -114,12 +108,10 @@ __all__ = [
     "parse_edge_list",
     "parse_graph6",
     "parse_qasm",
-    "peak_bytes",
     "phase_table",
     "plan_precision",
     "prop1_check",
     "quantum_histogram",
-    "readout",
     "run",
     "run_survey",
     "sample",

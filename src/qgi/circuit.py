@@ -153,17 +153,12 @@ def build_oracle(g: Graph, theta_turns: Fraction) -> Circuit:
     return Circuit(n_graph=g.n, n_est=0, gates=gates)
 
 
-def inverse_qft(t: int) -> tuple[Gate, ...]:
-    """Inverse Fourier transform on qubits 0..t-1, LSB-first in and out:
-    |k> -> 2^(-t/2) * sum_x exp(-2*pi*i*x*k / 2^t) |x>.  t=1 reduces to
-    a single H; t=2 yields SWAP, H, CP(-pi/2), H."""
-    return _inverse_qft_at(t, 0)
-
-
 @functools.lru_cache(maxsize=32)
 def _inverse_qft_at(t: int, offset: int) -> tuple[Gate, ...]:
-    """inverse_qft(t) on qubits offset..offset+t-1, each gate built once
-    with its turns already in [0, 1)."""
+    """Inverse Fourier transform on qubits offset..offset+t-1, LSB-first
+    in and out: |k> -> 2^(-t/2) * sum_x exp(-2*pi*i*x*k / 2^t) |x>.
+    t=1 reduces to a single H; t=2 yields SWAP, H, CP(-pi/2), H.  Each
+    gate is built once, with its turns already in [0, 1)."""
     if t < 1:
         raise InputError(f"register size must be positive, got {t}")
     gates: list[Gate] = []
@@ -299,7 +294,8 @@ def parse_qasm(text: str) -> Circuit:
     placed only after every declaration is read: g[i] is qubit i and
     e[j] is qubit n_graph + j, wherever `qubit[n_graph] g;` stands.
     A measurement, if any, must be the one export_qasm writes: bit[t]
-    meas; then meas[j] = measure e[j]; for j = 0..t-1, t = n_est >= 1."""
+    meas; then meas[j] = measure e[j]; for j = 0..t-1, t = n_est >= 1.
+    Library API: it reads back what `encode` writes; no subcommand does."""
     lines = [line for raw in text.splitlines() if (line := raw.split("//", 1)[0].strip())]
     if not lines or lines[0] != "OPENQASM 3.0;":
         raise InputError("expected an OPENQASM 3.0 header")

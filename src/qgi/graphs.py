@@ -405,6 +405,7 @@ def canonical_code(g: Graph) -> str:
     string over all relabelings.  Equal codes <=> isomorphic graphs.
 
     The minimum over all n! columns of _pair_weights, so capped at n <= 8.
+    Library API: the census canonicalises through _extension_codes.
     """
     if g.n > CANONICAL_MAX_VERTICES:
         raise ResourceLimitError(
@@ -441,14 +442,3 @@ def _labelled_codes(g: Graph, n: int) -> np.ndarray:
     j(j-1)/2 + i at every n > j."""
     rows = _pair_weights(n)[[j * (j - 1) // 2 + i for i, j in g.edges()]]
     return rows.sum(axis=0, dtype=np.uint32)
-
-
-def from_canonical_code(n: int, code: str) -> Graph:
-    """Rebuild a graph from an upper-triangle bit string (inverse of
-    canonical_code's rendering for any fixed labeling)."""
-    nbits = n * (n - 1) // 2
-    if len(code) != nbits:
-        raise InputError(f"code length {len(code)} != {nbits} for n={n}")
-    if code.strip("01"):
-        raise InputError(f"code {code!r} has a character other than 0 or 1")
-    return _from_pair_bits(n, int(code or "0", 2))

@@ -175,7 +175,8 @@ def spectra_equal(g1: Graph, g2: Graph) -> bool:
 
 def prop1_check(g1: Graph, g2: Graph, perm: Permutation) -> bool:
     """Verify that perm preserves induced edge counts on every subset:
-    e_G1(s) == e_G2(perm(s)) for all 2^n subsets s."""
+    e_G1(s) == e_G2(perm(s)) for all 2^n subsets s.  Library API for
+    checking a witness against the paper's Proposition 1."""
     if g1.n != g2.n:
         raise InputError("graphs must have equal vertex counts")
     n = g1.n
@@ -193,6 +194,7 @@ def max_independent_set(g: Graph) -> tuple[int, int]:
     """Largest subset inducing zero edges, via the same subset sweep.
 
     Returns (size, mask); ties broken by the numerically smallest mask.
+    Library API: a second use of the subset sweep.
     """
     best_size = -1
     best_mask = 0

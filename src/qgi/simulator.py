@@ -3,9 +3,9 @@
 Amplitude indexing is little-endian: qubit i is bit i of the state
 index, so a graph-register basis state IS the vertex-subset mask.
 
-`run` and `readout` take one path.  They compile a circuit of the
-phase-estimation shape whole before any amplitude is touched, and
-raise InputError for any other circuit:
+`run` and `_readout` take one path, a `_Program`.  `_compile` makes it
+of a circuit of the phase-estimation shape whole before any amplitude
+is touched, and raises InputError for any other circuit:
 - an H on every qubit of |0...0> as its first gates is the uniform
   state of amplitude 2^(-w/2);
 - the phase gates (cp, ccp) that follow, with dyadic turns of at most
@@ -20,22 +20,21 @@ raise InputError for any other circuit:
 Each op before the FFT is diagonal and the FFT acts on the estimation
 register alone, so the 2^t final amplitudes of a graph basis state S
 depend only on e(S), the number of the graph's edges that S induces:
-they are row e(S) of at most m + 1 rows, built once per circuit, about
-2^16 amplitudes at a time.  `readout` weights each row's |amp|^2 by
+they are row e(S) of at most m + 1 rows, built once per program, about
+2^16 amplitudes at a time.  `_readout` weights each row's |amp|^2 by
 graphs._edge_tally, how many subsets induce each edge count, which
 the one subset-doubling kernel graphs._edge_counts gives one slice of
 2^16 subsets at a time: its time grows as 2^n_graph and its memory is
-one slice and the 2^t marginal at any width, so it has no width cap;
-only a marginal of more than 2^16 values is admitted against
-MemAvailable.  quantum_histogram builds no circuit: it reads out
-`_qpe_program`, what build_qpe's circuit compiles to.  `run` gathers
-every graph basis state's row, using the kernel's counts as row ids,
-into the statevector.  Only `run` holds all 2^w amplitudes, so HARD_MAX_QUBITS and `peak_bytes` bound `run`
-(and `init_state`) alone.
+one slice and the 2^t marginal, so it has no width cap.
+quantum_histogram builds no circuit: it reads out `_qpe_program`, what
+build_qpe's circuit compiles to.  `run` gathers every graph basis
+state's row, using the kernel's counts as row ids, into the
+statevector.  Only `run` holds all 2^w amplitudes, so HARD_MAX_QUBITS
+and `_peak_bytes` bound `run` (and `init_state`) alone.
 
 The gate loop (`init_state`, then `apply_gate` for each gate) and
 `marginal` of its state are the reference that the tests compare `run`
-and `readout` against; the program itself never calls them.
+and `_readout` against; the program itself never calls them.
 apply_gate works in place on reshaped views; marginal holds |amp|^2,
 8 B per amplitude, and is not admitted against memory.
 `dump_amplitudes` writes only the amplitudes with |amp| > 1e-12.
@@ -56,9 +55,8 @@ from .circuit import Circuit, Gate, _inverse_qft_at
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .graphs import MAX_VERTICES, Graph
 
-# Widest circuit run and init_state accept, and widest estimation
-# register readout accepts: they allocate 2^w (readout 2^t) amplitudes,
-# 16 B each, 4 GiB at 28 qubits.
+# Widest circuit run and init_state accept: they allocate 2^w
+# amplitudes, 16 B each, 4 GiB at 28 qubits.
 HARD_MAX_QUBITS = 28
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -76,7 +74,7 @@ class Statevector:
 
 
 def init_state(n_qubits: int) -> Statevector:
-    """|0...0> on n_qubits qubits."""
+    """|0...0> on n_qubits qubits, where the reference gate loop starts."""
     if not 1 <= n_qubits <= HARD_MAX_QUBITS:
         raise ResourceLimitError(
             f"qubit count {n_qubits} outside 1..{HARD_MAX_QUBITS}"
@@ -92,7 +90,8 @@ def _check_qubit(state: Statevector, q: int) -> None:
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Apply one gate in place and return the same Statevector."""
+    """Apply one gate in place and return the same Statevector: one step
+    of the reference gate loop, which simulates any circuit."""
     for q in gate.qubits:
         _check_qubit(state, q)
     amps = state.amps
@@ -145,10 +144,6 @@ _AMP_BYTES = 16
 _COLUMN_BYTES = 4 + 2 + 2 + 2 + 2 + 8
 _BLOCK_TEMP_BYTES = 2 + 8 + 16
 _TABLE_BYTES = 8 + 16 + 16
-# Bytes per estimation value at the peak of `readout` once a chunk is a
-# single row (t > _BLOCK_BITS): the float64 marginal, the uint16 index,
-# the complex128 row, and its float64 modulus and square.
-_READOUT_BYTES = 8 + 2 + 16 + 8 + 8
 
 
 @dataclass(frozen=True)
@@ -188,7 +183,8 @@ def _compile(circuit: Circuit) -> _Program:
     program.graph, under one estimation qubit or none, at that group's
     weight), InputError for any other circuit,
     and ResourceLimitError for a graph register of more than
-    graphs.MAX_VERTICES qubits, which no Graph can hold."""
+    graphs.MAX_VERTICES qubits, which no Graph can hold.  `_readout` of
+    it is the circuit's estimation-register marginal."""
     n, w = circuit.n_graph, circuit.width
     if n > MAX_VERTICES:
         raise ResourceLimitError(
@@ -244,15 +240,9 @@ def _qpe_program(g: Graph, t: int) -> _Program:
     return _Program(t, g, [0] + [1 << j for j in range(t)], True)
 
 
-def peak_bytes(circuit: Circuit) -> int:
-    """Estimated peak bytes of `run` on circuit.  Raises as `run` does
-    for a circuit it cannot compile."""
-    return _peak_bytes(_compile(circuit))
-
-
 def _peak_bytes(program: _Program) -> int:
-    """The amplitudes, the m + 1 rows, one slice of subsets, one chunk
-    and the exp table."""
+    """Estimated peak bytes of `run` on program: the amplitudes, the
+    m + 1 rows, one slice of subsets, one chunk and the exp table."""
     n, t = program.graph.n, len(program.weight) - 1
     return (
         (_AMP_BYTES << (n + t))
@@ -326,7 +316,7 @@ def run(circuit: Circuit) -> Statevector:
     Raises InputError unless circuit is of the phase-estimation shape,
     and ResourceLimitError before allocating when the width exceeds
     HARD_MAX_QUBITS, the graph register graphs.MAX_VERTICES qubits, or
-    peak_bytes exceeds MemAvailable.
+    _peak_bytes exceeds MemAvailable.
     """
     if circuit.width > HARD_MAX_QUBITS:
         raise ResourceLimitError(
@@ -350,35 +340,12 @@ def run(circuit: Circuit) -> Statevector:
     return state
 
 
-def readout(circuit: Circuit) -> np.ndarray:
-    """`marginal` of circuit.est_register after running circuit.
-
-    Adds up |rows|^2 weighted by graphs._edge_tally, how many graph
-    basis states induce each edge count, so it never holds the
-    statevector; its time grows as 2^n_graph.  Its memory is one slice
-    and 2^n_est estimation values; above 2^_BLOCK_BITS of them (no
-    `build_qpe` circuit comes near) they are admitted against
-    MemAvailable at _READOUT_BYTES each.  Raises ResourceLimitError when
-    the graph register exceeds graphs.MAX_VERTICES qubits, the
-    estimation register HARD_MAX_QUBITS or the memory available,
-    InputError unless circuit is of the phase-estimation shape, and
-    InternalCheckError unless the total mass is within 1e-9 of 1."""
-    if not circuit.n_est:
-        raise InputError("empty measurement register")
-    if circuit.n_graph > MAX_VERTICES or circuit.n_est > HARD_MAX_QUBITS:
-        raise ResourceLimitError(
-            f"registers of {circuit.n_graph} graph and {circuit.n_est} estimation "
-            f"qubits exceed the {MAX_VERTICES}-vertex or {HARD_MAX_QUBITS}-qubit limit"
-        )
-    if circuit.n_est > _BLOCK_BITS:
-        _admit(_READOUT_BYTES << circuit.n_est, f"a {circuit.n_est}-qubit estimation register")
-    return _readout(_compile(circuit))
-
-
 def _readout(program: _Program) -> np.ndarray:
-    """The estimation-register distribution of program: |rows|^2
-    weighted by graphs._edge_tally.  InternalCheckError unless the total
-    mass is within 1e-9 of 1."""
+    """`marginal` of the estimation register after `run` of program:
+    |rows|^2 weighted by graphs._edge_tally, with no statevector held.
+    Its memory is one slice and the 2^t marginal, t <= 9 in
+    quantum_histogram.  InternalCheckError unless the total mass is within
+    1e-9 of 1."""
     tally = graphs._edge_tally(program.graph)
     probs = np.zeros(1 << (len(program.weight) - 1))
     for k0, rows in _rows(program):
@@ -393,7 +360,8 @@ def _readout(program: _Program) -> np.ndarray:
 def marginal(state: Statevector, register: tuple[int, ...]) -> np.ndarray:
     """Measurement distribution of the given qubits, all others traced
     out: probs[x] for outcome x, whose bit p comes from register[p].
-    Probabilities below 1e-12 are clamped to zero."""
+    Probabilities below 1e-12 are clamped to zero.  The reference for
+    `_readout`, read from the gate loop's state or `run`'s."""
     k = len(register)
     if k == 0:
         raise InputError("empty measurement register")
@@ -413,7 +381,7 @@ def marginal(state: Statevector, register: tuple[int, ...]) -> np.ndarray:
 
 
 def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """How often each outcome of probs (as `readout` returns) is drawn
+    """How often each outcome of probs (as `marginal` returns) is drawn
     in shots inverse-CDF draws, _SHOT_CHUNK at a time.
 
     PCG64 with an explicit seed; identical (probs, shots, seed) give

@@ -15,7 +15,6 @@ import contextlib
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass
 
 from .errors import CacheError, InputError, InternalCheckError, ResourceLimitError
@@ -38,7 +37,6 @@ class SurveyReport:
     distinct_quantum: int
     distinct_spectra: int
     collisions: tuple[tuple[str, str], ...]
-    elapsed_seconds: float
 
     def to_json(self) -> dict:
         return {
@@ -72,7 +70,6 @@ def run_survey(n: int, source: str = "classical") -> SurveyReport:
     """
     if source not in ("classical", "qpe-exact"):
         raise InputError(f"unknown survey source {source!r}")
-    start = time.perf_counter()
     reps = enumerate_classes(n)
 
     if source == "classical":
@@ -101,7 +98,6 @@ def run_survey(n: int, source: str = "classical") -> SurveyReport:
         distinct_quantum=len(set(fingerprints)),
         distinct_spectra=len(set(spectra)),
         collisions=tuple(collisions),
-        elapsed_seconds=time.perf_counter() - start,
     )
 
 
@@ -169,7 +165,6 @@ def load_report(path: str, n: int, source: str) -> SurveyReport | None:
                 distinct_quantum=payload["distinct_quantum"],
                 distinct_spectra=payload["distinct_spectra"],
                 collisions=tuple((a, b) for a, b in payload["collisions"]),
-                elapsed_seconds=0.0,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheError(f"cache entry for n={n} is malformed: {exc}") from None

@@ -25,16 +25,14 @@ from qgi import (
     classical_histogram,
     export_qasm,
     induced_edge_count,
-    inverse_qft,
     named_graph,
     parse_edge_list,
     parse_qasm,
     plan_precision,
-    readout,
     run,
 )
-from qgi.circuit import ccp, cp, h
-from qgi.simulator import apply_gate, init_state
+from qgi.circuit import _inverse_qft_at, ccp, cp, h
+from qgi.simulator import _compile, _readout, apply_gate, init_state
 
 
 def _apply_gates(n_qubits: int, gates, start=None):
@@ -188,7 +186,7 @@ def test_build_qpe_has_no_width_cap():
     g = parse_edge_list("24; " + "; ".join(f"{i} {i+1}" for i in range(23)))
     circuit = build_qpe(g)
     assert circuit.width == 29
-    counts = np.rint(readout(circuit) * (1 << g.n)).astype(np.int64)
+    counts = np.rint(_readout(_compile(circuit)) * (1 << g.n)).astype(np.int64)
     assert tuple(counts[: g.m + 1].tolist()) == classical_histogram(g).counts
     tracemalloc.start()
     try:
@@ -203,8 +201,8 @@ def test_build_qpe_has_no_width_cap():
 # --- QFT ---
 
 def test_inverse_qft_smallest_cases():
-    assert [g.kind for g in inverse_qft(1)] == ["h"]
-    gates = inverse_qft(2)
+    assert [g.kind for g in _inverse_qft_at(1, 0)] == ["h"]
+    gates = _inverse_qft_at(2, 0)
     assert [g.kind for g in gates] == ["swap", "h", "cp", "h"]
     assert gates[0].qubits == (0, 1)
     assert gates[2].turns == Fraction(3, 4)  # -pi/2 normalized
@@ -225,13 +223,13 @@ def test_inverse_qft_matches_dft_adjoint():
         for x in range(size):
             start = np.zeros(size, dtype=np.complex128)
             start[x] = 1.0
-            out = _apply_gates(t, inverse_qft(t), start)
+            out = _apply_gates(t, _inverse_qft_at(t, 0), start)
             assert np.allclose(out, adjoint[:, x], atol=1e-12)
 
 
 def test_qft_rejects_empty_register():
     with pytest.raises(InputError):
-        inverse_qft(0)
+        _inverse_qft_at(0, 0)
 
 
 # --- QASM export / import ---
@@ -336,7 +334,7 @@ def test_qasm_round_trip_reads_the_histogram(fuse, g):
     again = parse_qasm(export_qasm(circuit))
     assert again == circuit
     # The re-read circuit takes the simulator's one path.
-    scaled = readout(again) * (1 << g.n)
+    scaled = _readout(_compile(again)) * (1 << g.n)
     np.testing.assert_allclose(scaled[: g.m + 1], classical_histogram(g).counts, rtol=0, atol=1e-6)
     assert not scaled[g.m + 1 :].any()
 
@@ -569,10 +567,11 @@ def test_parse_qasm_raises_only_input_error(text):
 
 def test_measurement_roundtrip_order():
     # The 3-vertex path has m = 2, so t = 2: the QASM measures e[0] and
-    # e[1], the register that readout's marginal is over.
+    # e[1], the register that _readout's marginal is over.
     circuit = build_qpe(parse_edge_list("3; 0 1; 1 2"))
     text = export_qasm(circuit)
     assert "bit[2] meas;\n" in text
     assert text.endswith("meas[0] = measure e[0];\nmeas[1] = measure e[1];\n")
     assert parse_qasm(text) == circuit
-    assert readout(circuit).tolist() == pytest.approx([0.625, 0.25, 0.125, 0.0], abs=1e-12)
+    probs = _readout(_compile(circuit))
+    assert probs.tolist() == pytest.approx([0.625, 0.25, 0.125, 0.0], abs=1e-12)

@@ -15,18 +15,19 @@ from hypothesis import strategies as st
 
 import qgi.graphs
 import qgi.simulator
-from qgi import Graph, build_oracle, build_qpe, inverse_qft, named_graph
-from qgi.circuit import Circuit, Gate, ccp, cp, h, plan_precision, swap
+from qgi import Graph, build_oracle, build_qpe, named_graph
+from qgi.circuit import Circuit, Gate, _inverse_qft_at, ccp, cp, h, plan_precision, swap
 from qgi.errors import InputError, InternalCheckError, ResourceLimitError
 from qgi.simulator import (
     Statevector,
+    _compile,
+    _peak_bytes,
+    _readout,
     apply_gate,
     dump_amplitudes,
     init_state,
     marginal,
-    peak_bytes,
     phase_table,
-    readout,
     run,
     sample,
 )
@@ -187,7 +188,7 @@ def test_run_respects_qubit_budget():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    np.testing.assert_allclose(readout(wide), np.full(32, 1 / 32), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_readout(_compile(wide)), np.full(32, 1 / 32), rtol=0, atol=1e-15)
     assert run(build_qpe(named_graph("c4"))).n_qubits == 7
 
 
@@ -203,37 +204,6 @@ def test_run_refuses_graph_registers_beyond_a_graph():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-
-
-def test_readout_caps_its_registers():
-    # The read-out sweeps 2^n_graph graph basis states and holds 2^n_est
-    # amplitudes per edge count: more than a graph's 24 vertices or
-    # HARD_MAX_QUBITS estimation qubits is refused before any work.
-    for n_graph, n_est in ((25, 1), (1, 29)):
-        w = n_graph + n_est
-        circuit = Circuit(n_graph=n_graph, n_est=n_est, gates=tuple(h(q) for q in range(w)))
-        with pytest.raises(ResourceLimitError, match="limit"):
-            readout(circuit)
-
-
-def test_readout_admits_wide_estimation_registers(monkeypatch):
-    # One graph qubit under t estimation qubits, H on each: the marginal
-    # and one chunk hold 2^t values, about 10.5 GiB at t = 28.  Refused
-    # before any is allocated; t = 21 (84 MiB) still reads out.
-    monkeypatch.setattr(qgi.simulator, "_mem_available", lambda: 8 << 30)
-    widest = Circuit(n_graph=1, n_est=28, gates=tuple(h(q) for q in range(29)))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimitError, match="MiB available"):
-            readout(widest)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    wide = Circuit(n_graph=1, n_est=21, gates=tuple(h(q) for q in range(22)))
-    probs = readout(wide)
-    assert len(probs) == 1 << 21
-    np.testing.assert_allclose(probs, 1.0 / (1 << 21), rtol=1e-12, atol=0)
 
 
 def test_oracle_on_superposition_carries_edge_counts():
@@ -263,13 +233,6 @@ def _gate_loop_state(circuit: Circuit) -> Statevector:
 
 def _gate_loop(circuit: Circuit) -> np.ndarray:
     return _gate_loop_state(circuit).amps
-
-
-def _iqft_on_est(n_graph: int, n_est: int) -> tuple[Gate, ...]:
-    return tuple(
-        Gate(g.kind, tuple(q + n_graph for q in g.qubits), g.turns)
-        for g in inverse_qft(n_est)
-    )
 
 
 # Dyadic turns of 1 to 16 bits: the phases a compiled run takes.
@@ -337,7 +300,7 @@ def _qpe_shaped(draw) -> Circuit:
     gates = [h(q) for q in draw(st.permutations(range(w)))]
     gates += draw(st.permutations(phases))
     if tail:
-        gates += _iqft_on_est(n_graph, n_est)
+        gates += _inverse_qft_at(n_est, n_graph)
     return Circuit(n_graph=n_graph, n_est=n_est, gates=tuple(gates))
 
 
@@ -407,7 +370,7 @@ def _off_shape(draw) -> Circuit:
     else:
         phase = draw(st.sampled_from([k for k, a in _ARITY.items() if a <= w]))
         inserted = [Gate(phase, tuple(qubits[: _ARITY[phase]]), draw(_OFF_GRID))]
-    iqft = _iqft_on_est(n, w - n) if w > n else ()
+    iqft = _inverse_qft_at(w - n, n) if w > n else ()
     end = len(gates) - len(iqft) if iqft and tuple(gates[-len(iqft) :]) == iqft else len(gates)
     for gate in inserted:
         merged_term = broken in ("graph est", "unequal", "two graphs")
@@ -437,7 +400,7 @@ def test_readout_matches_marginal_of_run(slice_bits, circuit):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
         mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
-        probs = readout(circuit)
+        probs = _readout(_compile(circuit))
     expect = marginal(_gate_loop_state(circuit), circuit.est_register)
     np.testing.assert_allclose(probs, expect, rtol=0, atol=1e-12)
 
@@ -449,8 +412,6 @@ def test_other_circuits_are_refused(circuit):
     # Only the gate loop, called directly, simulates such a circuit.
     with pytest.raises(InputError, match="phase-estimation shape"):
         run(circuit)
-    with pytest.raises(InputError, match="phase-estimation shape" if circuit.n_est else "empty"):
-        readout(circuit)
 
 
 def test_compiled_run_matches_gate_loop_beyond_one_block():
@@ -525,7 +486,7 @@ def test_qpe_readout_sweeps_its_graph_once(monkeypatch):
     for g in (named_graph("c4"), named_graph("petersen"), random_graph(random.Random(424), 9)):
         for fuse in (True, False):
             swept.clear()
-            readout(build_qpe(g, fuse=fuse))
+            _readout(_compile(build_qpe(g, fuse=fuse)))
             assert swept == [g]
 
 
@@ -537,13 +498,13 @@ def test_edgeless_readout_does_not_sweep(monkeypatch):
     swept = sum(np.bincount(e, minlength=1) for _, e in qgi.graphs._edge_counts(g))
     with monkeypatch.context() as mp:
         mp.setattr(qgi.graphs, "_edge_tally", lambda graph: swept)
-        before = readout(circuit)
+        before = _readout(_compile(circuit))
 
     def kernel(graph):
         raise AssertionError("edgeless graph swept")
 
     monkeypatch.setattr(qgi.graphs, "_edge_counts", kernel)
-    assert np.array_equal(readout(circuit), before)
+    assert np.array_equal(_readout(_compile(circuit)), before)
 
 
 def test_rows_are_built_once_per_circuit(monkeypatch):
@@ -561,7 +522,7 @@ def test_rows_are_built_once_per_circuit(monkeypatch):
     circuit = build_qpe(named_graph("petersen"), fuse=True)
     state = run(circuit)
     np.testing.assert_allclose(
-        readout(circuit), marginal(state, circuit.est_register), rtol=0, atol=1e-12
+        _readout(_compile(circuit)), marginal(state, circuit.est_register), rtol=0, atol=1e-12
     )
     assert built == [qgi.simulator._compile(circuit)] * 2
 
@@ -577,32 +538,34 @@ def test_peak_bytes_counts_amplitudes_and_temporaries():
     chunk = 26 << 16
     uniform = tuple(h(q) for q in range(5))
     expect = (16 << 5) + 16 + (20 << 5) + chunk + 40
-    assert peak_bytes(Circuit(n_graph=5, n_est=0, gates=uniform)) == expect
+    assert _peak_bytes(_compile(Circuit(n_graph=5, n_est=0, gates=uniform))) == expect
     # C4 has 4 edges, so 5 rows, and t = 3: phases in units of 1/8 turn.
     c4 = named_graph("c4")
     expect = (16 << 7) + (16 * 5 << 3) + (20 << 4) + chunk + (40 << 3)
-    assert peak_bytes(build_qpe(c4)) == peak_bytes(build_qpe(c4, fuse=True)) == expect
+    for fuse in (False, True):
+        assert _peak_bytes(_compile(build_qpe(c4, fuse=fuse))) == expect
     # Width 28 is arithmetic alone: 24 vertices and 15 edges, so t = 4.
     rng = random.Random(425)
     pairs = [(i, j) for i in range(24) for j in range(i + 1, 24)]
     wide = build_qpe(Graph.from_edges(24, rng.sample(pairs, 15)), fuse=True)
     assert wide.width == 28
-    assert peak_bytes(wide) == (16 << 28) + (16 * 16 << 4) + (20 << 16) + chunk + (40 << 4)
+    expect = (16 << 28) + (16 * 16 << 4) + (20 << 16) + chunk + (40 << 4)
+    assert _peak_bytes(_compile(wide)) == expect
     # A circuit that run refuses raises as run does: a phase on graph
     # qubit 0 under estimation qubit 3, an H after the leading layer,
     # and 28 graph qubits.
     layer = tuple(h(q) for q in range(28))
     for gate in (cp(0, 27, Fraction(1, 4)), h(3)):
         with pytest.raises(InputError, match="phase-estimation shape"):
-            peak_bytes(Circuit(n_graph=24, n_est=4, gates=layer + (gate,)))
+            _peak_bytes(_compile(Circuit(n_graph=24, n_est=4, gates=layer + (gate,))))
     with pytest.raises(ResourceLimitError, match="24-vertex limit"):
-        peak_bytes(Circuit(n_graph=28, n_est=0, gates=layer))
+        _peak_bytes(_compile(Circuit(n_graph=28, n_est=0, gates=layer)))
 
 
 def test_run_peak_stays_within_peak_bytes():
     # The admission cannot under-count: run's measured peak on QPE
     # circuits of width 19 to 21, fused and not, sparse and dense, stays
-    # within peak_bytes, which over-counts it by at most half.
+    # within _peak_bytes, which over-counts it by at most half.
     rng = random.Random(420)
 
     def graph(n: int, m: int) -> Graph:
@@ -623,7 +586,7 @@ def test_run_peak_stays_within_peak_bytes():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (16 << circuit.width) < peak <= peak_bytes(circuit) <= 1.5 * peak
+        assert (16 << circuit.width) < peak <= _peak_bytes(_compile(circuit)) <= 1.5 * peak
 
 
 def test_readout_memory_is_one_slice():
@@ -636,7 +599,7 @@ def test_readout_memory_is_one_slice():
     assert circuit.width == 28
     tracemalloc.start()
     try:
-        probs = readout(circuit)
+        probs = _readout(_compile(circuit))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -646,7 +609,7 @@ def test_readout_memory_is_one_slice():
 
 def test_run_refuses_beyond_available_memory(monkeypatch):
     qpe = build_qpe(named_graph("petersen"))
-    need = peak_bytes(qpe)
+    need = _peak_bytes(_compile(qpe))
     monkeypatch.setattr(qgi.simulator, "_mem_available", lambda: need - 1)
     with pytest.raises(ResourceLimitError, match="MiB available"):
         run(qpe)
@@ -710,7 +673,7 @@ def test_sample_point_mass():
 
 
 def test_sample_reproducible_and_seed_sensitive():
-    probs = readout(build_qpe(named_graph("m3")))
+    probs = _readout(_compile(build_qpe(named_graph("m3"))))
     a = sample(probs, shots=2000, seed=42)
     b = sample(probs, shots=2000, seed=42)
     c = sample(probs, shots=2000, seed=43)
@@ -725,12 +688,12 @@ M3_TALLIES = [1008, 603, 263, 126]
 @pytest.mark.parametrize("chunk", [qgi.simulator._SHOT_CHUNK, 7])
 def test_sample_chunks_draw_one_stream(chunk, monkeypatch):
     monkeypatch.setattr(qgi.simulator, "_SHOT_CHUNK", chunk)
-    probs = readout(build_qpe(named_graph("m3")))
+    probs = _readout(_compile(build_qpe(named_graph("m3"))))
     assert sample(probs, shots=2000, seed=42).tolist() == M3_TALLIES
 
 
 def test_sample_memory_stays_one_chunk():
-    probs = readout(build_qpe(named_graph("m3")))
+    probs = _readout(_compile(build_qpe(named_graph("m3"))))
     tracemalloc.start()
     try:
         counts = sample(probs, shots=10**7, seed=5)
@@ -742,7 +705,7 @@ def test_sample_memory_stays_one_chunk():
 
 
 def test_sample_five_sigma():
-    probs = readout(build_qpe(named_graph("m3")))
+    probs = _readout(_compile(build_qpe(named_graph("m3"))))
     shots = 100_000
     counts = sample(probs, shots=shots, seed=7)
     assert counts.sum() == shots

@@ -98,7 +98,6 @@ def test_survey_small_orders_complete():
         assert report.distinct_quantum == dq
         assert report.distinct_spectra == ds
         assert report.collisions == ()
-        assert report.elapsed_seconds >= 0.0
 
 
 def test_survey_first_collisions_at_order_seven():
@@ -151,7 +150,7 @@ def test_cache_roundtrip(tmp_path):
     loaded = load_report(path, 4, "classical")
     assert loaded is not None
     assert loaded.to_json() == report.to_json()
-    assert loaded.elapsed_seconds == 0.0  # cached entries carry no timing
+    assert loaded == report
 
 
 def test_cache_miss_returns_none(tmp_path):
