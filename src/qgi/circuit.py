@@ -109,10 +109,6 @@ class Circuit:
     def width(self) -> int:
         return self.n_graph + self.n_est
 
-    @property
-    def est_register(self) -> tuple[int, ...]:
-        return tuple(range(self.n_graph, self.width))
-
 
 @dataclass(frozen=True)
 class PrecisionPlan:

@@ -41,11 +41,13 @@ def _detect_format(text: str) -> str:
     if ";" in text:
         return "edgelist"
     # graph6 never uses the characters 0 and 1, so all-0/1 tokens
-    # (a 1-vertex "0" included) can only be an adjacency matrix.
+    # (a 1-vertex "0" included) can only be an adjacency matrix; and it
+    # is one token, so any other text of several tokens is an edge list
+    # with one field per line.
     toks = text.split()
     if toks and all(t in ("0", "1") for t in toks):
         return "adjacency"
-    return "graph6"
+    return "edgelist" if len(toks) > 1 else "graph6"
 
 
 def load_graph(source: str, fmt: str = "auto") -> Graph:

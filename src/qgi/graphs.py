@@ -72,9 +72,6 @@ class Graph:
         """Number of edges."""
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.adj[i] >> j) & 1)
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adj)
 

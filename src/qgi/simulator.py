@@ -1,31 +1,28 @@
-"""Dense statevector simulation of phase-estimation circuits.
+"""Dense statevector simulation of the circuits qgi builds.
 
 Amplitude indexing is little-endian: qubit i is bit i of the state
 index, so a graph-register basis state IS the vertex-subset mask.
 
-`run` and `_readout` take one path, a `_Program`.  `_compile` makes it
-of a circuit of the phase-estimation shape whole before any amplitude
-is touched, and raises InputError for any other circuit:
-- an H on every qubit of |0...0> as its first gates is the uniform
-  state of amplitude 2^(-w/2);
-- the phase gates (cp, ccp) that follow, with dyadic turns of at most
-  16 bits, are merged per qubit set by exact sums of turns into one
-  integer phase index mod 2^T, written with the uniform amplitude by
-  one lookup in a 2^T-entry exp table.  Each merged term lies on an
-  edge of one graph, alone or under one estimation qubit, with equal
-  turns on every edge under the same estimation qubit (or none): the
-  oracle powers of phase estimation, fused or not;
-- an optional tail equal to the inverse QFT on the estimation register
-  is one FFT along that register's axis.
-Each op before the FFT is diagonal and the FFT acts on the estimation
-register alone, so the 2^t final amplitudes of a graph basis state S
-depend only on e(S), the number of the graph's edges that S induces:
-they are row e(S) of at most m + 1 rows, built once per program, about
-2^16 amplitudes at a time.  `_readout` weights each row's |amp|^2 by
-graphs._edge_tally, how many subsets induce each edge count, which
-the one subset-doubling kernel graphs._edge_counts gives one slice of
-2^16 subsets at a time: its time grows as 2^n_graph and its memory is
-one slice and the 2^t marginal, so it has no width cap.
+`run` and `_readout` take one path, a `_Program`.  `_compile` reads the
+graph off a circuit's phase gates and makes the program before any
+amplitude is touched, if the circuit is one of the two that qgi builds
+from that graph, and raises InputError for any other circuit:
+- build_qpe(graph, fuse), fused or not: after the H layer, graph basis
+  state S with estimation value r carries r * e(S) / 2^t turns, where
+  e(S) is the number of the graph's edges that S induces, and the
+  inverse-QFT tail is one FFT along the estimation register's axis;
+- an H on every graph qubit, then build_oracle(graph, turns) with
+  dyadic turns of at most 16 bits: S carries turns * e(S).
+Both give estimation value r the integer phase index
+(unit + r) * e(S) mod 2^bits, written with the uniform amplitude by one
+lookup in a 2^bits-entry exp table.  So the 2^t final amplitudes of a
+graph basis state S depend only on e(S): they are row e(S) of at most
+m + 1 rows, built once per program, about 2^16 amplitudes at a time.
+`_readout` weights each row's |amp|^2 by graphs._edge_tally, how many
+subsets induce each edge count, which the one subset-doubling kernel
+graphs._edge_counts gives one slice of 2^16 subsets at a time: its
+time grows as 2^n_graph and its memory is one slice and the 2^t
+marginal, so it has no width cap.
 quantum_histogram builds no circuit: it reads out `_qpe_program`, what
 build_qpe's circuit compiles to.  `run` gathers every graph basis
 state's row, using the kernel's counts as row ids, into the
@@ -51,7 +48,7 @@ from typing import TextIO
 import numpy as np
 
 from . import graphs
-from .circuit import Circuit, Gate, _inverse_qft_at
+from .circuit import Circuit, Gate, build_oracle, build_qpe, h
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .graphs import MAX_VERTICES, Graph
 
@@ -122,8 +119,8 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     return state
 
 
-# A program accumulates turns in units of 2^-T with T <= _PHASE_BITS,
-# so the integer phase index of every basis state fits in a uint16.
+# An oracle's turns have at most _PHASE_BITS bits, so a program's exp
+# table has at most 2^16 entries.
 _PHASE_BITS = 16
 # Row chunks and dump chunks hold about 2^_BLOCK_BITS amplitudes, so
 # their temporaries stay in cache and small at any width.
@@ -138,112 +135,85 @@ _PHASE_ATOL = 1e-6
 # Bytes at the peak of `run`: the complex128 amplitudes and rows; per
 # subset of a slice, the kernel's uint32 masks, its uint16 counts,
 # output and grid offsets, and the intp row ids; per chunk element, the
-# uint16 index, its intp cast and the lookup; per entry of the 2^bits
-# exp table, its int64 exponents, their complex multiple and the table.
+# int64 phase index and the lookup; per entry of the 2^bits exp table,
+# its int64 exponents, their complex multiple and the table.
 _AMP_BYTES = 16
 _COLUMN_BYTES = 4 + 2 + 2 + 2 + 2 + 8
-_BLOCK_TEMP_BYTES = 2 + 8 + 16
+_BLOCK_TEMP_BYTES = 8 + 16
 _TABLE_BYTES = 8 + 16 + 16
 
 
 @dataclass(frozen=True)
 class _Program:
     """A compiled circuit, or the program of a precision plan
-    (`_qpe_program`): the uniform state times exp(2*pi*i * u_g(S) /
-    2^bits) on graph basis state S where group g's estimation qubit is
-    set, for group 0 (no estimation qubit) and group 1 + j (estimation
-    qubit j); then an inverse QFT on the estimation register if fft_tail.
-    u_g(S) is weight[g] * e(S) mod 2^bits, where e(S) is the number of
-    edges of graph that S induces."""
+    (`_qpe_program`): the uniform state on the graph register and t
+    estimation qubits times exp(2*pi*i * (unit + r) * e(S) / 2^bits) on
+    graph basis state S with estimation value r, then an inverse QFT on
+    the estimation register if t > 0.  e(S) is the number of edges of
+    graph that S induces.  build_qpe's circuit has unit 0 and bits t;
+    an H layer and build_oracle(graph, unit / 2^bits) have t = 0."""
 
     bits: int
     graph: Graph
-    weight: list[int]
-    fft_tail: bool
-
-
-def _dyadic_bits(turns: Fraction) -> int | None:
-    """Bits of the power-of-two denominator of turns, None if not dyadic."""
-    den = turns.denominator
-    return den.bit_length() - 1 if den & (den - 1) == 0 else None
+    t: int
+    unit: int
 
 
 _OFF_SHAPE = (
-    "circuit is not of the phase-estimation shape: an H on every qubit, then "
-    "phase gates with dyadic turns of at most 16 bits, each on an edge of one "
-    "graph, alone or under one estimation qubit, with equal turns per "
-    "estimation qubit, then optionally the inverse QFT on the estimation register"
+    "circuit is not one that qgi builds: build_qpe(g, fuse) of the graph g "
+    "its phase gates lie on, or an H on every qubit then build_oracle(g, turns) "
+    "with dyadic turns of at most 16 bits"
 )
 
 
 def _compile(circuit: Circuit) -> _Program:
-    """The program of a circuit of the phase-estimation shape (the H
-    layer in any order; _PHASE_BITS bits at most; terms whose merged
-    turns are whole turns dropped; every other term an edge of
-    program.graph, under one estimation qubit or none, at that group's
-    weight), InputError for any other circuit,
-    and ResourceLimitError for a graph register of more than
-    graphs.MAX_VERTICES qubits, which no Graph can hold.  `_readout` of
-    it is the circuit's estimation-register marginal."""
-    n, w = circuit.n_graph, circuit.width
+    """The program of one of the two circuits qgi builds, read off the
+    graph that its phase gates lie on: build_qpe(graph, fuse), fused or
+    not, or an H on every graph qubit then build_oracle(graph, turns)
+    with dyadic turns of at most _PHASE_BITS bits.  InputError for every
+    other circuit, and first ResourceLimitError for a graph register of
+    more than graphs.MAX_VERTICES qubits, which no Graph can hold.
+    `_readout` of it is the circuit's estimation-register marginal."""
+    n, t = circuit.n_graph, circuit.n_est
     if n > MAX_VERTICES:
         raise ResourceLimitError(
             f"graph register of {n} qubits exceeds the {MAX_VERTICES}-vertex limit"
         )
-    gates = circuit.gates
-    if {g.qubits[0] for g in gates[:w] if g.kind == "h"} != set(range(w)):
-        raise InputError(_OFF_SHAPE)
-    body = gates[w:]
-    fft_tail = False
-    if circuit.n_est:
-        tail = _inverse_qft_at(circuit.n_est, n)
-        if body[-len(tail) :] == tail:
-            fft_tail = True
-            body = body[: -len(tail)]
-    # Exact sums of the turns per qubit set, in units of 2^-_PHASE_BITS.
-    merged: dict[tuple[int, ...], int] = {}
-    for gate in body:
-        bits = None if gate.turns is None else _dyadic_bits(gate.turns)
-        if bits is None or bits > _PHASE_BITS:
+    phases = [gate for gate in circuit.gates if gate.turns is not None]
+    # Each oracle gate that qgi builds ends on its edge; the pairs of the
+    # inverse-QFT tail lie on no graph qubit.
+    pairs = {gate.qubits[-2:] for gate in phases}
+    graph = Graph.from_edges(n, [pair for pair in pairs if max(pair) < n])
+    if t:
+        # The unfused circuit repeats each oracle power 2^j times, so it
+        # is built only when the gate count is not the fused one.
+        built = build_qpe(graph, fuse=True)
+        if len(circuit.gates) != len(built.gates):
+            built = build_qpe(graph)
+        if circuit != built:
             raise InputError(_OFF_SHAPE)
-        key = tuple(sorted(gate.qubits))
-        units = gate.turns.numerator << (_PHASE_BITS - bits)
-        merged[key] = (merged.get(key, 0) + units) % (1 << _PHASE_BITS)
-    # The coarsest unit that still expresses every merged phase.
-    shift = min(((k & -k).bit_length() - 1 for k in merged.values() if k), default=_PHASE_BITS)
-    bits = _PHASE_BITS - shift
-    weight = [0] * (1 + circuit.n_est)
-    edges: list[set[tuple[int, ...]]] = [set() for _ in weight]
-    for key, units in merged.items():
-        g = key[-1] - n + 1 if key[-1] >= n else 0
-        pair = key[:-1] if g else key
-        units >>= shift
-        if not units:
-            continue
-        if len(pair) == 2 and pair[1] < n and weight[g] in (0, units):
-            weight[g] = units
-            edges[g].add(pair)
-        else:
-            raise InputError(_OFF_SHAPE)
-    edge_sets = {frozenset(group) for group in edges if group}
-    if len(edge_sets) > 1:
+        return _qpe_program(graph, t)
+    turns = phases[0].turns if phases else Fraction(0)
+    den = turns.denominator
+    layer = tuple(h(q) for q in range(n))
+    if den & (den - 1) or den > 1 << _PHASE_BITS or (
+        circuit.gates != layer + build_oracle(graph, turns).gates
+    ):
         raise InputError(_OFF_SHAPE)
-    graph = Graph.from_edges(n, next(iter(edge_sets), ()))
-    return _Program(bits, graph, weight, fft_tail)
+    return _Program(den.bit_length() - 1, graph, 0, turns.numerator)
 
 
 def _qpe_program(g: Graph, t: int) -> _Program:
     """_compile(build_qpe(g)), fused or not, for t estimation qubits:
-    2^j / 2^t turns per edge under estimation qubit j; none if edgeless."""
-    if not g.m:
-        return _Program(0, g, [0] * (t + 1), True)
-    return _Program(t, g, [0] + [1 << j for j in range(t)], True)
+    r / 2^t turns per induced edge at estimation value r; no phase at
+    all if g is edgeless."""
+    return _Program(t if g.m else 0, g, t, 0)
 
 
 def _peak_bytes(program: _Program) -> int:
     """Estimated peak bytes of `run` on program: the amplitudes, the
     m + 1 rows, one slice of subsets, one chunk and the exp table."""
-    n, t = program.graph.n, len(program.weight) - 1
+    n, t = program.graph.n, program.t
     return (
         (_AMP_BYTES << (n + t))
         + (_AMP_BYTES * (program.graph.m + 1) << t)
@@ -282,28 +252,22 @@ def _rows(program: _Program) -> Iterator[tuple[int, np.ndarray]]:
     amplitude of estimation value r for every graph basis state that
     induces k0 + i edges.
 
-    Row r's phase index is group 0's units plus group 1 + j's for each
-    bit j of r, by subset doubling over the estimation bits.  One lookup
-    in the exp table, then the FFT along the rows if the program has the
-    inverse-QFT tail."""
-    t = len(program.weight) - 1
+    Row r's phase index is (unit + r) * k mod 2^bits for edge count k,
+    one outer product; one lookup in the exp table, then the FFT along
+    the rows if the program has estimation qubits."""
+    t = program.t
     mask = (1 << program.bits) - 1
     k = np.arange(program.graph.m + 1)
-    units = (np.outer(program.weight, k) & mask).astype(np.uint16)
+    r = np.arange(program.unit, program.unit + (1 << t))
     table = np.exp(2j * math.pi / (1 << program.bits) * np.arange(1 << program.bits))
     table *= 2.0 ** (-(program.graph.n + t) / 2)
     step = max(1, (1 << _BLOCK_BITS) >> t)
     for k0 in range(0, len(k), step):
-        part = units[:, k0 : k0 + step]
-        idx = np.empty((1 << t, part.shape[1]), dtype=np.uint16)
-        idx[0] = part[0]
-        for j in range(t):
-            h = 1 << j
-            np.add(idx[:h], part[1 + j], out=idx[h : 2 * h])
-        idx &= np.uint16(mask)
+        idx = np.outer(r, k[k0 : k0 + step])
+        idx &= mask
         # Every index is below len(table): "clip" skips the bounds check.
         rows = np.take(table, idx, mode="clip")
-        if program.fft_tail:
+        if t:
             np.fft.fft(rows, axis=0, norm="ortho", out=rows)
         yield k0, rows
 
@@ -313,8 +277,8 @@ def run(circuit: Circuit) -> Statevector:
     rows are built once, then each slice of graph basis states gathers
     its rows by the edge counts that graphs._edge_counts gives it.
 
-    Raises InputError unless circuit is of the phase-estimation shape,
-    and ResourceLimitError before allocating when the width exceeds
+    Raises InputError unless circuit is one of the two that qgi builds
+    (see `_compile`), and ResourceLimitError before allocating when the width exceeds
     HARD_MAX_QUBITS, the graph register graphs.MAX_VERTICES qubits, or
     _peak_bytes exceeds MemAvailable.
     """
@@ -347,7 +311,7 @@ def _readout(program: _Program) -> np.ndarray:
     quantum_histogram.  InternalCheckError unless the total mass is within
     1e-9 of 1."""
     tally = graphs._edge_tally(program.graph)
-    probs = np.zeros(1 << (len(program.weight) - 1))
+    probs = np.zeros(1 << program.t)
     for k0, rows in _rows(program):
         probs += (np.abs(rows) ** 2) @ tally[k0 : k0 + rows.shape[1]]
     total = float(probs.sum())

@@ -57,7 +57,7 @@ def slow_canonical_code(g: Graph) -> str:
     bit string over all n! relabellings, by plain itertools."""
     pairs = [(i, j) for j in range(1, g.n) for i in range(j)]
     return min(
-        "".join("1" if g.has_edge(p[i], p[j]) else "0" for i, j in pairs)
+        "".join(str(g.adj[p[i]] >> p[j] & 1) for i, j in pairs)
         for p in permutations(range(g.n))
     )
 
@@ -121,7 +121,7 @@ def slow_char_poly(g: Graph) -> list[int]:
         term = [1]
         for i in range(n):
             j = perm[i]
-            a_ij = 1 if g.has_edge(i, j) else 0
+            a_ij = g.adj[i] >> j & 1
             if i == j:
                 term = poly_mul(term, [-a_ij, 1])  # x - A[i][i]
             else:

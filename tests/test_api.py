@@ -3,6 +3,8 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import functools
+import inspect
 from pathlib import Path
 
 import qgi
@@ -107,12 +109,31 @@ def _loaded_names(path: Path) -> set[str]:
     return names
 
 
+def _public_members() -> dict[str, str]:
+    """Each public method and property of a class in qgi.__all__, by
+    name, as Class.name.  A dataclass field is data, not a member: at
+    most its default sits in the class."""
+    kinds = (property, functools.cached_property, staticmethod, classmethod)
+    members = {}
+    for owner in map(qgi.__dict__.get, qgi.__all__):
+        if inspect.isclass(owner):
+            for name, value in vars(owner).items():
+                if not name.startswith("_") and (
+                    inspect.isfunction(value) or isinstance(value, kinds)
+                ):
+                    members[name] = f"{owner.__name__}.{name}"
+    return members
+
+
 def test_every_public_name_has_a_caller():
     modules = [p for p in Path(qgi.__file__).parent.glob("*.py") if p.name != "__init__.py"]
     in_src = set().union(*map(_loaded_names, modules))
     called = in_src | _loaded_names(Path(__file__).with_name("test_acceptance.py"))
     uncalled = sorted(set(qgi.__all__) - called - DELIBERATE.keys())
     assert not uncalled, f"public names with no caller: {uncalled}"
+    members = _public_members()
+    uncalled = sorted(members[name] for name in members.keys() - called)
+    assert not uncalled, f"public members with no caller: {uncalled}"
     # The exceptions cannot go stale: each is public and still uncalled.
     private = sorted(DELIBERATE.keys() - set(qgi.__all__))
     assert not private, f"deliberate names that are not public: {private}"
@@ -125,7 +146,7 @@ def test_every_public_name_has_a_caller():
 # phase-estimation circuit keeps.
 GATE_KINDS = {"h", "cp", "ccp", "swap"}
 CIRCUIT_FIELDS = ("n_graph", "n_est", "gates")
-PROGRAM_FIELDS = ("bits", "graph", "weight", "fft_tail")
+PROGRAM_FIELDS = ("bits", "graph", "t", "unit")
 
 
 def test_circuit_model_is_pinned():

@@ -150,8 +150,7 @@ def test_oracle_gate_order_is_immaterial():
 
 def test_build_qpe_c4_shape():
     qpe = build_qpe(named_graph("c4"), fuse=True)
-    assert qpe.width == 7
-    assert qpe.est_register == (4, 5, 6)
+    assert (qpe.n_graph, qpe.n_est, qpe.width) == (4, 3, 7)
     ccps = [g for g in qpe.gates if g.kind == "ccp"]
     assert len(ccps) == 12  # 3 estimation qubits x 4 edges, fused
     unfused = build_qpe(named_graph("c4"), fuse=False)

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -15,8 +18,18 @@ import qgi.cli
 import qgi.invariant
 import qgi.simulator
 import qgi.survey
-from qgi import FIXTURE_NAMES, InputError, build_qpe, classical_histogram, named_graph, parse_qasm
+from qgi import (
+    FIXTURE_NAMES,
+    InputError,
+    build_qpe,
+    classical_histogram,
+    encode_graph6,
+    named_graph,
+    parse_qasm,
+)
 from qgi.cli import build_parser, load_graph, main
+
+from conftest import graphs
 
 C4_TABLE = """\
 #(edges)  %Probability  #(subgraphs)
@@ -72,6 +85,30 @@ def test_load_graph_format_sniffing():
     assert (edgelist.n, edgelist.m) == (3, 1)
     forced = load_graph("B_", fmt="graph6")
     assert forced.n == 3
+
+
+def test_edge_list_one_field_per_line(capsys, tmp_path):
+    # Newline-separated edge lists were read as graph6 and refused.
+    path = tmp_path / "el.txt"
+    path.write_text("3\n0 1\n1 2\n")
+    code, out, err = run_cli(capsys, "invariant", str(path))
+    assert code == 0, err
+    assert out == run_cli(capsys, "invariant", "3; 0 1; 1 2")[1]
+
+
+@given(g=graphs())
+def test_every_format_loads_back_under_auto(g):
+    # graph6 is one token, an adjacency matrix all 0/1 tokens, and an
+    # edge list either has a ';' or (with an edge) several tokens.
+    adjacency = "\n".join(
+        " ".join(str(row >> j & 1) for j in range(g.n)) for row in g.adj
+    )
+    pairs = [f"{i} {j}" for i, j in g.edges()]
+    texts = [encode_graph6(g), adjacency, f"{g.n};" + "".join(f" {p};" for p in pairs)]
+    if g.m:
+        texts.append("\n".join([str(g.n), *pairs]) + "\n")
+    for text in texts:
+        assert load_graph(text) == g, text
 
 
 def test_invariant_single_vertex_adjacency(capsys):
@@ -549,3 +586,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == C4_TABLE
+
+
+def _readme_examples() -> list[str]:
+    """Every fenced block of README.md that starts with `$ qgi`."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", text, flags=re.M | re.S)
+    return [block for block in blocks if block.startswith("$ qgi ")]
+
+
+def test_readme_examples_match_the_cli(capsys):
+    # The qpe: line of a block is what the command prints on stderr, the
+    # rest what it prints on stdout.
+    examples = _readme_examples()
+    assert len(examples) == 3
+    for block in examples:
+        command, *lines = block.splitlines(keepends=True)
+        code, out, err = run_cli(capsys, *shlex.split(command)[2:])
+        assert code == 0, command
+        assert err == "".join(ln for ln in lines if ln.startswith("qpe:")), command
+        assert out == "".join(ln for ln in lines if not ln.startswith("qpe:")), command
+

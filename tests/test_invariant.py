@@ -192,7 +192,7 @@ def test_quantum_fuse_equivalent():
     for name in ("m3", "g2"):
         g = named_graph(name)
         circuit = build_qpe(g, fuse=False)
-        scaled = marginal(run(circuit), circuit.est_register) * (1 << g.n)
+        scaled = marginal(run(circuit), tuple(range(g.n, circuit.width))) * (1 << g.n)
         counts = np.rint(scaled).astype(np.int64)
         np.testing.assert_allclose(scaled, counts, rtol=0, atol=1e-6)
         assert counts[g.m + 1 :].sum() == 0
@@ -204,7 +204,7 @@ def test_quantum_edgeless_short_circuit(monkeypatch):
     read = qgi.invariant._readout
 
     def recorded(program):
-        widths.append(program.graph.n + len(program.weight) - 1)
+        widths.append(program.graph.n + program.t)
         return read(program)
 
     monkeypatch.setattr(qgi.invariant, "_readout", recorded)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import json
@@ -10,13 +11,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qgi.graphs
 import qgi.simulator
-from qgi import Graph, build_oracle, build_qpe, named_graph
-from qgi.circuit import Circuit, Gate, _inverse_qft_at, ccp, cp, h, plan_precision, swap
+from qgi import (
+    Graph,
+    build_oracle,
+    build_qpe,
+    classical_histogram,
+    export_qasm,
+    named_graph,
+    parse_qasm,
+)
+from qgi.circuit import Circuit, Gate, ccp, cp, h, plan_precision, swap
 from qgi.errors import InputError, InternalCheckError, ResourceLimitError
 from qgi.simulator import (
     Statevector,
@@ -32,7 +41,7 @@ from qgi.simulator import (
     sample,
 )
 
-from conftest import random_graph, reference_sample
+from conftest import graphs, random_graph, reference_sample
 
 # Induced edge counts of C4 by subset mask, frozen by hand.
 C4_EDGE_COUNTS = [0, 0, 0, 1, 0, 0, 1, 2, 0, 1, 0, 2, 1, 2, 2, 4]
@@ -176,10 +185,13 @@ def test_run_uniform_superposition():
 
 
 def test_run_respects_qubit_budget():
-    # A hand-built circuit one qubit past HARD_MAX_QUBITS: run refuses it
-    # before a single amplitude is allocated, and the read-out, which
-    # holds no statevector, returns its uniform marginal.
-    wide = Circuit(n_graph=24, n_est=5, gates=tuple(h(q) for q in range(29)))
+    # A QPE circuit one qubit past HARD_MAX_QUBITS (24 vertices, 16
+    # edges, t = 5): run refuses it before a single amplitude is
+    # allocated, and the read-out, which holds no statevector, reads its
+    # histogram.
+    g = Graph.from_edges(24, [(i, i + 1) for i in range(16)])
+    wide = build_qpe(g, fuse=True)
+    assert wide.width == 29
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="28-qubit limit"):
@@ -188,7 +200,8 @@ def test_run_respects_qubit_budget():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    np.testing.assert_allclose(_readout(_compile(wide)), np.full(32, 1 / 32), rtol=0, atol=1e-15)
+    counts = _readout(_compile(wide))[: g.m + 1] * (1 << g.n)
+    np.testing.assert_allclose(counts, classical_histogram(g).counts, rtol=0, atol=1e-6)
     assert run(build_qpe(named_graph("c4"))).n_qubits == 7
 
 
@@ -235,156 +248,33 @@ def _gate_loop(circuit: Circuit) -> np.ndarray:
     return _gate_loop_state(circuit).amps
 
 
-# Dyadic turns of 1 to 16 bits: the phases a compiled run takes.
-_DYADIC = st.builds(
-    lambda k, bits: Fraction(2 * k + 1, 1 << bits) % 1,
-    st.integers(0, 1 << 15),
-    st.integers(1, 16),
-)
-# Turns no phase index holds: 17 bits, or not dyadic at all.
-_OFF_GRID = st.sampled_from(
-    [Fraction(1, 1 << 17), Fraction(1, 3), Fraction(2, 5), Fraction(7, 24)]
-)
-_ARITY = {"cp": 2, "ccp": 3}
-_KINDS = ("cp", "ccp")
-
-
-def _merged_turns(gates, qubits: tuple[int, ...]) -> Fraction:
-    """The sum mod 1 of the turns of the phase gates on exactly qubits."""
-    key = tuple(sorted(qubits))
-    return sum(
-        (g.turns for g in gates if g.kind in _KINDS and tuple(sorted(g.qubits)) == key),
-        Fraction(0),
-    ) % 1
+def _oracle_circuit(g: Graph, turns: Fraction) -> Circuit:
+    """An H on every graph qubit, then the phase oracle at turns."""
+    return Circuit(g.n, 0, tuple(h(q) for q in range(g.n)) + build_oracle(g, turns).gates)
 
 
 @st.composite
-def _terms(draw, qubits: tuple[int, ...], turns: Fraction) -> list[Gate]:
-    """Phase gates on qubits, in any qubit order, whose turns add up to
-    turns mod 1: one gate, or two, as the repeated oracle powers of
-    unfused phase estimation split one fused term."""
-    if draw(st.booleans()):
-        parts = [turns]
+def _built(draw, max_n: int = 6):
+    """A graph, one circuit that qgi builds from it, and how it was
+    built: build_qpe fused or not, or an H layer and the phase oracle
+    at dyadic turns of at most 16 bits."""
+    g = draw(graphs(max_n=max_n))
+    kind = draw(st.sampled_from(["fused", "unfused", "oracle"]))
+    if kind == "oracle":
+        turns = Fraction(draw(st.integers(0, (1 << 16) - 1)), 1 << 16)
+        rebuild = functools.partial(_oracle_circuit, turns=turns)
     else:
-        first = draw(_DYADIC)
-        parts = [first, (turns - first) % 1]
-    kind = _KINDS[len(qubits) - 2]
-    return [Gate(kind, tuple(draw(st.permutations(qubits))), part) for part in parts]
-
-
-@st.composite
-def _qpe_shaped(draw) -> Circuit:
-    """An H on every qubit in any order, then the phases of one random
-    graph: group 0 (no estimation qubit) and each estimation qubit get
-    a random weight on every edge (cp on group 0's pairs, ccp on an
-    estimation qubit and a pair), each term as one gate or two, all in
-    any order; and an optional inverse QFT on the estimation register.
-    A weight of 0 drawn as two gates merges to whole turns, which are
-    dropped, and so do up to two more such terms on any two or three
-    qubits."""
-    n_graph = draw(st.integers(1, 6))
-    n_est = draw(st.integers(0, 8 - n_graph))
-    tail = n_est > 0 and draw(st.booleans())
-    w = n_graph + n_est
-    pairs = [(a, b) for b in range(n_graph) for a in range(b)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    weights = st.one_of(st.just(Fraction(0)), _DYADIC)
-    phases: list[Gate] = []
-    for est in [()] + [(q,) for q in range(n_graph, w)]:
-        weight = draw(weights)
-        for edge in edges:
-            phases += draw(_terms(edge + est, weight))
-    for _ in range(draw(st.integers(0, 2)) if w >= 2 else 0):
-        qubits = draw(st.permutations(range(w)))[: draw(st.integers(2, min(w, 3)))]
-        phases += draw(_terms(tuple(qubits), Fraction(0)))
-    gates = [h(q) for q in draw(st.permutations(range(w)))]
-    gates += draw(st.permutations(phases))
-    if tail:
-        gates += _inverse_qft_at(n_est, n_graph)
-    return Circuit(n_graph=n_graph, n_est=n_est, gates=tuple(gates))
-
-
-@st.composite
-def _off_shape(draw) -> Circuit:
-    """A QPE-shaped circuit broken one way: the H of a graph qubit is
-    missing from the leading layer, or gates are inserted after it: an
-    H on a graph qubit, a swap, a phase off the 16-bit grid, a phase on
-    three graph qubits or on two estimation qubits, a phase on a graph
-    qubit and an estimation qubit, unequal turns on two pairs under the
-    same estimation qubit (or none), or two groups on different edge
-    sets.  The last three set the merged turns of the terms they touch
-    whatever the circuit had there, and land before the inverse-QFT
-    tail.  Any other gate that lands in the tail leaves the tail's H
-    and swaps in the body, so each is refused wherever it lands."""
-    shaped = draw(_qpe_shaped())
-    n, w = shaped.n_graph, shaped.width
-    gates = list(shaped.gates)
-    qubits = draw(st.permutations(range(w)))
-    graph_qubit = draw(st.integers(0, n - 1))
-    groups = [()] + [(q,) for q in range(n, w)]
-    breaks = ["lead", "h"] + (["phase", "swap"] if w >= 2 else [])
-    breaks += ["graph est"] if w > n else []
-    breaks += (["three graph", "unequal"] if n >= 3 else []) + (["two est"] if w - n >= 2 else [])
-    breaks += ["two graphs"] if n >= 3 and w > n else []
-    broken = draw(st.sampled_from(breaks))
-
-    def set_turns(qubits: tuple[int, ...], turns: Fraction) -> list[Gate]:
-        """Gates that make the merged turns on qubits equal turns."""
-        return draw(_terms(qubits, (turns - _merged_turns(shaped.gates, qubits)) % 1))
-
-    if broken == "lead":
-        gates.remove(h(graph_qubit))
-        inserted = []
-    elif broken == "h":
-        inserted = [h(graph_qubit)]
-    elif broken == "swap":
-        inserted = [swap(*qubits[:2])]
-    elif broken == "three graph":
-        inserted = [ccp(*draw(st.permutations(range(n)))[:3], draw(_DYADIC))]
-    elif broken == "two est":
-        est = draw(st.permutations(range(n, w)))[:2]
-        others = [q for q in range(w) if q not in est]
-        extra = draw(st.sampled_from([()] + [(q,) for q in others]))
-        qubits = tuple(draw(st.permutations([*est, *extra])))
-        inserted = [Gate(_KINDS[len(qubits) - 2], qubits, draw(_DYADIC))]
-    elif broken == "graph est":
-        inserted = set_turns((graph_qubit, draw(st.integers(n, w - 1))), draw(_DYADIC))
-    elif broken == "unequal":
-        est = draw(st.sampled_from(groups))
-        a, b, c = draw(st.permutations(range(n)))[:3]
-        x = draw(_DYADIC)
-        y = draw(_DYADIC.filter(lambda y: y != x))
-        inserted = set_turns((a, b, *est), x) + set_turns((b, c, *est), y)
-    elif broken == "two graphs":
-        # One edge each, so each group's turns are equal.
-        est1, est2 = draw(st.permutations(groups))[:2]
-        a, b, c = draw(st.permutations(range(n)))[:3]
-        inserted = []
-        for est, edge in ((est1, {a, b}), (est2, {b, c})):
-            turns = draw(_DYADIC)
-            for pair in [(i, j) for j in range(n) for i in range(j)]:
-                if set(pair) == edge:
-                    inserted += set_turns(pair + est, turns)
-                elif _merged_turns(shaped.gates, pair + est):
-                    inserted += set_turns(pair + est, Fraction(0))
-    else:
-        phase = draw(st.sampled_from([k for k, a in _ARITY.items() if a <= w]))
-        inserted = [Gate(phase, tuple(qubits[: _ARITY[phase]]), draw(_OFF_GRID))]
-    iqft = _inverse_qft_at(w - n, n) if w > n else ()
-    end = len(gates) - len(iqft) if iqft and tuple(gates[-len(iqft) :]) == iqft else len(gates)
-    for gate in inserted:
-        merged_term = broken in ("graph est", "unequal", "two graphs")
-        gates.insert(draw(st.integers(w, end if merged_term else len(gates))), gate)
-        end += 1
-    return Circuit(n_graph=shaped.n_graph, n_est=shaped.n_est, gates=tuple(gates))
+        rebuild = functools.partial(build_qpe, fuse=kind == "fused")
+    return g, rebuild(g), rebuild
 
 
 @pytest.mark.parametrize("slice_bits", [qgi.graphs._SLICE_BITS, 2])
-@given(circuit=_qpe_shaped())
-def test_compiled_run_matches_gate_loop(slice_bits, circuit):
+@given(built=_built())
+def test_compiled_run_matches_gate_loop(slice_bits, built):
     # Slices of 4 graph basis states take the edge counts from the
     # kernel's grid offsets, as graphs on more than 16 vertices do by
     # default, and chunks of 4 amplitudes split the rows.
+    _, circuit, _ = built
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
         mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
@@ -393,25 +283,107 @@ def test_compiled_run_matches_gate_loop(slice_bits, circuit):
 
 
 @pytest.mark.parametrize("slice_bits", [qgi.graphs._SLICE_BITS, 2])
-@given(circuit=_qpe_shaped().filter(lambda c: c.n_est))
-def test_readout_matches_marginal_of_run(slice_bits, circuit):
+@given(built=_built().filter(lambda built: built[1].n_est))
+def test_readout_matches_marginal_of_run(slice_bits, built):
     # As above, with slices of 4; every slice's counts add into the one
     # tally.
+    _, circuit, _ = built
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
         mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
         probs = _readout(_compile(circuit))
-    expect = marginal(_gate_loop_state(circuit), circuit.est_register)
+    expect = marginal(_gate_loop_state(circuit), tuple(range(circuit.n_graph, circuit.width)))
     np.testing.assert_allclose(probs, expect, rtol=0, atol=1e-12)
 
 
-@given(circuit=_off_shape())
-# A pair of graph and estimation qubits under another estimation qubit.
-@example(circuit=Circuit(2, 2, tuple(h(q) for q in range(4)) + (ccp(0, 2, 3, Fraction(1, 4)),)))
-def test_other_circuits_are_refused(circuit):
-    # Only the gate loop, called directly, simulates such a circuit.
-    with pytest.raises(InputError, match="phase-estimation shape"):
-        run(circuit)
+_NOT_BUILT = "not one that qgi builds"
+# New turns for a changed phase: on the 16-bit grid, or off it.
+_TURNS = st.one_of(
+    st.integers(0, (1 << 16) - 1).map(lambda k: Fraction(k, 1 << 16)),
+    st.sampled_from([Fraction(1, 1 << 17), Fraction(1, 3), Fraction(7, 24)]),
+)
+
+
+# Six kinds of change share the examples, so this test draws more.
+@settings(max_examples=300)
+@given(
+    built=_built(),
+    change=st.sampled_from(["drop", "duplicate", "move", "phase", "permute", "swap"]),
+    data=st.data(),
+)
+def test_other_circuits_are_refused(built, change, data):
+    # Any single-gate change of a circuit that qgi builds is refused,
+    # except where it is another such circuit: dropping an edge's only
+    # gate leaves the circuit of the graph without that edge.
+    g, circuit, rebuild = built
+    gates = list(circuit.gates)
+    w = circuit.width
+    phases = [i for i, gate in enumerate(gates) if gate.turns is not None]
+    if change == "drop":
+        dropped = gates.pop(data.draw(st.integers(0, len(gates) - 1)))
+        edge = dropped.qubits[-2:]
+        if dropped.turns is not None and edge in g.edges():
+            if all(gate.qubits[-2:] != edge for gate in gates):
+                smaller = Graph.from_edges(g.n, set(g.edges()) - {edge})
+                assert Circuit(g.n, circuit.n_est, tuple(gates)) == rebuild(smaller)
+                return
+    elif change == "duplicate":
+        gate = gates[data.draw(st.integers(0, len(gates) - 1))]
+        gates.insert(data.draw(st.integers(0, len(gates))), gate)
+    elif change == "move":
+        gate = gates.pop(data.draw(st.integers(0, len(gates) - 1)))
+        gates.insert(data.draw(st.integers(0, len(gates))), gate)
+    elif change == "phase":
+        # The oracle's turns are read off its first phase gate, so an
+        # oracle of one edge at other turns is another oracle.
+        assume(phases and (circuit.n_est or len(phases) > 1))
+        i = data.draw(st.sampled_from(phases))
+        turns = data.draw(_TURNS.filter(lambda turns: turns != gates[i].turns))
+        gates[i] = Gate(gates[i].kind, gates[i].qubits, turns)
+    elif change == "permute":
+        gates[:w] = [h(q) for q in data.draw(st.permutations(range(w)))]
+    else:
+        assume(w >= 2)
+        pair = data.draw(st.permutations(range(w)))[:2]
+        gates.insert(data.draw(st.integers(0, len(gates))), swap(*pair))
+    changed = Circuit(circuit.n_graph, circuit.n_est, tuple(gates))
+    assume(changed != circuit)
+    with pytest.raises(InputError, match=_NOT_BUILT):
+        _compile(changed)
+    with pytest.raises(InputError, match=_NOT_BUILT):
+        run(changed)
+
+
+@given(built=_built(max_n=8))
+def test_compile_accepts_the_circuits_qgi_builds(built):
+    # Each circuit compiles, and so does what parse_qasm re-reads from
+    # export_qasm, to the program of its graph.
+    g, circuit, _ = built
+    if circuit.n_est:
+        program = qgi.simulator._qpe_program(g, circuit.n_est)
+    else:
+        turns = circuit.gates[g.n].turns if g.m else Fraction(0)
+        program = qgi.simulator._Program(
+            turns.denominator.bit_length() - 1, g, 0, turns.numerator
+        )
+    assert _compile(circuit) == program
+    assert _compile(parse_qasm(export_qasm(circuit))) == program
+
+
+def test_near_misses_are_refused():
+    # A pair of graph and estimation qubits under another estimation
+    # qubit; phase estimation without its inverse-QFT tail; the uniform
+    # state with an estimation register; an oracle at turns of 17 bits.
+    g = named_graph("petersen")
+    fused = build_qpe(g, fuse=True)
+    for circuit in (
+        Circuit(2, 2, tuple(h(q) for q in range(4)) + (ccp(0, 2, 3, Fraction(1, 4)),)),
+        Circuit(g.n, 4, fused.gates[: g.n + 4 + g.m * 4]),
+        Circuit(n_graph=3, n_est=2, gates=tuple(h(q) for q in range(5))),
+        _oracle_circuit(g, Fraction(1, 1 << 17)),
+    ):
+        with pytest.raises(InputError, match=_NOT_BUILT):
+            _compile(circuit)
 
 
 def test_compiled_run_matches_gate_loop_beyond_one_block():
@@ -522,7 +494,7 @@ def test_rows_are_built_once_per_circuit(monkeypatch):
     circuit = build_qpe(named_graph("petersen"), fuse=True)
     state = run(circuit)
     np.testing.assert_allclose(
-        _readout(_compile(circuit)), marginal(state, circuit.est_register), rtol=0, atol=1e-12
+        _readout(_compile(circuit)), marginal(state, tuple(range(10, 14))), rtol=0, atol=1e-12
     )
     assert built == [qgi.simulator._compile(circuit)] * 2
 
@@ -532,10 +504,10 @@ def test_rows_are_built_once_per_circuit(monkeypatch):
 def test_peak_bytes_counts_amplitudes_and_temporaries():
     # Amplitudes; a complex row per estimation value for each of the
     # m + 1 edge counts; per subset of a slice, 12 bytes for the kernel
-    # and 8 for the row ids; a chunk of at least 2^16 elements (index,
-    # intp cast, lookup); 40 bytes per entry of the exp table, one entry
-    # per phase unit of the circuit.
-    chunk = 26 << 16
+    # and 8 for the row ids; a chunk of at least 2^16 elements (int64
+    # index, lookup); 40 bytes per entry of the exp table, one entry per
+    # phase unit of the circuit.
+    chunk = 24 << 16
     uniform = tuple(h(q) for q in range(5))
     expect = (16 << 5) + 16 + (20 << 5) + chunk + 40
     assert _peak_bytes(_compile(Circuit(n_graph=5, n_est=0, gates=uniform))) == expect
@@ -556,7 +528,7 @@ def test_peak_bytes_counts_amplitudes_and_temporaries():
     # and 28 graph qubits.
     layer = tuple(h(q) for q in range(28))
     for gate in (cp(0, 27, Fraction(1, 4)), h(3)):
-        with pytest.raises(InputError, match="phase-estimation shape"):
+        with pytest.raises(InputError, match=_NOT_BUILT):
             _peak_bytes(_compile(Circuit(n_graph=24, n_est=4, gates=layer + (gate,))))
     with pytest.raises(ResourceLimitError, match="24-vertex limit"):
         _peak_bytes(_compile(Circuit(n_graph=28, n_est=0, gates=layer)))
