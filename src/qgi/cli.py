@@ -40,14 +40,16 @@ _SHOTS_HEADER = "#(edges)  %Probability  #(shots)"
 def _detect_format(text: str) -> str:
     if ";" in text:
         return "edgelist"
-    # graph6 never uses the characters 0 and 1, so all-0/1 tokens
-    # (a 1-vertex "0" included) can only be an adjacency matrix; and it
-    # is one token, so any other text of several tokens is an edge list
-    # with one field per line.
+    # graph6 is one token and never uses a digit.  So a lone "0" (the
+    # 1-vertex graph) and several 0/1 tokens are an adjacency matrix, any
+    # other lone all-digit token is an edge list's vertex count, and any
+    # other text of several tokens is an edge list with one field per line.
     toks = text.split()
-    if toks and all(t in ("0", "1") for t in toks):
+    if toks == ["0"] or len(toks) > 1 and all(t in ("0", "1") for t in toks):
         return "adjacency"
-    return "edgelist" if len(toks) > 1 else "graph6"
+    if len(toks) > 1 or toks and toks[0].isdigit():
+        return "edgelist"
+    return "graph6"
 
 
 def load_graph(source: str, fmt: str = "auto") -> Graph:

@@ -125,10 +125,6 @@ _PHASE_BITS = 16
 # Row chunks and dump chunks hold about 2^_BLOCK_BITS amplitudes, so
 # their temporaries stay in cache and small at any width.
 _BLOCK_BITS = 16
-# `sample` draws its shots this many at a time, and looks each one up in
-# one of _SHOT_BUCKETS equal parts of [0, 1).
-_SHOT_CHUNK = 1 << 18
-_SHOT_BUCKETS = 1 << 12
 # Largest distance, in radians, of a phase_table phase from its multiple.
 _PHASE_ATOL = 1e-6
 
@@ -346,43 +342,33 @@ def marginal(state: Statevector, register: tuple[int, ...]) -> np.ndarray:
 
 def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """How often each outcome of probs (as `marginal` returns) is drawn
-    in shots inverse-CDF draws, _SHOT_CHUNK at a time.
+    in shots independent measurements: one multinomial draw over the
+    outcomes of nonzero probability, so time and memory do not grow
+    with shots.
 
     PCG64 with an explicit seed; identical (probs, shots, seed) give
-    identical counts on any platform and for any chunk size.  A draw x
-    lands on the number of CDF values <= x, as `np.searchsorted(cdf, x,
-    side="right")` gives it: read from a table of _SHOT_BUCKETS equal
-    buckets of [0, 1), and searched only in a bucket that holds a CDF
-    value strictly inside it.  InputError for an empty array or a
-    non-finite or negative probability.
+    identical counts with the same numpy.  InputError for shots outside
+    1..2^63-1, a negative seed, an empty array or a non-finite or
+    negative probability.
     """
     if shots < 1:
         raise InputError(f"shots must be positive, got {shots}")
+    if shots >= 1 << 63:
+        raise InputError(f"shots must be below 2^63, got {shots}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     probs = np.asarray(probs, dtype=np.float64)
     if not probs.size or not np.isfinite(probs).all() or (probs < 0).any():
         raise InputError("probabilities must be non-empty, finite and non-negative")
-    cdf = np.cumsum(probs)
-    total = cdf[-1]
+    total = probs.sum()
     if not abs(total - 1.0) <= 1e-9:
         raise InternalCheckError(f"marginal mass {total!r} is not 1")
-    cdf /= total
-    # Bucket b is [b, b+1) / _SHOT_BUCKETS; x * _SHOT_BUCKETS is exact, so
-    # its floor is x's bucket.  Every draw in a bucket with no CDF value
-    # strictly inside lands where its lower edge does.
-    edges = np.arange(_SHOT_BUCKETS + 1) / _SHOT_BUCKETS
-    landing = np.searchsorted(cdf, edges[:-1], side="right")
-    split = np.searchsorted(cdf, edges[1:], side="left") > landing
+    # numpy hands the last outcome whatever the binomial draws before it
+    # leave, rounding remainders included, so it must have mass.
+    support = np.flatnonzero(probs)
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = np.zeros(len(probs), dtype=np.int64)
-    for done in range(0, shots, _SHOT_CHUNK):
-        draws = rng.random(min(_SHOT_CHUNK, shots - done))
-        buckets = (draws * _SHOT_BUCKETS).astype(np.intp)
-        outcomes = landing[buckets]
-        searched = np.flatnonzero(split[buckets])
-        outcomes[searched] = np.searchsorted(cdf, draws[searched], side="right")
-        counts += np.bincount(outcomes, minlength=len(probs))
+    counts[support] = rng.multinomial(shots, probs[support] / total)
     return counts
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -60,15 +59,6 @@ def slow_canonical_code(g: Graph) -> str:
         "".join(str(g.adj[p[i]] >> p[j] & 1) for i, j in pairs)
         for p in permutations(range(g.n))
     )
-
-
-def reference_sample(probs, shots: int, seed: int) -> np.ndarray:
-    """Reference shot sampler: all shots drawn at once, each by a binary
-    search of the whole CDF."""
-    cdf = np.cumsum(np.asarray(probs, dtype=np.float64))
-    cdf /= cdf[-1]
-    draws = np.random.Generator(np.random.PCG64(seed)).random(shots)
-    return np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=len(cdf))
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:

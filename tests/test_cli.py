@@ -94,19 +94,27 @@ def test_edge_list_one_field_per_line(capsys, tmp_path):
     code, out, err = run_cli(capsys, "invariant", str(path))
     assert code == 0, err
     assert out == run_cli(capsys, "invariant", "3; 0 1; 1 2")[1]
+    # An edgeless one is its vertex count alone: one all-digit token,
+    # never graph6, and an adjacency matrix only for "0".
+    path.write_text("1\n")
+    for text, n in (("2", 2), ("1", 1), (str(path), 1), ("0", 1)):
+        code, out, err = run_cli(capsys, "invariant", text, "--output", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["n"], doc["counts"]) == (n, [1 << n])
 
 
 @given(g=graphs())
 def test_every_format_loads_back_under_auto(g):
-    # graph6 is one token, an adjacency matrix all 0/1 tokens, and an
-    # edge list either has a ';' or (with an edge) several tokens.
+    # graph6 is one token without digits, an adjacency matrix all 0/1
+    # tokens, and an edge list has a ';', several tokens, or its vertex
+    # count alone.
     adjacency = "\n".join(
         " ".join(str(row >> j & 1) for j in range(g.n)) for row in g.adj
     )
     pairs = [f"{i} {j}" for i, j in g.edges()]
     texts = [encode_graph6(g), adjacency, f"{g.n};" + "".join(f" {p};" for p in pairs)]
-    if g.m:
-        texts.append("\n".join([str(g.n), *pairs]) + "\n")
+    texts.append("\n".join([str(g.n), *pairs]) + "\n")
     for text in texts:
         assert load_graph(text) == g, text
 
@@ -312,6 +320,13 @@ def test_invariant_edgeless_shots_are_sampled(capsys):
     code, out, err = run_cli(capsys, *argv, "--shots", "-5", "--seed", "-1")
     assert code == 2
     assert out == "" and err == "error: shots must be positive, got -5\n"
+    # One multinomial draw takes any int64 shot count at once.
+    code, out, err = run_cli(capsys, *argv, "--shots", str((1 << 63) - 1), "--output", "json")
+    assert code == 0, err
+    assert json.loads(out)["counts"] == [(1 << 63) - 1]
+    code, out, err = run_cli(capsys, *argv, "--shots", str(1 << 63))
+    assert code == 2
+    assert out == "" and err == f"error: shots must be below 2^63, got {1 << 63}\n"
 
 
 def test_non_utf8_files_exit_2(capsys, tmp_path):

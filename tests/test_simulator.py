@@ -41,7 +41,7 @@ from qgi.simulator import (
     sample,
 )
 
-from conftest import graphs, random_graph, reference_sample
+from conftest import graphs, random_graph
 
 # Induced edge counts of C4 by subset mask, frozen by hand.
 C4_EDGE_COUNTS = [0, 0, 0, 1, 0, 0, 1, 2, 0, 1, 0, 2, 1, 2, 2, 4]
@@ -654,12 +654,10 @@ def test_sample_reproducible_and_seed_sensitive():
 
 
 # Tallies of sample(m3 read-out, 2000 shots, seed 42), frozen.
-M3_TALLIES = [1008, 603, 263, 126]
+M3_TALLIES = [974, 667, 243, 116]
 
 
-@pytest.mark.parametrize("chunk", [qgi.simulator._SHOT_CHUNK, 7])
-def test_sample_chunks_draw_one_stream(chunk, monkeypatch):
-    monkeypatch.setattr(qgi.simulator, "_SHOT_CHUNK", chunk)
+def test_sample_tallies_are_frozen():
     probs = _readout(_compile(build_qpe(named_graph("m3"))))
     assert sample(probs, shots=2000, seed=42).tolist() == M3_TALLIES
 
@@ -669,10 +667,13 @@ def test_sample_memory_stays_one_chunk():
     tracemalloc.start()
     try:
         counts = sample(probs, shots=10**7, seed=5)
+        # The most shots one multinomial draw takes, in the same memory.
+        most = sample(probs, shots=(1 << 63) - 1, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert counts.sum() == 10**7
+    assert most.sum() == (1 << 63) - 1
     assert peak < 32 << 20
 
 
@@ -686,9 +687,24 @@ def test_sample_five_sigma():
         assert abs(counts[outcome] - shots * prob) <= 5 * sigma
 
 
+def test_sample_six_sigma_on_512_outcomes():
+    # 2^9 outcomes, as K24's read-out has (t = 9), under the bound the
+    # benchmark's shot check uses: 6 sigma + 1 of shots * p.
+    rng = np.random.default_rng(9)
+    probs = rng.random(512) ** 4 * (rng.random(512) < 0.7)
+    probs /= probs.sum()
+    shots = 1_000_000
+    counts = sample(probs, shots=shots, seed=11)
+    assert counts.sum() == shots
+    sigma = np.sqrt(shots * probs * (1 - probs))
+    assert (np.abs(counts - shots * probs) <= 6 * sigma + 1).all()
+
+
 def test_sample_rejects_bad_shots():
     with pytest.raises(InputError):
         sample(np.array([1.0]), shots=0, seed=0)
+    with pytest.raises(InputError, match="below 2"):
+        sample(np.array([1.0]), shots=1 << 63, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -710,30 +726,32 @@ def test_sample_rejects_bad_probabilities(probs, error):
     kind=st.sampled_from(["random", "grid", "point"]),
     size=st.integers(1, 1 << 14),
     shape_seed=st.integers(0, 1 << 32),
-    shots=st.integers(1, 500),
+    shots=st.one_of(st.integers(1, 500), st.integers(1, (1 << 63) - 1)),
     seed=st.integers(0, 1 << 32),
-    chunk=st.integers(1, 7),
 )
-@example(kind="grid", size=3, shape_seed=0, shots=1, seed=0, chunk=7)
-@example(kind="point", size=1 << 14, shape_seed=1, shots=1, seed=2, chunk=1)
-def test_sample_matches_reference(kind, size, shape_seed, shots, seed, chunk):
-    # "grid" puts every CDF value on a multiple of 1/4096, so on a bucket
-    # edge; "point" gives one outcome all the mass.
+@example(kind="grid", size=3, shape_seed=0, shots=1, seed=0)
+@example(kind="point", size=1 << 14, shape_seed=1, shots=1, seed=2)
+@example(kind="random", size=8, shape_seed=5, shots=(1 << 63) - 1, seed=0)
+def test_sample_counts_are_exact(kind, size, shape_seed, shots, seed):
+    # "grid" puts every probability on a multiple of 1/4096, most of them
+    # 0 at large sizes; "point" gives one outcome all the mass.  At huge
+    # shot counts a draw over every outcome would hand the rounding
+    # remainder of the probabilities to a last outcome of probability 0.
     rng = np.random.default_rng(shape_seed)
     if kind == "random":
         probs = rng.random(size) ** 4 * (rng.random(size) < 0.7)
         probs[rng.integers(size)] += 1e-3
         probs /= probs.sum()
     elif kind == "grid":
-        probs = rng.multinomial(qgi.simulator._SHOT_BUCKETS, np.full(size, 1 / size))
-        probs = probs / qgi.simulator._SHOT_BUCKETS
+        probs = rng.multinomial(4096, np.full(size, 1 / size)) / 4096
     else:
         probs = np.zeros(size)
         probs[rng.integers(size)] = 1.0
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qgi.simulator, "_SHOT_CHUNK", chunk)
-        counts = sample(probs, shots, seed)
-    assert counts.tolist() == reference_sample(probs, shots, seed).tolist()
+    counts = sample(probs, shots, seed)
+    assert counts.dtype == np.int64 and len(counts) == size
+    assert counts.sum() == shots
+    assert not counts[probs == 0].any()
+    assert sample(probs, shots, seed).tolist() == counts.tolist()
 
 
 # --- phase table ---
