@@ -653,13 +653,19 @@ def test_sample_reproducible_and_seed_sensitive():
     assert a.tolist() != c.tolist()
 
 
-# Tallies of sample(m3 read-out, 2000 shots, seed 42), frozen.
-M3_TALLIES = [974, 667, 243, 116]
+# Tallies of sample(m3 read-out, shots, seed 42), frozen for each shot count.
+M3_TALLIES = {
+    262144: [130596, 82325, 32913, 16310],
+    2000: [974, 667, 243, 116],
+    7: [5, 1, 0, 1],
+}
 
 
-def test_sample_tallies_are_frozen():
+@pytest.mark.parametrize("shots", list(M3_TALLIES))
+def test_sample_chunks_draw_one_stream(shots):
+    # Every shot count is one multinomial draw from the seed's one stream.
     probs = _readout(_compile(build_qpe(named_graph("m3"))))
-    assert sample(probs, shots=2000, seed=42).tolist() == M3_TALLIES
+    assert sample(probs, shots=shots, seed=42).tolist() == M3_TALLIES[shots]
 
 
 def test_sample_memory_stays_one_chunk():
