@@ -6,9 +6,11 @@ masks double directly as basis-state indices on the graph register.
 Graphs are immutable; every mutating-style operation returns a new
 Graph.
 
-_edge_counts is the one edge-count kernel: every subset sweep and the
-QPE simulator read induced edge counts from it, and _edge_tally is its
-histogram.  _pair_weights is the one labelling table: canonical codes
+_slice_tables and _slices are the one edge-count kernel: every subset
+sweep and the QPE simulator read induced edge counts from its slices,
+through _edge_counts, and _edge_tally is their histogram, which tallies
+keyed slices of the same kernel when it pairs the top vertices.
+_pair_weights is the one labelling table: canonical codes
 and _extension_codes, the survey's class enumeration, sum its rows.
 """
 
@@ -18,6 +20,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations
+from math import prod
 
 import numpy as np
 
@@ -33,6 +36,9 @@ CANONICAL_MAX_VERTICES = 8
 ISOMORPHISM_MAX_VERTICES = 10
 # The edge-count kernel yields 2^_SLICE_BITS masks at a time.
 _SLICE_BITS = 16
+# _edge_tally pairs top vertices while (m + 1) * prod(deg v + 1), its
+# key range, stays within this: keys fit in uint16, the tally in 64 KiB.
+_TALLY_BINS = 1 << 13
 
 # A vertex subset is a plain bitmask: bit i set <=> vertex i included.
 VertexSubset = int
@@ -270,32 +276,31 @@ def induced_edge_count(g: Graph, subset: VertexSubset) -> int:
     return total // 2
 
 
-def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
-    """Induced edge count of every subset mask, in ascending slices.
+def _slice_tables(
+    g: Graph, k: int
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The slice decomposition (base, a, b) of the induced edge counts of
+    every subset mask of vertices 0..k-1.
 
-    Yields (start, e) where e[i] (uint16) is the edge count induced by
-    mask start + i; the slices cover 0 .. 2^n - 1 in order.  The counts
-    of the low _SLICE_BITS vertices are built once by subset doubling,
-    e(S + {k}) = e(S) + |adj[k] & S| for S below k, and slice 0 is that
-    base array itself.  Above it, base is viewed as a grid: rows are the
-    upper half of the low vertices, columns the lower half.  For a set H
-    of high vertices, subset doubling over H builds
+    The low _SLICE_BITS vertices' counts are built once by subset
+    doubling, e(S + {i}) = e(S) + |adj[i] & S| for S below i: base
+    (uint16), the counts of slice 0.  Above it, base is viewed as a
+    grid: rows are the upper half of the low vertices, columns the lower
+    half.  For a set H of high vertices, subset doubling over H builds
       a[H][c] = |edges from H into column subset c| + |edges inside H|,
       b[H][r] = |edges from H into row subset r|,
-    so slice H is grid + b[H][:, None] + a[H], written into one buffer
-    that every later slice reuses: a consumer must not keep e past the
-    next slice.  A sweep holds under 2 MiB at any n.
+    so slice H is grid + b[H][:, None] + a[H] (_slices).  a and b are
+    None when k is at most _SLICE_BITS: base is the one slice.
     """
-    bits = min(g.n, _SLICE_BITS)
+    bits = min(k, _SLICE_BITS)
     low = np.arange(1 << bits, dtype=np.uint32)
     base = np.zeros(1 << bits, dtype=np.uint16)
-    for k in range(1, bits):
-        half = 1 << k
-        base[half : 2 * half] = base[:half] + np.bitwise_count(low[:half] & g.adj[k])
-    yield 0, base
-    high = g.n - bits
+    for i in range(1, bits):
+        half = 1 << i
+        base[half : 2 * half] = base[:half] + np.bitwise_count(low[:half] & g.adj[i])
+    high = k - bits
     if not high:
-        return
+        return base, None, None
     cbits = bits // 2
     cols, rows = low[: 1 << cbits], low[: 1 << (bits - cbits)] << cbits
     a = np.zeros((1 << high, len(cols)), dtype=np.uint16)
@@ -313,25 +318,109 @@ def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
             out=inside[half : 2 * half],
         )
     a += inside[:, None]
-    grid = base.reshape(len(rows), len(cols))
+    return base, a, b
+
+
+def _slices(
+    base: np.ndarray, a: np.ndarray | None, b: np.ndarray | None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The slices of a decomposition from _slice_tables, in ascending
+    order: (0, base), then (H << bits, grid + b[H][:, None] + a[H]) for
+    each high set H, written into one buffer that every later slice
+    reuses: a consumer must not keep a slice past the next one."""
+    yield 0, base
+    if a is None:
+        return
+    grid = base.reshape(b.shape[1], a.shape[1])
     e = np.empty_like(base)
     out = e.reshape(grid.shape)
-    for h in range(1, 1 << high):
+    bits = len(base).bit_length() - 1
+    for h in range(1, len(a)):
         np.add(grid, b[h][:, None], out=out)
         out += a[h]
         yield h << bits, e
 
 
+def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
+    """Induced edge count of every subset mask, in ascending slices.
+
+    Yields (start, e) where e[i] (uint16) is the edge count induced by
+    mask start + i; the slices cover 0 .. 2^n - 1 in order, 2^_SLICE_BITS
+    masks at a time, and e is reused by the next slice.  The slices of
+    _slice_tables(g, n).  A sweep holds under 2 MiB at any n.
+    """
+    yield from _slices(*_slice_tables(g, g.n))
+
+
 def _edge_tally(g: Graph) -> np.ndarray:
     """counts[k] (int64) is the number of subset masks inducing exactly
-    k edges, for k = 0..m: one np.bincount per slice of _edge_counts.
-    An edgeless graph needs no sweep: every mask induces 0 edges."""
+    k edges, for k = 0..m.  An edgeless graph needs no sweep: every mask
+    induces 0 edges.
+
+    One np.bincount per slice of the one kernel, over masks S of the
+    vertices 0..k-1 below the paired ones, k..n-1.  Top vertices, none
+    below _SLICE_BITS, are paired while the key range (m + 1) * P, with
+    P = prod(deg v + 1), stays within _TALLY_BINS; none are at
+    n <= _SLICE_BITS, where the slices are the edge counts themselves.
+    Otherwise S has the key e(S) * P + sum(stride[v] * |adj[v] & S|),
+    the flat index of an array of shape (m + 1, deg k + 1, ..., deg
+    n-1 + 1).  Keys are linear in S like edge counts, so their slices
+    are those of P * base plus the subset sums of each low vertex's
+    strides, P * a plus those of the high vertices, and P * b: 2^(n-k)
+    times fewer slices.  _fold then adds the paired vertices back.
+    """
     if g.m == 0:
         return np.array([1 << g.n], dtype=np.int64)
-    counts = np.zeros(g.m + 1, dtype=np.int64)
-    for _, e in _edge_counts(g):
-        counts += np.bincount(e, minlength=g.m + 1)
-    return counts
+    k, bins, sizes = g.n, g.m + 1, []
+    while k > _SLICE_BITS and bins * (g.adj[k - 1].bit_count() + 1) <= _TALLY_BINS:
+        k -= 1
+        sizes.insert(0, g.adj[k].bit_count() + 1)
+        bins *= sizes[0]
+    base, a, b = _slice_tables(g, k)
+    if sizes:
+        strides = [prod(sizes[i + 1 :]) for i in range(len(sizes))]
+        # weights[i]: the key's step when vertex i < k joins S.
+        weights = [
+            sum(s for v, s in zip(range(k, g.n), strides) if g.adj[v] >> i & 1)
+            for i in range(k)
+        ]
+        scale = prod(sizes)
+        base = base * scale + _subset_sums(weights[:_SLICE_BITS])
+        if a is not None:
+            a = a * scale + _subset_sums(weights[_SLICE_BITS:])[:, None]
+            b = b * scale
+    slices = _slices(base, a, b)
+    tally = np.bincount(next(slices)[1], minlength=bins)
+    for _, key in slices:
+        tally += np.bincount(key, minlength=bins)
+    return _fold(g, k, tally.reshape(g.m + 1, *sizes)) if sizes else tally
+
+
+def _subset_sums(weights: list[int]) -> np.ndarray:
+    """sums[S] (uint16) is the total weight of the bits set in S."""
+    sums = np.zeros(1 << len(weights), dtype=np.uint16)
+    for i, w in enumerate(weights):
+        np.add(sums[: 1 << i], w, out=sums[1 << i : 2 << i])
+    return sums
+
+
+def _fold(g: Graph, k: int, tally: np.ndarray) -> np.ndarray:
+    """counts[e] from tally[e, d_k, ..., d_n-1], the number of masks S of
+    vertices 0..k-1 with e edges and d_v neighbours of each paired
+    vertex v >= k.  Vertex by vertex, v leaves S + T unchanged or joins
+    it: then e grows by d_v, and d_w by one for each later neighbour w.
+    No count leaves the array: e + d_v <= m, and d_w < deg w while its
+    neighbour v has not joined."""
+    for v in range(k, g.n):
+        join = [g.adj[v] >> w & 1 for w in range(v + 1, g.n)]
+        up = tuple(slice(1, None) if w else slice(None) for w in join)
+        down = tuple(slice(None, -1) if w else slice(None) for w in join)
+        out = tally.sum(axis=1)
+        top = len(tally)
+        for d in range(min(tally.shape[1], top)):
+            out[(slice(d, None), *up)] += tally[(slice(None, top - d), d, *down)]
+        tally = out
+    return tally
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> Permutation | None:

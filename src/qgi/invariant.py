@@ -9,7 +9,9 @@ provides the classical spectral invariant used for comparison, exact in
 int64 for every graph the sweep accepts.
 
 Every subset sweep reads induced edge counts from graphs._edge_counts,
-the one edge-count kernel, which the QPE simulator shares.
+the slices of the one edge-count kernel, which the QPE simulator
+shares; classical_histogram reads graphs._edge_tally, which tallies
+keyed slices of that kernel and folds the paired top vertices back.
 """
 
 from __future__ import annotations

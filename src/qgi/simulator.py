@@ -19,9 +19,10 @@ lookup in a 2^bits-entry exp table.  So the 2^t final amplitudes of a
 graph basis state S depend only on e(S): they are row e(S) of at most
 m + 1 rows, built once per program, about 2^16 amplitudes at a time.
 `_readout` weights each row's |amp|^2 by graphs._edge_tally, how many
-subsets induce each edge count, which the one subset-doubling kernel
-graphs._edge_counts gives one slice of 2^16 subsets at a time: its
-time grows as 2^n_graph and its memory is one slice and the 2^t
+subsets induce each edge count, tallied one slice of 2^16 subsets at a
+time from the one slice decomposition, graphs._slice_tables (above 16
+graph qubits, keyed slices that each stand for 2^j subsets): its time
+grows at most as 2^n_graph and its memory is one slice and the 2^t
 marginal, so it has no width cap.
 quantum_histogram builds no circuit: it reads out `_qpe_program`, what
 build_qpe's circuit compiles to.  `run` gathers every graph basis

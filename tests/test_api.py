@@ -170,10 +170,12 @@ SIZE_CAPS = {
 
 
 def test_size_caps_are_pinned():
-    # Also: one module sets the slice of the one subset-doubling kernel,
-    # so a second edge-count kernel cannot come back with its own.
+    # Also: one module sets the slice of the one subset-doubling kernel
+    # and the key range of its tally, so a second edge-count kernel
+    # cannot come back with its own.
     caps = set()
     slices = set()
+    bins = set()
     for path in Path(qgi.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.Assign):
@@ -185,8 +187,10 @@ def test_size_caps_are_pinned():
             names = {f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name)}
             caps |= {name for name in names if "MAX" in name}
             slices |= {name for name in names if name.endswith("._SLICE_BITS")}
+            bins |= {name for name in names if name.endswith("._TALLY_BINS")}
     assert caps == SIZE_CAPS
     assert slices == {"graphs._SLICE_BITS"}
+    assert bins == {"graphs._TALLY_BINS"}
 
 
 def test_one_module_enumerates_labellings():

@@ -15,7 +15,7 @@ from conftest import (
     slow_char_poly,
     slow_histogram,
 )
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgi.circuit
@@ -136,6 +136,53 @@ def test_edge_counts_across_slice_boundaries(n):
             assert int(e[offset]) == induced_edge_count(g, start + offset)
         starts.append(start)
     assert starts == list(range(0, 1 << n, size))
+
+
+@settings(max_examples=200)
+@given(
+    g=graphs(),
+    slice_bits=st.integers(1, 4),
+    bins=st.integers(0, qgi.graphs._TALLY_BINS.bit_length() - 1).map(lambda b: 1 << b),
+)
+def test_paired_tally_matches_per_mask_counts(g, slice_bits, bins):
+    # Small slices and key ranges, from 1 bin to the default 2^13, pair
+    # from none to all but one vertex, on odd and even grids, so the
+    # keyed slices and the fold all run.
+    counts = [0] * (g.m + 1)
+    for mask in range(1 << g.n):
+        counts[induced_edge_count(g, mask)] += 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
+        mp.setattr(qgi.graphs, "_TALLY_BINS", bins)
+        assert list(classical_histogram(g).counts) == counts
+
+
+N24_SHAPES = {
+    "one_edge": [(5, 6)],
+    "perfect_matching": [(2 * i, 2 * i + 1) for i in range(12)],
+    "path": [(i, i + 1) for i in range(23)],
+    "star_at_0": [(0, i) for i in range(1, 24)],
+    "star_at_23": [(i, 23) for i in range(23)],
+    "complete": list(itertools.combinations(range(24), 2)),
+    "top_8_isolated": random_graph(random.Random(310), 16, p=0.3).edges(),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(N24_SHAPES))
+def test_paired_tally_matches_slice_tally_at_n24(shape):
+    # From all eight top vertices paired (one edge, isolated tops) to one
+    # (the complete graph), against one np.bincount per slice.
+    g = Graph.from_edges(24, N24_SHAPES[shape])
+    swept = sum(np.bincount(e, minlength=g.m + 1) for _, e in _edge_counts(g))
+    assert np.array_equal(qgi.graphs._edge_tally(g), swept)
+
+
+def test_edgeless_tally_does_not_sweep(monkeypatch):
+    def tables(graph, k):
+        raise AssertionError("edgeless graph swept")
+
+    monkeypatch.setattr(qgi.graphs, "_slice_tables", tables)
+    assert classical_histogram(Graph(24, (0,) * 24)).counts == (1 << 24,)
 
 
 def test_max_independent_set_skips_slices_without_edgeless_subsets():

@@ -445,16 +445,16 @@ def test_qpe_circuits_need_no_gate_loop(monkeypatch):
 
 def test_qpe_readout_sweeps_its_graph_once(monkeypatch):
     # Every estimation qubit's units are a multiple of the graph's
-    # induced edge counts, swept once by the one subset-doubling kernel,
+    # induced edge counts, swept once by the one slice decomposition,
     # fused or not.
     swept = []
-    kernel = qgi.graphs._edge_counts
+    tables = qgi.graphs._slice_tables
 
-    def recorded(graph):
+    def recorded(graph, k):
         swept.append(graph)
-        return kernel(graph)
+        return tables(graph, k)
 
-    monkeypatch.setattr(qgi.graphs, "_edge_counts", recorded)
+    monkeypatch.setattr(qgi.graphs, "_slice_tables", recorded)
     for g in (named_graph("c4"), named_graph("petersen"), random_graph(random.Random(424), 9)):
         for fuse in (True, False):
             swept.clear()
