@@ -42,24 +42,25 @@ class Gate:
     turns: Fraction | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _ARITY:
-            raise InputError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != _ARITY[self.kind]:
-            raise InputError(f"{self.kind} expects {_ARITY[self.kind]} qubits")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise InputError(f"{self.kind} qubits must be distinct: {self.qubits}")
-        if min(self.qubits) < 0:
-            raise InputError(f"negative qubit index in {self.qubits}")
-        if self.kind in _PHASED:
-            if self.turns is None:
-                raise InputError(f"{self.kind} requires a phase")
+        kind, qubits, turns = self.kind, self.qubits, self.turns
+        arity = _ARITY.get(kind)
+        if arity is None:
+            raise InputError(f"unknown gate kind {kind!r}")
+        if len(qubits) != arity:
+            raise InputError(f"{kind} expects {arity} qubits")
+        if len(set(qubits)) != arity:
+            raise InputError(f"{kind} qubits must be distinct: {qubits}")
+        if min(qubits) < 0:
+            raise InputError(f"negative qubit index in {qubits}")
+        if kind in _PHASED:
+            if turns is None:
+                raise InputError(f"{kind} requires a phase")
             # A Fraction's denominator is positive: this is 0 <= turns < 1
             # without building a Fraction per comparison.
-            turns = self.turns
             if not isinstance(turns, Fraction) or not 0 <= turns.numerator < turns.denominator:
                 raise InputError(f"phase {turns!r} is not a Fraction in [0, 1) turns")
-        elif self.turns is not None:
-            raise InputError(f"{self.kind} takes no phase")
+        elif turns is not None:
+            raise InputError(f"{kind} takes no phase")
 
     @property
     def phase(self) -> float:
@@ -90,7 +91,10 @@ class Circuit:
     """Gate list over a graph register and an estimation register.
 
     width = n_graph + n_est.  The estimation register is the one
-    read-out, LSB of the outcome first.
+    read-out, LSB of the outcome first.  The width check runs once per
+    distinct gate object, in order of first occurrence, so the first
+    gate out of range is the one named: the unfused circuit repeats
+    each oracle power's gates 2^j times.
     """
 
     n_graph: int
@@ -101,7 +105,8 @@ class Circuit:
         if self.n_graph < 1 or self.n_est < 0:
             raise InputError("register sizes must be n_graph >= 1, n_est >= 0")
         w = self.width
-        for g in self.gates:
+        # self.gates keeps every gate alive, so no two of them share an id.
+        for g in {id(g): g for g in self.gates}.values():
             if max(g.qubits) >= w:
                 raise InputError(f"gate {g.kind} on {g.qubits} exceeds width {w}")
 

@@ -196,16 +196,18 @@ def cmd_survey(args) -> int:
             f"survey source {args.source} supports 1 <= n <= {SURVEY_MAX_VERTICES}, got {args.n}"
         )
     cache = _cache_path(args)
-    reports = []
+    reports, fresh = [], []
     for n in range(1, args.n + 1):
         report = None
         if cache:
             report = load_report(cache, n, args.source)
         if report is None:
             report = run_survey(n, source=args.source)
-            if cache:
-                save_report(report, cache)
+            fresh.append(report)
         reports.append(report)
+    # One write for every order computed; an interrupted command caches none.
+    if cache and fresh:
+        save_report(fresh, cache)
     if args.output == "json":
         print(json.dumps([r.to_json() for r in reports]))
     else:

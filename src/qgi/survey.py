@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import CacheError, InputError, InternalCheckError, ResourceLimitError
@@ -106,28 +107,36 @@ def _report_digest(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def save_report(report: SurveyReport, path: str) -> None:
-    """Append/replace this report's line in a JSON-lines cache file.
+def save_report(reports: Sequence[SurveyReport], path: str) -> None:
+    """Append/replace the lines of these reports in a JSON-lines cache file.
 
-    The new file is written beside the old one and then renamed over
-    it, so an interrupted save leaves the previous file as it was.
+    One read, one write and one rename for all of them: each report's
+    line replaces any line with the same (n, source, version) key, and
+    the new lines follow the kept ones in the order given, so the file
+    is the one saving each report alone, in order, would leave.  The new
+    file is written beside the old one and then renamed over it, so an
+    interrupted save leaves the previous file as it was.
     """
-    entries = _read_cache_lines(path, missing_ok=True)
-    payload = report.to_json()
-    line = {
-        "version": CACHE_VERSION,
-        "n": report.n,
-        "source": report.source,
-        "sha256": _report_digest(payload),
-        "report": payload,
-    }
-    key = (report.n, report.source, CACHE_VERSION)
+    fresh: dict[tuple, dict] = {}
+    for report in reports:
+        payload = report.to_json()
+        key = (report.n, report.source, CACHE_VERSION)
+        fresh.pop(key, None)  # a later report of one key replaces, and moves last
+        fresh[key] = {
+            "version": CACHE_VERSION,
+            "n": report.n,
+            "source": report.source,
+            "sha256": _report_digest(payload),
+            "report": payload,
+        }
+    # A list, not the dict: a cache line's key may hold unhashable JSON.
+    keys = list(fresh)
     kept = [
         e
-        for e in entries
-        if (e.get("n"), e.get("source"), e.get("version")) != key
+        for e in _read_cache_lines(path, missing_ok=True)
+        if (e.get("n"), e.get("source"), e.get("version")) not in keys
     ]
-    kept.append(line)
+    kept += fresh.values()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

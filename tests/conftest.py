@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
 from itertools import combinations, permutations
 
@@ -9,6 +11,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from qgi import Graph
+from qgi.survey import CACHE_VERSION, _report_digest
 
 # Property tests replay the same examples on every run, so the suite stays
 # deterministic and bounded in time.
@@ -121,3 +124,26 @@ def slow_char_poly(g: Graph) -> list[int]:
             total[k] += sign * padded[k]
     # total[k] multiplies x^k; convert to leading-first order
     return list(reversed(total))
+
+
+def save_report_alone(report, path: str) -> None:
+    """Reference cache save: one report's read, replace and rewrite, as
+    each computed order used to be saved.  Existing lines are re-dumped
+    with sorted keys; a line with the report's (n, source, version) key
+    is dropped and the report's line is appended."""
+    lines = []
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            lines = [json.loads(ln) for ln in fh.read().splitlines() if ln.strip()]
+    key = (report.n, report.source, CACHE_VERSION)
+    lines = [e for e in lines if (e.get("n"), e.get("source"), e.get("version")) != key]
+    payload = report.to_json()
+    lines.append({
+        "version": CACHE_VERSION,
+        "n": report.n,
+        "source": report.source,
+        "sha256": _report_digest(payload),
+        "report": payload,
+    })
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(e, sort_keys=True) + "\n" for e in lines)

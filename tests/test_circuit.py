@@ -31,7 +31,7 @@ from qgi import (
     plan_precision,
     run,
 )
-from qgi.circuit import _inverse_qft_at, ccp, cp, h
+from qgi.circuit import _inverse_qft_at, ccp, cp, h, swap
 from qgi.simulator import _compile, _readout, apply_gate, init_state
 
 
@@ -91,6 +91,25 @@ def test_gate_validation():
     assert ccp(0, 1, 2, Fraction(9, 8)).turns == Fraction(1, 8)
 
 
+@pytest.mark.parametrize(
+    "kind, qubits, turns, message",
+    [
+        ("cz", (0, 1), None, "unknown gate kind 'cz'"),
+        ("cp", (0,), Fraction(1, 4), "cp expects 2 qubits"),
+        ("ccp", (0, 2, 0), Fraction(1, 4), "ccp qubits must be distinct: (0, 2, 0)"),
+        ("h", (-1,), None, "negative qubit index in (-1,)"),
+        ("cp", (0, 1), None, "cp requires a phase"),
+        ("cp", (0, 1), 0.5, "phase 0.5 is not a Fraction in [0, 1) turns"),
+        ("ccp", (0, 1, 2), Fraction(1), "phase Fraction(1, 1) is not a Fraction in [0, 1) turns"),
+        ("swap", (0, 1), Fraction(1, 2), "swap takes no phase"),
+    ],
+)
+def test_gate_rejection_messages(kind, qubits, turns, message):
+    with pytest.raises(InputError) as err:
+        Gate(kind, qubits, turns)
+    assert str(err.value) == message
+
+
 def test_single_qubit_phase_is_no_gate():
     # No part of the paper's circuit is a phase on one qubit.
     with pytest.raises(InputError, match="unknown gate kind 'p'"):
@@ -100,6 +119,21 @@ def test_single_qubit_phase_is_no_gate():
 def test_circuit_validation():
     with pytest.raises(InputError, match="width"):
         Circuit(n_graph=2, n_est=0, gates=(h(2),))
+
+
+def test_width_check_reaches_repeated_gates():
+    # Each distinct gate object is checked once: a bad gate met only
+    # through repeated references is still found, and the first bad gate
+    # in circuit order is the one named.
+    bad = ccp(0, 1, 5, Fraction(1, 4))
+    with pytest.raises(InputError, match=re.escape("gate ccp on (0, 1, 5) exceeds width 5")):
+        Circuit(n_graph=3, n_est=2, gates=(h(0), bad) * 3)
+    power = (cp(0, 1, Fraction(1, 8)), h(2))
+    later = tuple(h(q) for q in range(7, 15))
+    with pytest.raises(InputError, match=re.escape("gate swap on (3, 6) exceeds width 6")):
+        Circuit(n_graph=4, n_est=2, gates=power * 4 + (swap(3, 6),) + later + power * 2)
+    ok = Circuit(n_graph=4, n_est=2, gates=power * 4 + (swap(4, 5),))
+    assert len(ok.gates) == 9
 
 
 # --- oracle ---

@@ -29,7 +29,7 @@ from qgi import (
 )
 from qgi.cli import build_parser, load_graph, main
 
-from conftest import graphs
+from conftest import graphs, save_report_alone
 
 C4_TABLE = """\
 #(edges)  %Probability  #(subgraphs)
@@ -506,6 +506,43 @@ def test_survey_enumerates_each_order_once(capsys, tmp_path, monkeypatch):
     orders.clear()
     code, warm, _ = run_cli(capsys, "survey", "--n", "5", "--cache", cache)
     assert code == 0 and warm == plain and orders == []
+
+
+def test_survey_writes_its_cache_once(capsys, tmp_path, monkeypatch):
+    # One os.replace per command that computed an order, none for a
+    # warm rerun; the file is the one per-order saves would leave.
+    monkeypatch.delenv("QGI_CACHE_DIR", raising=False)
+    replaced = []
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda a, b: replaced.append(b) or real_replace(a, b))
+    cache, ref, other = (tmp_path / f for f in ("reports.jsonl", "ref.jsonl", "other.jsonl"))
+    reports = [qgi.survey.run_survey(n) for n in range(1, 5)]
+
+    code, cold, _ = run_cli(capsys, "survey", "--n", "4", "--cache", str(cache))
+    assert code == 0 and replaced == [str(cache)]
+    for report in reports:
+        save_report_alone(report, ref)
+    assert cache.read_bytes() == ref.read_bytes()
+
+    replaced.clear()
+    before = cache.read_bytes()
+    code, warm, _ = run_cli(capsys, "survey", "--n", "4", "--cache", str(cache))
+    assert code == 0 and warm == cold and replaced == []
+    assert cache.read_bytes() == before
+
+    # Order 2's line deleted and a qpe-exact line put first: the rerun
+    # recomputes order 2 alone and writes once.
+    save_report_alone(qgi.survey.run_survey(3, source="qpe-exact"), other)
+    lines = before.splitlines(keepends=True)
+    start = other.read_bytes() + b"".join(lines[:1] + lines[2:])
+    cache.write_bytes(start)
+    ref.write_bytes(start)
+    replaced.clear()
+    code, again, _ = run_cli(capsys, "survey", "--n", "4", "--cache", str(cache))
+    assert code == 0 and again == cold and replaced == [str(cache)]
+    save_report_alone(reports[1], ref)
+    assert cache.read_bytes() == ref.read_bytes()
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
 
 def test_survey_cache_env_dir(capsys, tmp_path, monkeypatch):

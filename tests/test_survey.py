@@ -6,6 +6,7 @@ import os
 import tracemalloc
 
 import pytest
+from conftest import save_report_alone
 
 import qgi.graphs
 from qgi import (
@@ -146,7 +147,7 @@ def test_survey_report_json_shape():
 def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     report = run_survey(4)
-    save_report(report, path)
+    save_report([report], path)
     loaded = load_report(path, 4, "classical")
     assert loaded is not None
     assert loaded.to_json() == report.to_json()
@@ -156,27 +157,48 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_miss_returns_none(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     assert load_report(path, 4, "classical") is None  # no file
-    save_report(run_survey(3), path)
+    save_report([run_survey(3)], path)
     assert load_report(path, 4, "classical") is None  # wrong n
     assert load_report(path, 3, "qpe-exact") is None  # wrong source
 
 
 def test_cache_preserves_other_entries(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    save_report(run_survey(3), path)
-    save_report(run_survey(4), path)
-    save_report(run_survey(3), path)  # replaces, must not drop n=4
+    save_report([run_survey(3)], path)
+    save_report([run_survey(4)], path)
+    save_report([run_survey(3)], path)  # replaces, must not drop n=4
     assert load_report(path, 3, "classical").class_count == 4
     assert load_report(path, 4, "classical").class_count == 11
     with open(path, encoding="utf-8") as fh:
         assert len(fh.read().splitlines()) == 2
 
 
+def test_batch_save_equals_saving_each_report_alone(tmp_path):
+    # Existing lines of other keys keep their order, replaced keys move
+    # to the end in the order given, a repeated key keeps its last report,
+    # and a line whose key is unhashable JSON is kept.
+    batch_path, ref_path = tmp_path / "batch.jsonl", tmp_path / "ref.jsonl"
+    r3, r4 = run_survey(3), run_survey(4)
+    q3 = run_survey(3, source="qpe-exact")
+    odd = survey.SurveyReport(3, "classical", 5, 5, 5, ())
+    for report in (r4, q3, r3):
+        save_report_alone(report, ref_path)
+    with open(ref_path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"n": [3], "source": "classical", "version": CACHE_VERSION}) + "\n")
+    batch_path.write_bytes(ref_path.read_bytes())
+    batch = [odd, run_survey(1), r4, r3]
+    save_report(batch, str(batch_path))
+    for report in batch:
+        save_report_alone(report, ref_path)
+    assert batch_path.read_bytes() == ref_path.read_bytes()
+    assert load_report(str(batch_path), 3, "classical") == r3
+
+
 def test_interrupted_save_keeps_previous_cache(tmp_path, monkeypatch):
     path = str(tmp_path / "cache.jsonl")
     old = [run_survey(n) for n in (1, 2, 3)]
     for report in old:
-        save_report(report, path)
+        save_report([report], path)
     with open(path, "rb") as fh:
         before = fh.read()
 
@@ -196,7 +218,7 @@ def test_interrupted_save_keeps_previous_cache(tmp_path, monkeypatch):
 
     monkeypatch.setattr(survey.json, "dumps", dumps)
     with pytest.raises(Interrupted):
-        save_report(run_survey(4), path)
+        save_report([run_survey(4)], path)
     monkeypatch.undo()
     with open(path, "rb") as fh:
         assert fh.read() == before
@@ -207,7 +229,7 @@ def test_interrupted_save_keeps_previous_cache(tmp_path, monkeypatch):
 
 def test_cache_version_mismatch_is_a_miss(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    save_report(run_survey(3), path)
+    save_report([run_survey(3)], path)
     with open(path, encoding="utf-8") as fh:
         entry = json.loads(fh.read())
     entry["version"] = CACHE_VERSION + 1
@@ -218,7 +240,7 @@ def test_cache_version_mismatch_is_a_miss(tmp_path):
 
 def test_cache_tamper_detected(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    save_report(run_survey(3), path)
+    save_report([run_survey(3)], path)
     with open(path, encoding="utf-8") as fh:
         entry = json.loads(fh.read())
     entry["report"]["classes"] = 5
