@@ -179,35 +179,25 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _cache_path(args) -> str | None:
-    if args.cache:
-        return args.cache
-    env = os.environ.get("QGI_CACHE_DIR")
-    if env:
-        os.makedirs(env, exist_ok=True)
-        return os.path.join(env, "survey-cache.jsonl")
-    return None
-
-
 def cmd_survey(args) -> int:
     # Validate the whole range before computing any lower order.
     if not 1 <= args.n <= SURVEY_MAX_VERTICES:
-        raise ResourceLimitError(
+        error = InputError if args.n < 1 else ResourceLimitError
+        raise error(
             f"survey source {args.source} supports 1 <= n <= {SURVEY_MAX_VERTICES}, got {args.n}"
         )
-    cache = _cache_path(args)
     reports, fresh = [], []
     for n in range(1, args.n + 1):
         report = None
-        if cache:
-            report = load_report(cache, n, args.source)
+        if args.cache:
+            report = load_report(args.cache, n, args.source)
         if report is None:
             report = run_survey(n, source=args.source)
             fresh.append(report)
         reports.append(report)
     # One write for every order computed; an interrupted command caches none.
-    if cache and fresh:
-        save_report(fresh, cache)
+    if args.cache and fresh:
+        save_report(fresh, args.cache)
     if args.output == "json":
         print(json.dumps([r.to_json() for r in reports]))
     else:
@@ -304,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--cache",
         metavar="PATH",
-        help="JSON-lines report cache (default: $QGI_CACHE_DIR/survey-cache.jsonl)",
+        help="JSON-lines report cache",
     )
     sp.add_argument("--output", choices=("pretty", "json"), default="pretty")
     _add_threads(sp)

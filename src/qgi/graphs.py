@@ -354,8 +354,7 @@ def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
 
 def _edge_tally(g: Graph) -> np.ndarray:
     """counts[k] (int64) is the number of subset masks inducing exactly
-    k edges, for k = 0..m.  An edgeless graph needs no sweep: every mask
-    induces 0 edges.
+    k edges, for k = 0..m.
 
     One np.bincount per slice of the one kernel, over masks S of the
     vertices 0..k-1 below the paired ones, k..n-1.  Top vertices, none
@@ -369,8 +368,6 @@ def _edge_tally(g: Graph) -> np.ndarray:
     strides, P * a plus those of the high vertices, and P * b: 2^(n-k)
     times fewer slices.  _fold then adds the paired vertices back.
     """
-    if g.m == 0:
-        return np.array([1 << g.n], dtype=np.int64)
     k, bins, sizes = g.n, g.m + 1, []
     while k > _SLICE_BITS and bins * (g.adj[k - 1].bit_count() + 1) <= _TALLY_BINS:
         k -= 1

@@ -101,8 +101,8 @@ def quantum_histogram(g: Graph, shots: int | None = None, seed: int = 0) -> QpeO
     mode an edgeless graph short-circuits to the trivial histogram
     [2^n]; shot mode samples its program like any other.  No circuit
     is built: both modes read out the plan's program, what the QPE
-    circuit (fused or not) compiles to.  `_readout` builds its m + 1
-    estimation rows once and weights them by the sweep kernel's tally of
+    circuit (fused or not) compiles to.  `_readout` builds its (2^t, m + 1)
+    matrix of rows once and weights it by the sweep kernel's tally of
     edge counts, never the 2^w statevector, so no width cap applies:
     every graph the sweep accepts runs, K24 (width 33) included.
     """

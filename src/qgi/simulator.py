@@ -16,17 +16,17 @@ from that graph, and raises InputError for any other circuit:
 Both give estimation value r the integer phase index
 (unit + r) * e(S) mod 2^bits, written with the uniform amplitude by one
 lookup in a 2^bits-entry exp table.  So the 2^t final amplitudes of a
-graph basis state S depend only on e(S): they are row e(S) of at most
-m + 1 rows, built once per program, about 2^16 amplitudes at a time.
-`_readout` weights each row's |amp|^2 by graphs._edge_tally, how many
+graph basis state S depend only on e(S): they are column e(S) of one
+(2^t, m + 1) matrix, built once per program.
+`_readout` is one product: |rows|^2 times graphs._edge_tally, how many
 subsets induce each edge count, tallied one slice of 2^16 subsets at a
 time from the one slice decomposition, graphs._slice_tables (above 16
 graph qubits, keyed slices that each stand for 2^j subsets): its time
-grows at most as 2^n_graph and its memory is one slice and the 2^t
-marginal, so it has no width cap.
+grows at most as 2^n_graph and its memory is one slice and the rows,
+so it has no width cap.
 quantum_histogram builds no circuit: it reads out `_qpe_program`, what
 build_qpe's circuit compiles to.  `run` gathers every graph basis
-state's row, using the kernel's counts as row ids, into the
+state's column, using the kernel's counts as column ids, into the
 statevector.  Only `run` holds all 2^w amplitudes, so HARD_MAX_QUBITS
 and `_peak_bytes` bound `run` (and `init_state`) alone.
 
@@ -41,7 +41,7 @@ apply_gate works in place on reshaped views; marginal holds |amp|^2,
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TextIO
@@ -123,21 +123,26 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 # An oracle's turns have at most _PHASE_BITS bits, so a program's exp
 # table has at most 2^16 entries.
 _PHASE_BITS = 16
-# Row chunks and dump chunks hold about 2^_BLOCK_BITS amplitudes, so
-# their temporaries stay in cache and small at any width.
+# dump_amplitudes scans 2^_BLOCK_BITS amplitudes at a time, so its
+# temporaries stay in cache and small at any width.
 _BLOCK_BITS = 16
 # Largest distance, in radians, of a phase_table phase from its multiple.
 _PHASE_ATOL = 1e-6
 
-# Bytes at the peak of `run`: the complex128 amplitudes and rows; per
-# subset of a slice, the kernel's uint32 masks, its uint16 counts,
-# output and grid offsets, and the intp row ids; per chunk element, the
-# int64 phase index and the lookup; per entry of the 2^bits exp table,
-# its int64 exponents, their complex multiple and the table.
+# Bytes at the peak of `run`: the complex128 amplitudes; per row
+# element, the complex128 row and its int64 phase index; per subset of a
+# slice, the kernel's uint32 masks, its uint16 counts, output and grid
+# offsets, and the intp row ids; per set of the graph qubits above a
+# slice and line of the slice's grid, the kernel's uint16 a and b
+# entries (counted once even where there are none); per entry of the
+# 2^bits exp table, its int64 exponents, their complex multiple and the
+# table; and the Python and numpy objects, about 10 KiB at most.
 _AMP_BYTES = 16
+_ROW_BYTES = 16 + 8
 _COLUMN_BYTES = 4 + 2 + 2 + 2 + 2 + 8
-_BLOCK_TEMP_BYTES = 8 + 16
+_GRID_BYTES = 2 + 2
 _TABLE_BYTES = 8 + 16 + 16
+_OBJECT_BYTES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -202,21 +207,24 @@ def _compile(circuit: Circuit) -> _Program:
 
 def _qpe_program(g: Graph, t: int) -> _Program:
     """_compile(build_qpe(g)), fused or not, for t estimation qubits:
-    r / 2^t turns per induced edge at estimation value r; no phase at
-    all if g is edgeless."""
-    return _Program(t if g.m else 0, g, t, 0)
+    r / 2^t turns per induced edge at estimation value r.  An edgeless
+    g reads only entry 0 of the exp table, the phase of 0 edges."""
+    return _Program(t, g, t, 0)
 
 
 def _peak_bytes(program: _Program) -> int:
     """Estimated peak bytes of `run` on program: the amplitudes, the
-    m + 1 rows, one slice of subsets, one chunk and the exp table."""
+    rows with their phase indices, one slice of subsets and the
+    decomposition's tables, the exp table and the objects."""
     n, t = program.graph.n, program.t
+    high = max(0, n - graphs._SLICE_BITS)
     return (
         (_AMP_BYTES << (n + t))
-        + (_AMP_BYTES * (program.graph.m + 1) << t)
+        + (_ROW_BYTES * (program.graph.m + 1) << t)
         + (_COLUMN_BYTES << min(n, graphs._SLICE_BITS))
-        + (_BLOCK_TEMP_BYTES << max(t, _BLOCK_BITS))
+        + (_GRID_BYTES << (high + graphs._SLICE_BITS // 2))
         + (_TABLE_BYTES << program.bits)
+        + _OBJECT_BYTES
     )
 
 
@@ -243,36 +251,31 @@ def _admit(need: int, what: str) -> None:
         )
 
 
-def _rows(program: _Program) -> Iterator[tuple[int, np.ndarray]]:
-    """Yields (k0, rows) for the edge counts 0..m of program.graph, about
-    2^_BLOCK_BITS amplitudes at a time: rows[r, i] is the final
+def _rows(program: _Program) -> np.ndarray:
+    """The (2^t, m + 1) complex rows of program: rows[r, k] is the final
     amplitude of estimation value r for every graph basis state that
-    induces k0 + i edges.
+    induces k edges of program.graph.
 
     Row r's phase index is (unit + r) * k mod 2^bits for edge count k,
     one outer product; one lookup in the exp table, then the FFT along
     the rows if the program has estimation qubits."""
     t = program.t
-    mask = (1 << program.bits) - 1
-    k = np.arange(program.graph.m + 1)
-    r = np.arange(program.unit, program.unit + (1 << t))
     table = np.exp(2j * math.pi / (1 << program.bits) * np.arange(1 << program.bits))
     table *= 2.0 ** (-(program.graph.n + t) / 2)
-    step = max(1, (1 << _BLOCK_BITS) >> t)
-    for k0 in range(0, len(k), step):
-        idx = np.outer(r, k[k0 : k0 + step])
-        idx &= mask
-        # Every index is below len(table): "clip" skips the bounds check.
-        rows = np.take(table, idx, mode="clip")
-        if t:
-            np.fft.fft(rows, axis=0, norm="ortho", out=rows)
-        yield k0, rows
+    r = np.arange(program.unit, program.unit + (1 << t))
+    idx = np.outer(r, np.arange(program.graph.m + 1))
+    idx &= (1 << program.bits) - 1
+    # Every index is below len(table): "clip" skips the bounds check.
+    rows = np.take(table, idx, mode="clip")
+    if t:
+        np.fft.fft(rows, axis=0, norm="ortho", out=rows)
+    return rows
 
 
 def run(circuit: Circuit) -> Statevector:
-    """Simulate from |0...0>, returning the final statevector: the m + 1
-    rows are built once, then each slice of graph basis states gathers
-    its rows by the edge counts that graphs._edge_counts gives it.
+    """Simulate from |0...0>, returning the final statevector: the rows
+    are built once, then each slice of graph basis states gathers its
+    columns by the edge counts that graphs._edge_counts gives it.
 
     Raises InputError unless circuit is one of the two that qgi builds
     (see `_compile`), and ResourceLimitError before allocating when the width exceeds
@@ -287,9 +290,7 @@ def run(circuit: Circuit) -> Statevector:
     _admit(_peak_bytes(program), f"circuit width {circuit.width}")
     state = Statevector(circuit.width, np.empty(1 << circuit.width, dtype=np.complex128))
     block = state.amps.reshape(1 << circuit.n_est, -1)
-    rows = np.empty((len(block), program.graph.m + 1), dtype=np.complex128)
-    for k0, part in _rows(program):
-        rows[:, k0 : k0 + part.shape[1]] = part
+    rows = _rows(program)
     for start, e in graphs._edge_counts(program.graph):
         ids = e.astype(np.intp)
         # Row by row, so each gather writes a contiguous run in place.
@@ -303,14 +304,11 @@ def run(circuit: Circuit) -> Statevector:
 
 def _readout(program: _Program) -> np.ndarray:
     """`marginal` of the estimation register after `run` of program:
-    |rows|^2 weighted by graphs._edge_tally, with no statevector held.
-    Its memory is one slice and the 2^t marginal, t <= 9 in
-    quantum_histogram.  InternalCheckError unless the total mass is within
-    1e-9 of 1."""
-    tally = graphs._edge_tally(program.graph)
-    probs = np.zeros(1 << program.t)
-    for k0, rows in _rows(program):
-        probs += (np.abs(rows) ** 2) @ tally[k0 : k0 + rows.shape[1]]
+    |rows|^2 weighted by graphs._edge_tally, one matrix product, with no
+    statevector held.  Its memory is one slice and the rows, at most
+    2^9 x 277 amplitudes (2.3 MB) in quantum_histogram.
+    InternalCheckError unless the total mass is within 1e-9 of 1."""
+    probs = np.abs(_rows(program)) ** 2 @ graphs._edge_tally(program.graph)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise InternalCheckError(f"read-out mass drifted to {total!r}")
@@ -348,10 +346,15 @@ def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     with shots.
 
     PCG64 with an explicit seed; identical (probs, shots, seed) give
-    identical counts with the same numpy.  InputError for shots outside
-    1..2^63-1, a negative seed, an empty array or a non-finite or
+    identical counts with the same numpy.  InputError for shots or a
+    seed that is not an integer, shots outside 1..2^63-1, a negative
+    seed, probs that is not a non-empty 1-D array, or a non-finite or
     negative probability.
     """
+    try:
+        shots, seed = operator.index(shots), operator.index(seed)
+    except TypeError:
+        raise InputError(f"shots and seed must be integers, got {shots!r} and {seed!r}") from None
     if shots < 1:
         raise InputError(f"shots must be positive, got {shots}")
     if shots >= 1 << 63:
@@ -359,8 +362,8 @@ def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     probs = np.asarray(probs, dtype=np.float64)
-    if not probs.size or not np.isfinite(probs).all() or (probs < 0).any():
-        raise InputError("probabilities must be non-empty, finite and non-negative")
+    if probs.ndim != 1 or not probs.size or not np.isfinite(probs).all() or (probs < 0).any():
+        raise InputError("probabilities must be a non-empty 1-D array, finite and non-negative")
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-9:
         raise InternalCheckError(f"marginal mass {total!r} is not 1")

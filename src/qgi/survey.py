@@ -52,9 +52,11 @@ class SurveyReport:
 def enumerate_classes(n: int) -> tuple[Graph, ...]:
     """One representative of every isomorphism class on exactly n
     vertices (n <= 8), sorted by canonical code; each order is built
-    from the classes of the order under it."""
+    from the classes of the order under it.  InputError for n < 1,
+    ResourceLimitError for n > 8."""
     if not 1 <= n <= SURVEY_MAX_VERTICES:
-        raise ResourceLimitError(
+        error = InputError if n < 1 else ResourceLimitError
+        raise error(
             f"class enumeration supports 1 <= n <= {SURVEY_MAX_VERTICES}, got {n}"
         )
     reps = [Graph(1, (0,))]

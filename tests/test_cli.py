@@ -293,10 +293,9 @@ def test_invariant_threads_flag(capsys):
         (("survey", "--n", "3"), ("--threads", "1")),
     ],
 )
-def test_ignored_flags_leave_stdout_unchanged(capsys, monkeypatch, argv, ignored):
+def test_ignored_flags_leave_stdout_unchanged(capsys, argv, ignored):
     # The argv forms the benchmark (qgibench/execute.py) sends.  The
     # flags can go in the benchmark change that stops sending them.
-    monkeypatch.delenv("QGI_CACHE_DIR", raising=False)
     code, plain, _ = run_cli(capsys, *argv)
     assert code == 0
     code, flagged, _ = run_cli(capsys, *argv, *ignored)
@@ -460,15 +459,13 @@ def test_encode_rejects_empty_graph(capsys):
 
 # --- survey command ---
 
-def test_survey_table(capsys, monkeypatch):
-    monkeypatch.delenv("QGI_CACHE_DIR", raising=False)
+def test_survey_table(capsys):
     code, out, _ = run_cli(capsys, "survey", "--n", "4")
     assert code == 0
     assert out == "1: 1 1 1\n2: 2 2 2\n3: 4 4 4\n4: 11 11 11\n"
 
 
-def test_survey_json(capsys, monkeypatch):
-    monkeypatch.delenv("QGI_CACHE_DIR", raising=False)
+def test_survey_json(capsys):
     code, out, _ = run_cli(capsys, "survey", "--n", "3", "--output", "json")
     assert code == 0
     docs = json.loads(out)
@@ -488,7 +485,6 @@ def test_survey_cache_flag(capsys, tmp_path):
 
 
 def test_survey_enumerates_each_order_once(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("QGI_CACHE_DIR", raising=False)
     orders = []
     enumerate_classes = qgi.survey.enumerate_classes
     monkeypatch.setattr(
@@ -511,7 +507,6 @@ def test_survey_enumerates_each_order_once(capsys, tmp_path, monkeypatch):
 def test_survey_writes_its_cache_once(capsys, tmp_path, monkeypatch):
     # One os.replace per command that computed an order, none for a
     # warm rerun; the file is the one per-order saves would leave.
-    monkeypatch.delenv("QGI_CACHE_DIR", raising=False)
     replaced = []
     real_replace = os.replace
     monkeypatch.setattr(os, "replace", lambda a, b: replaced.append(b) or real_replace(a, b))
@@ -545,17 +540,15 @@ def test_survey_writes_its_cache_once(capsys, tmp_path, monkeypatch):
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
 
-def test_survey_cache_env_dir(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("QGI_CACHE_DIR", str(tmp_path / "cachedir"))
-    code, _, _ = run_cli(capsys, "survey", "--n", "2")
-    assert code == 0
-    assert (tmp_path / "cachedir" / "survey-cache.jsonl").is_file()
-
-
 def test_survey_cap_exit_code(capsys):
     for source in ("classical", "qpe-exact"):
         code, out, err = run_cli(capsys, "survey", "--n", "9", "--source", source)
         assert code == 3 and out == ""
+        assert err.startswith("error: ")
+    # An order below 1 is bad input, not a resource cap.
+    for n in ("0", "-1"):
+        code, out, err = run_cli(capsys, "survey", "--n", n)
+        assert code == 2 and out == ""
         assert err.startswith("error: ")
 
 
@@ -600,10 +593,9 @@ def test_argparse_rejects_unknown_mode():
         main(["invariant", "c4", "--mode", "magic"])
 
 
-def test_commands_in_one_process_share_one_parser(capsys, monkeypatch):
+def test_commands_in_one_process_share_one_parser(capsys):
     # The parser is built once per process and returns a fresh Namespace
     # per command: no option or default of one command reaches the next.
-    monkeypatch.delenv("QGI_CACHE_DIR", raising=False)
     commands = [
         ["invariant", "petersen", "--mode", "qpe"],
         ["invariant", "petersen"],

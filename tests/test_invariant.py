@@ -177,14 +177,6 @@ def test_paired_tally_matches_slice_tally_at_n24(shape):
     assert np.array_equal(qgi.graphs._edge_tally(g), swept)
 
 
-def test_edgeless_tally_does_not_sweep(monkeypatch):
-    def tables(graph, k):
-        raise AssertionError("edgeless graph swept")
-
-    monkeypatch.setattr(qgi.graphs, "_slice_tables", tables)
-    assert classical_histogram(Graph(24, (0,) * 24)).counts == (1 << 24,)
-
-
 def test_max_independent_set_skips_slices_without_edgeless_subsets():
     # Every mask holding both high vertices induces their edge, so the
     # last slice, where both high bits are set, has no edgeless subset.
@@ -286,11 +278,9 @@ def test_quantum_histogram_builds_no_circuit(monkeypatch):
 def test_quantum_matches_sweep_on_random_graphs(slice_bits, g):
     # With slices of 4 graph basis states the edge counts of the high
     # vertices come from the kernel's grid offsets, as every vertex from
-    # 16 up does by default, and chunks of 4 amplitudes split the m + 1
-    # rows.
+    # 16 up does by default.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
-        mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
         assert quantum_histogram(g).histogram.counts == classical_histogram(g).counts
 
 

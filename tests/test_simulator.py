@@ -273,11 +273,10 @@ def _built(draw, max_n: int = 6):
 def test_compiled_run_matches_gate_loop(slice_bits, built):
     # Slices of 4 graph basis states take the edge counts from the
     # kernel's grid offsets, as graphs on more than 16 vertices do by
-    # default, and chunks of 4 amplitudes split the rows.
+    # default.
     _, circuit, _ = built
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
-        mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
         amps = run(circuit).amps
     np.testing.assert_allclose(amps, _gate_loop(circuit), rtol=0, atol=1e-12)
 
@@ -290,7 +289,6 @@ def test_readout_matches_marginal_of_run(slice_bits, built):
     _, circuit, _ = built
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
-        mp.setattr(qgi.simulator, "_BLOCK_BITS", min(slice_bits, qgi.simulator._BLOCK_BITS))
         probs = _readout(_compile(circuit))
     expect = marginal(_gate_loop_state(circuit), tuple(range(circuit.n_graph, circuit.width)))
     np.testing.assert_allclose(probs, expect, rtol=0, atol=1e-12)
@@ -462,21 +460,19 @@ def test_qpe_readout_sweeps_its_graph_once(monkeypatch):
             assert swept == [g]
 
 
-def test_edgeless_readout_does_not_sweep(monkeypatch):
-    # Every subset of an edgeless graph induces 0 edges: the tally is
-    # [2^n] without the 2^24-mask sweep, and the read-out is unchanged.
-    g = Graph(24, (0,) * 24)
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 24])
+def test_edgeless_readout_is_exact(n):
+    # Every subset of an edgeless graph induces 0 edges, so the general
+    # tally is [2^n], all the mass is on outcome 0, and so are all shots.
+    g = Graph(n, (0,) * n)
+    assert qgi.graphs._edge_tally(g).tolist() == [1 << n]
     circuit = build_qpe(g, fuse=True)
-    swept = sum(np.bincount(e, minlength=1) for _, e in qgi.graphs._edge_counts(g))
-    with monkeypatch.context() as mp:
-        mp.setattr(qgi.graphs, "_edge_tally", lambda graph: swept)
-        before = _readout(_compile(circuit))
-
-    def kernel(graph):
-        raise AssertionError("edgeless graph swept")
-
-    monkeypatch.setattr(qgi.graphs, "_edge_counts", kernel)
-    assert np.array_equal(_readout(_compile(circuit)), before)
+    probs = _readout(_compile(circuit))
+    assert probs[0] == pytest.approx(1.0, abs=1e-12) and not probs[1:].any()
+    assert sample(probs, 1000, 7).tolist() == [1000] + [0] * (len(probs) - 1)
+    if n <= 8:
+        expect = marginal(_gate_loop_state(circuit), tuple(range(n, circuit.width)))
+        np.testing.assert_allclose(probs, expect, rtol=0, atol=1e-12)
 
 
 def test_rows_are_built_once_per_circuit(monkeypatch):
@@ -502,18 +498,19 @@ def test_rows_are_built_once_per_circuit(monkeypatch):
 # --- memory admission ---
 
 def test_peak_bytes_counts_amplitudes_and_temporaries():
-    # Amplitudes; a complex row per estimation value for each of the
-    # m + 1 edge counts; per subset of a slice, 12 bytes for the kernel
-    # and 8 for the row ids; a chunk of at least 2^16 elements (int64
-    # index, lookup); 40 bytes per entry of the exp table, one entry per
-    # phase unit of the circuit.
-    chunk = 24 << 16
+    # Amplitudes; per estimation value and each of the m + 1 edge
+    # counts, a complex row element and its int64 phase index; per
+    # subset of a slice, 12 bytes for the kernel and 8 for the row ids;
+    # 4 bytes per set of the graph qubits above 16 and line of the
+    # 2^8-line grid; 40 bytes per entry of the exp table, one entry per
+    # phase unit of the circuit; 16 KiB of objects.
+    objects = (4 << 8) + (1 << 14)
     uniform = tuple(h(q) for q in range(5))
-    expect = (16 << 5) + 16 + (20 << 5) + chunk + 40
+    expect = (16 << 5) + 24 + (20 << 5) + 40 + objects
     assert _peak_bytes(_compile(Circuit(n_graph=5, n_est=0, gates=uniform))) == expect
     # C4 has 4 edges, so 5 rows, and t = 3: phases in units of 1/8 turn.
     c4 = named_graph("c4")
-    expect = (16 << 7) + (16 * 5 << 3) + (20 << 4) + chunk + (40 << 3)
+    expect = (16 << 7) + (24 * 5 << 3) + (20 << 4) + (40 << 3) + objects
     for fuse in (False, True):
         assert _peak_bytes(_compile(build_qpe(c4, fuse=fuse))) == expect
     # Width 28 is arithmetic alone: 24 vertices and 15 edges, so t = 4.
@@ -521,7 +518,7 @@ def test_peak_bytes_counts_amplitudes_and_temporaries():
     pairs = [(i, j) for i in range(24) for j in range(i + 1, 24)]
     wide = build_qpe(Graph.from_edges(24, rng.sample(pairs, 15)), fuse=True)
     assert wide.width == 28
-    expect = (16 << 28) + (16 * 16 << 4) + (20 << 16) + chunk + (40 << 4)
+    expect = (16 << 28) + (24 * 16 << 4) + (20 << 16) + (4 << 16) + (40 << 4) + (1 << 14)
     assert _peak_bytes(_compile(wide)) == expect
     # A circuit that run refuses raises as run does: a phase on graph
     # qubit 0 under estimation qubit 3, an H after the leading layer,
@@ -711,6 +708,11 @@ def test_sample_rejects_bad_shots():
         sample(np.array([1.0]), shots=0, seed=0)
     with pytest.raises(InputError, match="below 2"):
         sample(np.array([1.0]), shots=1 << 63, seed=0)
+    # A fractional shot count or seed is refused, not truncated.
+    with pytest.raises(InputError, match="integers"):
+        sample(np.array([1.0]), shots=1.5, seed=0)
+    with pytest.raises(InputError, match="integers"):
+        sample(np.array([1.0]), shots=10, seed=0.5)
 
 
 @pytest.mark.parametrize(
@@ -721,6 +723,7 @@ def test_sample_rejects_bad_shots():
         ([math.inf, 0.0], InputError),
         ([], InputError),
         ([0.5, 0.25], InternalCheckError),
+        ([[0.5, 0.5]], InputError),
     ],
 )
 def test_sample_rejects_bad_probabilities(probs, error):

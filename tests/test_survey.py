@@ -78,8 +78,10 @@ def test_classes_match_the_graph_atlas():
 
 
 def test_enumeration_caps():
-    with pytest.raises(ResourceLimitError):
-        enumerate_classes(0)
+    # An order below 1 is bad input; above 8 it is a resource cap.
+    for n in (0, -1):
+        with pytest.raises(InputError):
+            enumerate_classes(n)
     with pytest.raises(ResourceLimitError):
         enumerate_classes(9)
 
@@ -122,11 +124,13 @@ def test_survey_qpe_source_agrees_with_classical():
 
 
 def test_survey_caps_and_sources():
-    # One order cap for both sources, checked before any enumeration.
+    # One order range for both sources, checked before any enumeration:
+    # an order below 1 is bad input, one above 8 a resource cap.
     for source in ("classical", "qpe-exact"):
-        for n in (0, 9):
-            with pytest.raises(ResourceLimitError):
-                run_survey(n, source=source)
+        with pytest.raises(InputError):
+            run_survey(0, source=source)
+        with pytest.raises(ResourceLimitError):
+            run_survey(9, source=source)
     with pytest.raises(InputError, match="unknown survey source"):
         run_survey(4, source="oracle")
 
