@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,8 +24,8 @@ from .graphs import Graph
 
 _ARITY = {"h": 1, "cp": 2, "ccp": 3, "swap": 2}
 _PHASED = {"cp", "ccp"}
-# The one OpenQASM 3 spelling of each kind, written by export_qasm and
-# read by parse_qasm; a phase kind's angle follows it in parentheses.
+# The one OpenQASM 3 spelling of each kind, written by export_qasm; a
+# phase kind's angle follows it in parentheses.
 _QASM_NAMES = {"h": "h", "cp": "cp", "ccp": "ctrl @ cp", "swap": "swap"}
 
 
@@ -197,6 +198,25 @@ def build_qpe(g: Graph, fuse: bool = False) -> Circuit:
     return Circuit(n_graph=n, n_est=t, gates=tuple(gates))
 
 
+# Why _compile refuses a circuit: it is none of _built's.
+_NOT_BUILT = (
+    "not one that qgi builds: build_qpe(g, fuse) of the graph g its phase gates lie on, "
+    "or an H on every qubit then build_oracle(g, turns) with dyadic turns of at most 16 bits"
+)
+
+
+def _built(g: Graph, n_est: int, turns: Fraction) -> Iterator[Circuit]:
+    """The circuits that qgi builds from g, each built only once the
+    one before it is passed over: build_qpe(g, fuse), fused then
+    unfused, when n_est > 0; otherwise an H on every graph qubit, then
+    build_oracle(g, turns)."""
+    if n_est:
+        yield build_qpe(g, fuse=True)
+        yield build_qpe(g)
+    else:
+        yield Circuit(g.n, 0, tuple(h(q) for q in range(g.n)) + build_oracle(g, turns).gates)
+
+
 def _fmt_angle(turns: Fraction) -> str:
     return f"{float(turns) * math.tau:.12g}"
 
@@ -258,83 +278,25 @@ def export_qasm(circuit: Circuit, decompose_ccp: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-_DECL_RE = re.compile(r"(qubit|bit)\[(\d+)\] ([ge]|meas);")
-_GATE_RE = re.compile(
-    "(" + "|".join(map(re.escape, _QASM_NAMES.values())) + r")(?:\(([^)]+)\))? (.+);"
-)
-_OPERAND_RE = re.compile(r"([ge])\[(\d+)\]")
-_MEAS_RE = re.compile(r"meas\[(\d+)\] = measure e\[(\d+)\];")
-_KINDS = {name: kind for kind, name in _QASM_NAMES.items()}
-
-
-def _num(tok: str) -> int:
-    # int() refuses digit strings past a few thousand digits.
-    if len(tok) > 9:
-        raise InputError(f"number {tok[:12]}... is too large")
-    return int(tok)
-
-
-def _angle_to_turns(tok: str) -> Fraction:
-    try:
-        angle = float(tok)
-    except ValueError:
-        angle = math.nan  # rejected with nan, inf and overflowing literals
-    if not math.isfinite(angle):
-        raise InputError(f"bad angle literal {tok!r}")
-    turns = Fraction(angle / math.tau).limit_denominator(1 << 16) % 1
-    if abs(float(turns) * math.tau - angle % math.tau) > 1e-9:
-        raise InputError(f"angle {tok} is not a recognized dyadic fraction of 2*pi")
-    return turns
-
-
 def parse_qasm(text: str) -> Circuit:
-    """Re-read a circuit produced by export_qasm (default lowering only).
-
-    A gate statement is a _QASM_NAMES spelling, an angle in parentheses
-    for a phase, then its operands; Gate checks each one.  Operands are
-    placed only after every declaration is read: g[i] is qubit i and
-    e[j] is qubit n_graph + j, wherever `qubit[n_graph] g;` stands.
-    A measurement, if any, must be the one export_qasm writes: bit[t]
-    meas; then meas[j] = measure e[j]; for j = 0..t-1, t = n_est >= 1.
+    """Re-read what export_qasm writes (default lowering) for a circuit
+    that qgi builds: the first of _built whose export is text, once
+    `//` comments, blank lines and the whitespace around each line are
+    dropped.  n and t come from the `qubit[k] g;` and `qubit[k] e;`
+    lines, the graph from the `g[a], g[b];` pairs that the phase gates
+    end on, and an oracle's turns from its first `cp(angle) g[...]`
+    line.  InputError for every other text.
     Library API: it reads back what `encode` writes; no subcommand does."""
     lines = [line for raw in text.splitlines() if (line := raw.split("//", 1)[0].strip())]
-    if not lines or lines[0] != "OPENQASM 3.0;":
-        raise InputError("expected an OPENQASM 3.0 header")
-    sizes: dict[str, int] = {}  # declared registers
-    statements: list[tuple[str, list[tuple[str, int]], Fraction | None]] = []
-    meas: list[tuple[int, int]] = []
-    for line in lines[1:]:
-        if line == 'include "stdgates.inc";':
-            continue
-        if (mt := _DECL_RE.fullmatch(line)) and (mt[1] == "bit") == (mt[3] == "meas"):
-            # A register declared twice would have no one size to place by.
-            if mt[3] in sizes:
-                raise InputError(f"register {mt[3]} declared twice")
-            sizes[mt[3]] = _num(mt[2])
-        elif (mt := _GATE_RE.fullmatch(line)) and all(
-            ops := [_OPERAND_RE.fullmatch(op) for op in mt[3].split(", ")]
-        ):
-            turns = None if mt[2] is None else _angle_to_turns(mt[2])
-            statements.append((_KINDS[mt[1]], [(op[1], _num(op[2])) for op in ops], turns))
-        elif mt := _MEAS_RE.fullmatch(line):
-            meas.append((_num(mt[1]), _num(mt[2])))
-        else:
-            raise InputError(f"unsupported statement: {line!r}")
-    if sizes.get("g", 0) < 1:
-        raise InputError("missing graph register declaration")
-    t = sizes.get("e", 0)
-    if ("meas" in sizes or meas) and (
-        not t or sizes.get("meas") != t or meas != [(j, j) for j in range(t)]
-    ):
-        raise InputError(
-            "a measurement must be bit[t] meas; then meas[j] = measure e[j]; "
-            "for each estimation qubit j in order"
-        )
-    offset = {"g": 0, "e": sizes["g"]}
-    gates = []
-    for kind, ops, turns in statements:
-        for reg, i in ops:
-            if i >= sizes.get(reg, 0):
-                raise InputError(f"qubit {reg}[{i}] outside declared register")
-        gates.append(Gate(kind, tuple(offset[reg] + i for reg, i in ops), turns))
-    return Circuit(n_graph=sizes["g"], n_est=t, gates=tuple(gates))
+    body = "\n".join(lines) + "\n"
+    sizes = {reg: int(k) for k, reg in re.findall(r"^qubit\[([0-9]{1,2})\] ([ge]);$", body, re.M)}
+    pairs = re.findall(r" g\[([0-9]{1,2})\], g\[([0-9]{1,2})\];$", body, re.M)
+    graph = Graph.from_edges(sizes.get("g", 0), [(int(a), int(b)) for a, b in pairs])
+    # An exported angle is below 2*pi, so it has one digit before the
+    # point, and float() of it is finite.
+    angle = re.search(r"^cp\(([0-9](?:\.[0-9]+)?(?:e-[0-9]+)?)\) g\[", body, re.M)
+    turns = Fraction(float(angle[1]) / math.tau if angle else 0).limit_denominator(1 << 16) % 1
+    for circuit in _built(graph, sizes.get("e", 0), turns):
+        if export_qasm(circuit) == body:
+            return circuit
+    raise InputError("text is not what export_qasm writes for a circuit that qgi builds")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations
 from math import prod
+from numbers import Integral
 
 import numpy as np
 
@@ -58,16 +59,18 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise InputError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
+        _check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise InputError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
         full = (1 << self.n) - 1
-        for i, row in enumerate(self.adj):
-            if row & ~full:
-                raise InputError(f"adjacency row {i} references vertices >= {self.n}")
-            if (row >> i) & 1:
-                raise InputError(f"loop at vertex {i}")
+        try:
+            for i, row in enumerate(self.adj):
+                if row & ~full:
+                    raise InputError(f"adjacency row {i} references vertices >= {self.n}")
+                if (row >> i) & 1:
+                    raise InputError(f"loop at vertex {i}")
+        except TypeError:
+            raise InputError(f"adjacency rows {self.adj!r} are not all integers") from None
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 if (self.adj[i] >> j) & 1 != (self.adj[j] >> i) & 1:
@@ -102,15 +105,27 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> Graph:
+        """The graph on n vertices with the given (i, j) integer pairs.
+        n is checked before the rows are allocated."""
+        _check_vertex_count(n)
         adj = [0] * n
-        for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"edge ({i}, {j}) out of range for n={n}")
-            if i == j:
-                raise InputError(f"loop at vertex {i}")
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+        try:
+            for i, j in edges:
+                if not (0 <= i < n and 0 <= j < n):
+                    raise InputError(f"edge ({i}, {j}) out of range for n={n}")
+                if i == j:
+                    raise InputError(f"loop at vertex {i}")
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        except (TypeError, ValueError):
+            raise InputError("edges must be pairs of integer vertices") from None
         return Graph(n, tuple(adj))
+
+
+def _check_vertex_count(n: int) -> None:
+    """InputError unless n is an integer in 1..MAX_VERTICES."""
+    if not (isinstance(n, Integral) and 1 <= n <= MAX_VERTICES):
+        raise InputError(f"vertex count {n} outside 1..{MAX_VERTICES}")
 
 
 def _pair_order(n: int) -> list[tuple[int, int]]:

@@ -6,7 +6,7 @@ index, so a graph-register basis state IS the vertex-subset mask.
 `run` and `_readout` take one path, a `_Program`.  `_compile` reads the
 graph off a circuit's phase gates and makes the program before any
 amplitude is touched, if the circuit is one of the two that qgi builds
-from that graph, and raises InputError for any other circuit:
+from that graph (circuit._built), and raises InputError for any other:
 - build_qpe(graph, fuse), fused or not: after the H layer, graph basis
   state S with estimation value r carries r * e(S) / 2^t turns, where
   e(S) is the number of the graph's edges that S induces, and the
@@ -49,7 +49,7 @@ from typing import TextIO
 import numpy as np
 
 from . import graphs
-from .circuit import Circuit, Gate, build_oracle, build_qpe, h
+from .circuit import _NOT_BUILT, Circuit, Gate, _built
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .graphs import MAX_VERTICES, Graph
 
@@ -161,18 +161,10 @@ class _Program:
     unit: int
 
 
-_OFF_SHAPE = (
-    "circuit is not one that qgi builds: build_qpe(g, fuse) of the graph g "
-    "its phase gates lie on, or an H on every qubit then build_oracle(g, turns) "
-    "with dyadic turns of at most 16 bits"
-)
-
-
 def _compile(circuit: Circuit) -> _Program:
-    """The program of one of the two circuits qgi builds, read off the
-    graph that its phase gates lie on: build_qpe(graph, fuse), fused or
-    not, or an H on every graph qubit then build_oracle(graph, turns)
-    with dyadic turns of at most _PHASE_BITS bits.  InputError for every
+    """The program of a circuit of circuit._built for the graph that its
+    phase gates lie on, where an oracle's turns are also dyadic of at
+    most _PHASE_BITS bits, the exp table's size.  InputError for every
     other circuit, and first ResourceLimitError for a graph register of
     more than graphs.MAX_VERTICES qubits, which no Graph can hold.
     `_readout` of it is the circuit's estimation-register marginal."""
@@ -186,22 +178,13 @@ def _compile(circuit: Circuit) -> _Program:
     # inverse-QFT tail lie on no graph qubit.
     pairs = {gate.qubits[-2:] for gate in phases}
     graph = Graph.from_edges(n, [pair for pair in pairs if max(pair) < n])
-    if t:
-        # The unfused circuit repeats each oracle power 2^j times, so it
-        # is built only when the gate count is not the fused one.
-        built = build_qpe(graph, fuse=True)
-        if len(circuit.gates) != len(built.gates):
-            built = build_qpe(graph)
-        if circuit != built:
-            raise InputError(_OFF_SHAPE)
-        return _qpe_program(graph, t)
     turns = phases[0].turns if phases else Fraction(0)
     den = turns.denominator
-    layer = tuple(h(q) for q in range(n))
-    if den & (den - 1) or den > 1 << _PHASE_BITS or (
-        circuit.gates != layer + build_oracle(graph, turns).gates
-    ):
-        raise InputError(_OFF_SHAPE)
+    dyadic = not den & (den - 1) and den <= 1 << _PHASE_BITS
+    if not (t or dyadic) or circuit not in _built(graph, t, turns):
+        raise InputError("circuit is " + _NOT_BUILT)
+    if t:
+        return _qpe_program(graph, t)
     return _Program(den.bit_length() - 1, graph, 0, turns.numerator)
 
 
@@ -398,14 +381,10 @@ def phase_table(state: Statevector, theta: float) -> dict[int, int]:
             f"amplitude {first} phase {float(angles[bad][0])!r} is not a "
             f"multiple of theta={theta!r} within {_PHASE_ATOL}"
         )
-    table: dict[int, int] = {}
-    full = round(math.tau / theta) if abs(math.tau / theta - round(math.tau / theta)) < 1e-9 else 0
-    for i, k in zip(idx, ks):
-        kk = int(k)
-        if full and kk == full:
-            kk = 0
-        table[int(i)] = kk
-    return table
+    full = round(math.tau / theta)
+    if full > 0 and abs(math.tau / theta - full) < 1e-9:
+        ks %= full
+    return dict(zip(idx.tolist(), ks.tolist()))
 
 
 def dump_amplitudes(state: Statevector, fh: TextIO) -> None:

@@ -208,6 +208,20 @@ def test_one_module_enumerates_labellings():
     assert users == {"graphs"}
 
 
+def test_one_module_names_the_circuits_qgi_builds():
+    # circuit._built is the one list of the circuits that qgi builds,
+    # which _compile and parse_qasm both accept, so the simulator cannot
+    # grow a second list that drifts from it.
+    path = Path(qgi.__file__).parent / "simulator.py"
+    called = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    assert "_built" in called
+    assert not called & {"build_qpe", "build_oracle"}
+
+
 def test_cli_options_are_pinned():
     # A new flag is a deliberate change to these sets, as a public name
     # is to PUBLIC.

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import graphs, random_graph
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qgi.circuit
@@ -42,6 +42,11 @@ def _apply_gates(n_qubits: int, gates, start=None):
     for g in gates:
         apply_gate(state, g)
     return state.amps
+
+
+def _oracle(g: Graph, turns: Fraction) -> Circuit:
+    """An H on every graph qubit, then the phase oracle at turns."""
+    return Circuit(g.n, 0, tuple(h(q) for q in range(g.n)) + build_oracle(g, turns).gates)
 
 
 # --- precision plan ---
@@ -356,7 +361,7 @@ def test_qasm_roundtrip():
         for fuse in (False, True):
             circuit = build_qpe(named_graph(graph), fuse=fuse)
             assert parse_qasm(export_qasm(circuit)) == circuit
-    oracle = build_oracle(named_graph("g1"), Fraction(1, 16))
+    oracle = _oracle(named_graph("g1"), Fraction(1, 16))
     assert parse_qasm(export_qasm(oracle)) == oracle
 
 
@@ -436,47 +441,54 @@ def test_exported_decomposition_matches_its_ccp():
     assert np.allclose(got, want, atol=1e-9)
 
 
+def _refused(*texts: str) -> None:
+    for text in texts:
+        with pytest.raises(InputError):
+            parse_qasm(text)
+
+
 def test_parse_qasm_errors():
-    with pytest.raises(InputError, match="header"):
-        parse_qasm("h q[0];")
-    with pytest.raises(InputError, match="unsupported"):
-        parse_qasm("OPENQASM 3.0;\nqubit[2] g;\ncz g[0], g[1];")
-    with pytest.raises(InputError, match="outside declared"):
-        parse_qasm("OPENQASM 3.0;\nqubit[1] g;\nh g[3];")
-    # A second "qubit[3] g;" would have moved the H on e[0] onto g[2].
-    for reg in ("g", "e"):
-        with pytest.raises(InputError, match="declared twice"):
-            parse_qasm(f"OPENQASM 3.0;\nqubit[2] g;\nqubit[1] e;\nh e[0];\nqubit[3] {reg};")
+    # No header, a gate export_qasm has no spelling for, an operand
+    # outside its register, a register declared twice, a single-qubit
+    # phase.
     head = "OPENQASM 3.0;\nqubit[2] g;\n"
-    with pytest.raises(InputError, match="declared twice"):
-        parse_qasm(head + "bit[1] meas;\nbit[5] meas;")
-    # A single-qubit phase is no statement of export_qasm's.
-    with pytest.raises(InputError, match="unsupported"):
-        parse_qasm(head + "p(0.785398163397) g[0];")
+    _refused(
+        "h q[0];",
+        head + "cz g[0], g[1];",
+        "OPENQASM 3.0;\nqubit[1] g;\nh g[3];",
+        *(f"OPENQASM 3.0;\nqubit[2] g;\nqubit[1] e;\nh e[0];\nqubit[3] {reg};" for reg in "ge"),
+        head + "bit[1] meas;\nbit[5] meas;",
+        head + "p(0.785398163397) g[0];",
+    )
 
 
 @pytest.mark.parametrize(
     "line", ["includes are ignored here h g[0];", 'include "other.inc";']
 )
 def test_parse_qasm_skips_only_the_include_export_qasm_writes(line):
-    # Any other line starting with "include" is a statement like any other.
-    with pytest.raises(InputError, match="unsupported statement"):
-        parse_qasm(f"OPENQASM 3.0;\n{line}\nqubit[1] g;")
-    assert parse_qasm('OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit[1] g;') == Circuit(1, 0, ())
+    # A graph register with no H layer is no circuit that qgi builds.
+    _refused(
+        f"OPENQASM 3.0;\n{line}\nqubit[1] g;",
+        'OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit[1] g;',
+    )
+    text = 'OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit[1] g;\nh g[0];'
+    assert parse_qasm(text) == Circuit(1, 0, (h(0),))
+    _refused(text.replace("stdgates", "other"))
 
 
-def test_parse_qasm_places_qubits_after_every_declaration():
-    # e[j] is qubit n_graph + j wherever the graph register is declared.
-    text = "OPENQASM 3.0;\nqubit[1] e;\nh e[0];\nqubit[2] g;"
-    assert parse_qasm(text) == Circuit(2, 1, (Gate("h", (2,)),))
-    assert parse_qasm("OPENQASM 3.0;\nh g[1];\nqubit[2] g;") == Circuit(2, 0, (Gate("h", (1,)),))
-    with pytest.raises(InputError, match=r"qubit e\[1\] outside declared"):
-        parse_qasm("OPENQASM 3.0;\nh e[1];\nqubit[2] g;\nqubit[1] e;")
+def test_parse_qasm_refuses_declarations_after_gates():
+    _refused(
+        "OPENQASM 3.0;\nqubit[1] e;\nh e[0];\nqubit[2] g;",
+        "OPENQASM 3.0;\nh g[1];\nqubit[2] g;",
+        "OPENQASM 3.0;\nh e[1];\nqubit[2] g;\nqubit[1] e;",
+    )
 
 
 _HALF_TURN = "3.14159265359"  # export_qasm's spelling of Fraction(1, 2)
 
 
+# Each statement is one that export_qasm never writes, for the reason
+# given.
 @pytest.mark.parametrize(
     ("statement", "message"),
     [
@@ -486,25 +498,25 @@ _HALF_TURN = "3.14159265359"  # export_qasm's spelling of Fraction(1, 2)
         ("swap g[0];", "swap expects 2 qubits"),
         (f"ctrl @ cp({_HALF_TURN}) g[0], g[1];", "ccp expects 3 qubits"),
         (f"cp({_HALF_TURN}) g[0], g[0];", "qubits must be distinct"),
-        # 0.5 rad is no dyadic turn, so these fail on the angle first.
         ("h(0.5) g[0];", "not a recognized dyadic"),
         ("ctrl @ cp(0.5) g[0], g[1];", "not a recognized dyadic"),
     ],
 )
 def test_parse_qasm_checks_each_statement_as_a_gate(statement, message):
-    with pytest.raises(InputError, match=message):
-        parse_qasm("OPENQASM 3.0;\nqubit[2] g;\n" + statement)
+    # Alone, and after the export of the oracle of one edge.
+    edge = export_qasm(_oracle(Graph.from_edges(2, [(0, 1)]), Fraction(1, 2)))
+    _refused("OPENQASM 3.0;\nqubit[2] g;\n" + statement, edge + statement)
 
 
 def test_parse_qasm_reads_only_the_estimation_register_measured():
-    # export_qasm measures e[j] into meas[j], every j; any other
-    # measurement would read out something the simulator does not.
+    # Each measurement section stands alone after gate-free registers,
+    # and in place of its own in the export of the 3-vertex path (t = 2),
+    # where only export_qasm's own section is read back.
     head = "OPENQASM 3.0;\nqubit[2] g;\nqubit[2] e;\n"
     full = "bit[2] meas;\nmeas[0] = measure e[0];\nmeas[1] = measure e[1];"
-    assert parse_qasm(head + full) == parse_qasm(head) == Circuit(2, 2, ())
-    with pytest.raises(InputError, match="unsupported"):
-        parse_qasm(head + "bit[1] meas;\nmeas[0] = measure g[0];")
-    for section in (
+    sections = (
+        "",
+        "bit[1] meas;\nmeas[0] = measure g[0];",
         "bit[2] meas;",  # declared, nothing measured
         "meas[0] = measure e[0];\nmeas[1] = measure e[1];",  # no bit register
         "bit[2] meas;\nmeas[0] = measure e[0];",  # e[1] unread
@@ -512,24 +524,105 @@ def test_parse_qasm_reads_only_the_estimation_register_measured():
         "bit[2] meas;\nmeas[0] = measure e[1];\nmeas[1] = measure e[0];",  # reversed
         "bit[3] meas;\nmeas[0] = measure e[0];\nmeas[1] = measure e[1];",
         full + "\nmeas[1] = measure e[1];",  # measured twice
-    ):
-        with pytest.raises(InputError, match="a measurement must be"):
-            parse_qasm(head + section)
-    # No estimation register, so no measurement at all.
-    with pytest.raises(InputError, match="a measurement must be"):
-        parse_qasm("OPENQASM 3.0;\nqubit[2] g;\nbit[0] meas;")
+    )
+    _refused(head + full, *(head + section for section in sections))
+    _refused("OPENQASM 3.0;\nqubit[2] g;\nbit[0] meas;")
+    path = build_qpe(parse_edge_list("3; 0 1; 1 2"))
+    gates = [line for line in export_qasm(path).splitlines() if "meas" not in line]
+
+    def measured(section: str) -> str:
+        # Declarations after the registers, measurements after the gates.
+        lines = section.splitlines()
+        bits = [line for line in lines if line.startswith("bit")]
+        rest = [line for line in lines if not line.startswith("bit")]
+        return "\n".join(gates[:4] + bits + gates[4:] + rest)
+
+    assert parse_qasm(measured(full)) == path
+    _refused(*map(measured, sections))
 
 
 @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "1e999"])
 def test_parse_qasm_rejects_non_finite_angles(literal):
-    with pytest.raises(InputError, match="bad angle literal"):
-        parse_qasm(f"OPENQASM 3.0;\nqubit[2] g;\ncp({literal}) g[0], g[1];")
+    oracle = export_qasm(_oracle(named_graph("c4"), Fraction(1, 8)))
+    _refused(
+        f"OPENQASM 3.0;\nqubit[2] g;\ncp({literal}) g[0], g[1];",
+        oracle.replace("cp(0.785398163397)", f"cp({literal})"),
+    )
 
 
 def test_parse_qasm_rejects_overlong_numbers():
-    # int() itself refuses a digit string this long with a ValueError.
-    with pytest.raises(InputError, match="too large"):
-        parse_qasm("OPENQASM 3.0;\nqubit[" + "9" * 5000 + "] g;")
+    _refused(
+        "OPENQASM 3.0;\nqubit[" + "9" * 5000 + "] g;",
+        "OPENQASM 3.0;\nqubit[2] g;\nh g[0];\nh g[" + "9" * 5000 + "];",
+    )
+
+
+@st.composite
+def _built_and_changed(draw):
+    """A circuit of qgi.circuit._built for a graph of at most 7
+    vertices, its export's lines, and those lines with one line dropped,
+    duplicated or swapped with another, or one digit changed."""
+    g = draw(graphs(max_n=7))
+    if draw(st.booleans()):
+        turns = Fraction(draw(st.integers(0, (1 << 16) - 1)), 1 << 16)
+        built = list(qgi.circuit._built(g, 0, turns))
+    else:
+        built = list(qgi.circuit._built(g, plan_precision(g.m).t, Fraction(0)))
+    circuit = draw(st.sampled_from(built))
+    lines = export_qasm(circuit).splitlines()
+    changed = list(lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    change = draw(st.sampled_from(["drop", "duplicate", "swap", "digit"]))
+    if change == "drop":
+        del changed[i]
+    elif change == "duplicate":
+        changed.insert(draw(st.integers(0, len(lines))), lines[i])
+    elif change == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        changed[i], changed[j] = changed[j], changed[i]
+    else:
+        at = [(k, c) for k, line in enumerate(lines) for c, ch in enumerate(line) if ch.isdigit()]
+        k, c = draw(st.sampled_from(at))
+        digit = draw(st.sampled_from("0123456789").filter(lambda d: d != lines[k][c]))
+        changed[k] = lines[k][:c] + digit + lines[k][c + 1 :]
+    return built, circuit, changed
+
+
+@given(case=_built_and_changed())
+def test_parse_qasm_reads_back_only_the_circuits_qgi_builds(case):
+    built, circuit, changed = case
+    for c in built:
+        assert parse_qasm(export_qasm(c)) == c
+    # Comments, blank lines and the whitespace around a line are dropped.
+    lines = export_qasm(circuit).splitlines()
+    noted = "// qgi\n\n" + "\n".join(f"  {line} // {k}" for k, line in enumerate(lines))
+    assert parse_qasm(noted) == circuit
+    assume(changed != lines)
+    try:
+        again = parse_qasm("\n".join(changed))
+    except InputError:
+        return
+    # The one exception is another such circuit's export: dropping the
+    # line of an oracle's edge gives the oracle of the graph without it.
+    assert again != circuit
+    assert export_qasm(again).splitlines() == changed
+def test_parse_qasm_refuses_each_line_edit():
+    # Every line of two small exports dropped, doubled or swapped with
+    # the next: only dropping one of the oracle's edge lines gives
+    # another export, the oracle of c4 without that edge.
+    path = build_qpe(parse_edge_list("3; 0 1; 1 2"))
+    for circuit in (path, _oracle(named_graph("c4"), Fraction(1, 8))):
+        lines = export_qasm(circuit).splitlines()
+        for i, line in enumerate(lines):
+            edits = [lines[:i] + lines[i + 1 :], lines[:i] + [line] + lines[i:]]
+            edits.append(lines[:i] + lines[i + 1 : i + 2] + [line] + lines[i + 2 :])
+            for edit in edits:
+                if edit == lines:
+                    continue
+                if edit == edits[0] and line.startswith("cp(") and not circuit.n_est:
+                    assert export_qasm(parse_qasm("\n".join(edit))).splitlines() == edit
+                else:
+                    _refused("\n".join(edit))
 
 
 # Statements shaped like export_qasm's: a template and the kind of each

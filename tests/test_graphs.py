@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from conftest import graphs, random_graph, random_permutation, slow_canonical_code
@@ -157,6 +158,26 @@ def test_graph_validation():
         Graph(2, (0b10, 0b00))
     with pytest.raises(InputError, match="references"):
         Graph(2, (0b100, 0b000))
+    # Non-integer counts, rows and vertices.
+    with pytest.raises(InputError, match="outside"):
+        Graph(2.0, (0b10, 0b01))
+    with pytest.raises(InputError, match="not all integers"):
+        Graph(2, (1.5, 0))
+    with pytest.raises(InputError, match="outside"):
+        Graph.from_edges(2.5, [])
+    for edges in ([(0.0, 1)], [(0, 1.0)], [("0", 1)], [(0, 1, 2)], [0]):
+        with pytest.raises(InputError, match="pairs of integer"):
+            Graph.from_edges(3, edges)
+    # The vertex count is checked before the rows are allocated.
+    tracemalloc.start()
+    try:
+        for n in (0, -1, 25, 10**6):
+            with pytest.raises(InputError, match="outside"):
+                Graph.from_edges(n, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 def test_degrees_and_edges():

@@ -384,9 +384,9 @@ def test_near_misses_are_refused():
             _compile(circuit)
 
 
-def test_compiled_run_matches_gate_loop_beyond_one_block():
+def test_compiled_run_matches_gate_loop_at_width_18():
     circuit = build_qpe(random_graph(random.Random(413), 13, 0.3), fuse=True)
-    assert circuit.width > qgi.simulator._BLOCK_BITS
+    assert circuit.width == 18
     np.testing.assert_allclose(run(circuit).amps, _gate_loop(circuit), rtol=0, atol=1e-12)
 
 
@@ -560,8 +560,8 @@ def test_run_peak_stays_within_peak_bytes():
 
 def test_readout_memory_is_one_slice():
     # A 22-vertex graph at width 28: the read-out holds one slice of
-    # 2^16 graph basis states and one chunk of rows, never the 2^28
-    # amplitudes (4 GiB).
+    # 2^16 graph basis states and the rows, never the 2^28 amplitudes
+    # (4 GiB).
     rng = random.Random(423)
     pairs = [(i, j) for i in range(22) for j in range(i + 1, 22)]
     circuit = build_qpe(Graph.from_edges(22, rng.sample(pairs, 60)), fuse=True)
