@@ -74,9 +74,8 @@ def load_graph(source: str, fmt: str = "auto") -> Graph:
 
 
 def _print_table(header: str, rows: list[tuple[int, float, int]]) -> None:
-    print(header)
-    for edges, prob, count in rows:
-        print(f"{edges:>8}  {100.0 * prob:>12.2f}  {count:>11}")
+    lines = [f"{edges:>8}  {100.0 * prob:>12.2f}  {count:>11}\n" for edges, prob, count in rows]
+    sys.stdout.write(header + "\n" + "".join(lines))
 
 
 def cmd_invariant(args) -> int:
@@ -119,9 +118,8 @@ def cmd_invariant(args) -> int:
             )
         )
     elif args.output == "csv":
-        print("edges,probability,count")
-        for k in range(len(counts)):
-            print(f"{k},{probs[k]!r},{counts[k]}")
+        lines = [f"{k},{probs[k]!r},{counts[k]}\n" for k in range(len(counts))]
+        sys.stdout.write("edges,probability,count\n" + "".join(lines))
     else:
         header = _SHOTS_HEADER if source == "qpe-shots" else _TABLE_HEADER
         _print_table(header, [(k, probs[k], counts[k]) for k in range(len(counts))])

@@ -9,7 +9,7 @@ Graph.
 _slice_tables and _slices are the one edge-count kernel: every subset
 sweep and the QPE simulator read induced edge counts from its slices,
 through _edge_counts, and _edge_tally is their histogram, which tallies
-keyed slices of the same kernel when it pairs the top vertices.
+keyed slices of the same kernel when it pairs its lowest-degree vertices.
 _pair_weights is the one labelling table: canonical codes
 and _extension_codes, the survey's class enumeration, sum its rows.
 """
@@ -37,9 +37,10 @@ CANONICAL_MAX_VERTICES = 8
 ISOMORPHISM_MAX_VERTICES = 10
 # The edge-count kernel yields 2^_SLICE_BITS masks at a time.
 _SLICE_BITS = 16
-# _edge_tally pairs top vertices while (m + 1) * prod(deg v + 1), its
-# key range, stays within this: keys fit in uint16, the tally in 64 KiB.
-_TALLY_BINS = 1 << 13
+# _edge_tally pairs low-degree vertices while (m + 1) * prod(deg v + 1),
+# its key range, stays within this: keys fit in uint16, each int64
+# bincount of a slice in 256 KiB.
+_TALLY_BINS = 1 << 15
 
 # A vertex subset is a plain bitmask: bit i set <=> vertex i included.
 VertexSubset = int
@@ -97,11 +98,7 @@ class Graph:
         """Relabel: vertex i becomes p[i]."""
         if sorted(p) != list(range(self.n)):
             raise InputError(f"not a permutation of 0..{self.n - 1}: {p}")
-        adj = [0] * self.n
-        for i, j in self.edges():
-            adj[p[i]] |= 1 << p[j]
-            adj[p[j]] |= 1 << p[i]
-        return Graph(self.n, tuple(adj))
+        return Graph(self.n, _relabel(self.adj, p))
 
     @staticmethod
     def from_edges(n: int, edges) -> Graph:
@@ -256,8 +253,7 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphParseError(f"vertex count {fields[0]!r} is not an integer") from None
     if not 1 <= n <= MAX_VERTICES:
         raise GraphParseError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-    seen: set[tuple[int, int]] = set()
-    edges = []
+    adj = [0] * n
     for f in fields[1:]:
         toks = f.split()
         if len(toks) != 2:
@@ -270,12 +266,11 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphParseError(f"edge ({a}, {b}) out of range for n={n}")
         if a == b:
             raise GraphParseError(f"loop at vertex {a}")
-        e = (min(a, b), max(a, b))
-        if e in seen:
-            raise GraphParseError(f"duplicate edge ({e[0]}, {e[1]})")
-        seen.add(e)
-        edges.append(e)
-    return Graph.from_edges(n, edges)
+        if adj[a] >> b & 1:
+            raise GraphParseError(f"duplicate edge ({min(a, b)}, {max(a, b)})")
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return Graph(n, tuple(adj))
 
 
 def induced_edge_count(g: Graph, subset: VertexSubset) -> int:
@@ -292,10 +287,10 @@ def induced_edge_count(g: Graph, subset: VertexSubset) -> int:
 
 
 def _slice_tables(
-    g: Graph, k: int
+    adj: tuple[int, ...], k: int
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """The slice decomposition (base, a, b) of the induced edge counts of
-    every subset mask of vertices 0..k-1.
+    every subset mask of vertices 0..k-1 of the graph with rows adj.
 
     The low _SLICE_BITS vertices' counts are built once by subset
     doubling, e(S + {i}) = e(S) + |adj[i] & S| for S below i: base
@@ -312,7 +307,7 @@ def _slice_tables(
     base = np.zeros(1 << bits, dtype=np.uint16)
     for i in range(1, bits):
         half = 1 << i
-        base[half : 2 * half] = base[:half] + np.bitwise_count(low[:half] & g.adj[i])
+        base[half : 2 * half] = base[:half] + np.bitwise_count(low[:half] & adj[i])
     high = k - bits
     if not high:
         return base, None, None
@@ -324,12 +319,12 @@ def _slice_tables(
     subsets = np.arange(1 << high, dtype=np.uint32)
     for j in range(high):
         half = 1 << j
-        adj = g.adj[bits + j]
-        np.add(a[:half], np.bitwise_count(cols & adj), out=a[half : 2 * half])
-        np.add(b[:half], np.bitwise_count(rows & adj), out=b[half : 2 * half])
+        row = adj[bits + j]
+        np.add(a[:half], np.bitwise_count(cols & row), out=a[half : 2 * half])
+        np.add(b[:half], np.bitwise_count(rows & row), out=b[half : 2 * half])
         np.add(
             inside[:half],
-            np.bitwise_count(subsets[:half] & (adj >> bits)),
+            np.bitwise_count(subsets[:half] & (row >> bits)),
             out=inside[half : 2 * half],
         )
     a += inside[:, None]
@@ -362,38 +357,54 @@ def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
     Yields (start, e) where e[i] (uint16) is the edge count induced by
     mask start + i; the slices cover 0 .. 2^n - 1 in order, 2^_SLICE_BITS
     masks at a time, and e is reused by the next slice.  The slices of
-    _slice_tables(g, n).  A sweep holds under 2 MiB at any n.
+    _slice_tables(g.adj, n).  A sweep holds under 2 MiB at any n.
     """
-    yield from _slices(*_slice_tables(g, g.n))
+    yield from _slices(*_slice_tables(g.adj, g.n))
 
 
 def _edge_tally(g: Graph) -> np.ndarray:
     """counts[k] (int64) is the number of subset masks inducing exactly
     k edges, for k = 0..m.
 
-    One np.bincount per slice of the one kernel, over masks S of the
-    vertices 0..k-1 below the paired ones, k..n-1.  Top vertices, none
-    below _SLICE_BITS, are paired while the key range (m + 1) * P, with
-    P = prod(deg v + 1), stays within _TALLY_BINS; none are at
+    One np.bincount per slice of the one kernel.  Above _SLICE_BITS
+    vertices, the lowest-degree vertices (ties by index), at most n -
+    _SLICE_BITS of them, are paired while the key range (m + 1) * P,
+    with P = prod(deg v + 1), stays within _TALLY_BINS; none are at
     n <= _SLICE_BITS, where the slices are the edge counts themselves.
-    Otherwise S has the key e(S) * P + sum(stride[v] * |adj[v] & S|),
-    the flat index of an array of shape (m + 1, deg k + 1, ..., deg
-    n-1 + 1).  Keys are linear in S like edge counts, so their slices
-    are those of P * base plus the subset sums of each low vertex's
-    strides, P * a plus those of the high vertices, and P * b: 2^(n-k)
-    times fewer slices.  _fold then adds the paired vertices back.
+    The paired vertices move to the top of relabelled rows, the first
+    paired to n-1 and the last to k, the others keeping their order in
+    0..k-1, and the masks S run over those with the key e(S) * P +
+    sum(stride[v] * |adj[v] & S|), the flat index of an array of shape
+    (m + 1, deg k + 1, ..., deg n-1 + 1).  Keys are linear in S like
+    edge counts, so their slices are those of P * base plus the subset
+    sums of each low vertex's strides, P * a plus those of the high
+    vertices, and P * b: 2^(n-k) times fewer slices.  _fold then adds
+    the paired vertices back.  The tally is invariant under relabelling.
     """
-    k, bins, sizes = g.n, g.m + 1, []
-    while k > _SLICE_BITS and bins * (g.adj[k - 1].bit_count() + 1) <= _TALLY_BINS:
-        k -= 1
-        sizes.insert(0, g.adj[k].bit_count() + 1)
-        bins *= sizes[0]
-    base, a, b = _slice_tables(g, k)
+    adj, k, bins = g.adj, g.n, g.m + 1
+    if g.n > _SLICE_BITS:
+        degrees = g.degrees()
+        paired = []
+        # A stable sort: ties by index.
+        for v in sorted(range(g.n), key=degrees.__getitem__)[: g.n - _SLICE_BITS]:
+            if bins * (degrees[v] + 1) > _TALLY_BINS:
+                break
+            paired.append(v)
+            bins *= degrees[v] + 1
+        if paired:
+            k -= len(paired)
+            order = [v for v in range(g.n) if v not in paired] + paired[::-1]
+            p = [0] * g.n
+            for i, v in enumerate(order):
+                p[v] = i
+            adj = _relabel(adj, p)
+    sizes = [adj[v].bit_count() + 1 for v in range(k, g.n)]
+    base, a, b = _slice_tables(adj, k)
     if sizes:
         strides = [prod(sizes[i + 1 :]) for i in range(len(sizes))]
         # weights[i]: the key's step when vertex i < k joins S.
         weights = [
-            sum(s for v, s in zip(range(k, g.n), strides) if g.adj[v] >> i & 1)
+            sum(s for v, s in zip(range(k, g.n), strides) if adj[v] >> i & 1)
             for i in range(k)
         ]
         scale = prod(sizes)
@@ -405,7 +416,22 @@ def _edge_tally(g: Graph) -> np.ndarray:
     tally = np.bincount(next(slices)[1], minlength=bins)
     for _, key in slices:
         tally += np.bincount(key, minlength=bins)
-    return _fold(g, k, tally.reshape(g.m + 1, *sizes)) if sizes else tally
+    return _fold(adj, k, tally.reshape(g.m + 1, *sizes)) if sizes else tally
+
+
+def _relabel(adj: tuple[int, ...], p: Permutation) -> tuple[int, ...]:
+    """The adjacency rows adj with vertex i relabelled p[i], one loop
+    over the set bits of each row."""
+    bits = [1 << q for q in p]
+    rows = [0] * len(adj)
+    for i, row in enumerate(adj):
+        new = 0
+        while row:
+            low = row & -row
+            new |= bits[low.bit_length() - 1]
+            row ^= low
+        rows[p[i]] = new
+    return tuple(rows)
 
 
 def _subset_sums(weights: list[int]) -> np.ndarray:
@@ -416,15 +442,16 @@ def _subset_sums(weights: list[int]) -> np.ndarray:
     return sums
 
 
-def _fold(g: Graph, k: int, tally: np.ndarray) -> np.ndarray:
+def _fold(adj: tuple[int, ...], k: int, tally: np.ndarray) -> np.ndarray:
     """counts[e] from tally[e, d_k, ..., d_n-1], the number of masks S of
-    vertices 0..k-1 with e edges and d_v neighbours of each paired
-    vertex v >= k.  Vertex by vertex, v leaves S + T unchanged or joins
-    it: then e grows by d_v, and d_w by one for each later neighbour w.
+    vertices 0..k-1 of the graph with rows adj with e edges and d_v
+    neighbours of each paired vertex v >= k.  Vertex by vertex, v leaves
+    S + T unchanged or joins it: then e grows by d_v, and d_w by one for
+    each later neighbour w.
     No count leaves the array: e + d_v <= m, and d_w < deg w while its
     neighbour v has not joined."""
-    for v in range(k, g.n):
-        join = [g.adj[v] >> w & 1 for w in range(v + 1, g.n)]
+    for v in range(k, len(adj)):
+        join = [adj[v] >> w & 1 for w in range(v + 1, len(adj))]
         up = tuple(slice(1, None) if w else slice(None) for w in join)
         down = tuple(slice(None, -1) if w else slice(None) for w in join)
         out = tally.sum(axis=1)

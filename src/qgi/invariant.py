@@ -11,7 +11,8 @@ int64 for every graph the sweep accepts.
 Every subset sweep reads induced edge counts from graphs._edge_counts,
 the slices of the one edge-count kernel, which the QPE simulator
 shares; classical_histogram reads graphs._edge_tally, which tallies
-keyed slices of that kernel and folds the paired top vertices back.
+keyed slices of that kernel and folds its paired lowest-degree vertices
+back.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Classes are enumerated by extending each (n-1)-vertex representative
 with one new vertex over all 2^(n-1) neighborhoods, whose canonical
 codes graphs._extension_codes finds in one block per representative.
 Representatives are rebuilt from sorted codes, so the output is
-deterministic.  On one thread of 2 vCPUs `survey --n 8` takes about 7 s,
-8 s with `--source qpe-exact`, whose histograms need no circuit built.
+deterministic.  On one thread of 2 vCPUs `survey --n 8` takes about 4.5 s,
+5.1 s with `--source qpe-exact`, whose histograms need no circuit built.
 """
 
 from __future__ import annotations

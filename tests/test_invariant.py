@@ -177,6 +177,56 @@ def test_paired_tally_matches_slice_tally_at_n24(shape):
     assert np.array_equal(qgi.graphs._edge_tally(g), swept)
 
 
+def test_tally_pairs_the_lowest_degree_vertices(monkeypatch):
+    # Six leaves at indices 0..5 hang off a hub at 21 that is joined to
+    # every vertex, and 6..20 form a K15.  Pairing the leaves leaves 16
+    # vertices, one slice; pairing down from index 21 stops after the hub.
+    hub = 21
+    k15 = itertools.combinations(range(6, hub), 2)
+    g = Graph.from_edges(22, [(v, hub) for v in range(hub)] + list(k15))
+    starts = []
+    slices = qgi.graphs._slices
+
+    def counted(*tables):
+        for start, e in slices(*tables):
+            starts.append(start)
+            yield start, e
+
+    monkeypatch.setattr(qgi.graphs, "_slices", counted)
+    tally = qgi.graphs._edge_tally(g)
+    assert starts == [0]
+    swept = sum(np.bincount(e, minlength=g.m + 1) for _, e in _edge_counts(g))
+    assert np.array_equal(tally, swept)
+
+
+@st.composite
+def skewed_graphs(draw) -> Graph:
+    """17 to 24 vertices, the lowest degrees at the lowest indices:
+    isolated vertices, then leaves of a hub at n - 1, then any graph on
+    the rest and the hub."""
+    n = draw(st.integers(17, 24))
+    isolated = draw(st.integers(0, 8))
+    leaves = draw(st.integers(0, 8))
+    density = draw(st.sampled_from((0.1, 0.3, 0.6, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    core = itertools.combinations(range(isolated + leaves, n), 2)
+    edges = [(v, n - 1) for v in range(isolated, isolated + leaves)]
+    return Graph.from_edges(n, edges + [p for p in core if rng.random() < density])
+
+
+@pytest.mark.parametrize("bins", [qgi.graphs._TALLY_BINS, 1 << 13])
+@given(g=skewed_graphs(), data=st.data())
+def test_paired_tally_matches_slice_tally_above_sixteen_vertices(bins, g, data):
+    # The paired vertices are relabelled to the top, so the tally is one
+    # np.bincount per slice of the unpaired kernel, under any labelling.
+    p = tuple(data.draw(st.permutations(range(g.n))))
+    swept = sum(np.bincount(e, minlength=g.m + 1) for _, e in _edge_counts(g))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qgi.graphs, "_TALLY_BINS", bins)
+        assert np.array_equal(qgi.graphs._edge_tally(g), swept)
+        assert np.array_equal(qgi.graphs._edge_tally(g.permuted(p)), swept)
+
+
 def test_max_independent_set_skips_slices_without_edgeless_subsets():
     # Every mask holding both high vertices induces their edge, so the
     # last slice, where both high bits are set, has no edgeless subset.

@@ -448,16 +448,16 @@ def test_qpe_readout_sweeps_its_graph_once(monkeypatch):
     swept = []
     tables = qgi.graphs._slice_tables
 
-    def recorded(graph, k):
-        swept.append(graph)
-        return tables(graph, k)
+    def recorded(adj, k):
+        swept.append(adj)
+        return tables(adj, k)
 
     monkeypatch.setattr(qgi.graphs, "_slice_tables", recorded)
     for g in (named_graph("c4"), named_graph("petersen"), random_graph(random.Random(424), 9)):
         for fuse in (True, False):
             swept.clear()
             _readout(_compile(build_qpe(g, fuse=fuse)))
-            assert swept == [g]
+            assert swept == [g.adj]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 24])
