@@ -351,13 +351,22 @@ def _slices(
         yield h << bits, e
 
 
+def _sweep_bytes(k: int) -> int:
+    """Peak bytes of one sweep _slices(*_slice_tables(adj, k)): per mask
+    of a slice, the uint32 masks, uint16 counts and at most 4 B of doubling
+    temporaries (the slice buffer comes after the masks are freed); per
+    high set (one if none) and grid line, the uint16 a and b entries."""
+    high = max(0, k - _SLICE_BITS)
+    return (10 << min(k, _SLICE_BITS)) + (4 << (high + _SLICE_BITS // 2))
+
+
 def _edge_counts(g: Graph) -> Iterator[tuple[int, np.ndarray]]:
     """Induced edge count of every subset mask, in ascending slices.
 
     Yields (start, e) where e[i] (uint16) is the edge count induced by
     mask start + i; the slices cover 0 .. 2^n - 1 in order, 2^_SLICE_BITS
     masks at a time, and e is reused by the next slice.  The slices of
-    _slice_tables(g.adj, n).  A sweep holds under 2 MiB at any n.
+    _slice_tables(g.adj, n).  A sweep holds _sweep_bytes(n), 1 MiB at most.
     """
     yield from _slices(*_slice_tables(g.adj, g.n))
 

@@ -129,18 +129,16 @@ _BLOCK_BITS = 16
 # Largest distance, in radians, of a phase_table phase from its multiple.
 _PHASE_ATOL = 1e-6
 
-# Bytes at the peak of `run`: the complex128 amplitudes; per row
-# element, the complex128 row and its int64 phase index; per subset of a
-# slice, the kernel's uint32 masks, its uint16 counts, output and grid
-# offsets, and the intp row ids; per set of the graph qubits above a
-# slice and line of the slice's grid, the kernel's uint16 a and b
-# entries (counted once even where there are none); per entry of the
-# 2^bits exp table, its int64 exponents, their complex multiple and the
-# table; and the Python and numpy objects, about 10 KiB at most.
+# Bytes at the peak of `run` besides graphs._sweep_bytes: the complex128
+# amplitudes; per row element, the complex128 row and its int64 phase
+# index; per mask of a slice, two slices' intp row ids (one replaces the
+# other), less 6 B: by the first slice the kernel holds only 4 B of its
+# 10 per mask; per entry of the 2^bits exp table, its int64 exponents,
+# their complex multiple and the table; and the Python and numpy
+# objects, about 10 KiB at most.
 _AMP_BYTES = 16
 _ROW_BYTES = 16 + 8
-_COLUMN_BYTES = 4 + 2 + 2 + 2 + 2 + 8
-_GRID_BYTES = 2 + 2
+_ID_BYTES = 2 * 8 - 6
 _TABLE_BYTES = 8 + 16 + 16
 _OBJECT_BYTES = 1 << 14
 
@@ -197,15 +195,14 @@ def _qpe_program(g: Graph, t: int) -> _Program:
 
 def _peak_bytes(program: _Program) -> int:
     """Estimated peak bytes of `run` on program: the amplitudes, the
-    rows with their phase indices, one slice of subsets and the
-    decomposition's tables, the exp table and the objects."""
+    rows with their phase indices, one slice's row ids, the kernel's
+    sweep (graphs._sweep_bytes), the exp table and the objects."""
     n, t = program.graph.n, program.t
-    high = max(0, n - graphs._SLICE_BITS)
     return (
         (_AMP_BYTES << (n + t))
         + (_ROW_BYTES * (program.graph.m + 1) << t)
-        + (_COLUMN_BYTES << min(n, graphs._SLICE_BITS))
-        + (_GRID_BYTES << (high + graphs._SLICE_BITS // 2))
+        + (_ID_BYTES << min(n, graphs._SLICE_BITS))
+        + graphs._sweep_bytes(n)
         + (_TABLE_BYTES << program.bits)
         + _OBJECT_BYTES
     )

@@ -5,8 +5,8 @@ Classes are enumerated by extending each (n-1)-vertex representative
 with one new vertex over all 2^(n-1) neighborhoods, whose canonical
 codes graphs._extension_codes finds in one block per representative.
 Representatives are rebuilt from sorted codes, so the output is
-deterministic.  On one thread of 2 vCPUs `survey --n 8` takes about 4.5 s,
-5.1 s with `--source qpe-exact`, whose histograms need no circuit built.
+deterministic.  On 2 vCPUs / 8 GB (2026-10-21) `survey --n 8` takes about
+4.2 s and 64 MiB max RSS, 4.9 s and 67 MiB with `--source qpe-exact`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .graphs import Graph, _extension_codes, _from_pair_bits, are_isomorphic, en
 from .invariant import char_poly, classical_histogram, quantum_histogram
 
 # The cap guards one representative's block of extension codes, 2^(n-1)
-# x n! uint32: 20.6 MB at n=8 and 372 MB at n=9.  The QPE histograms of
-# the 12,346 classes at n=8 take about 1.2 s, so one cap serves both sources.
+# x n! uint32: 20.6 MB at n=8 and 372 MB at n=9.  One cap serves both
+# sources: the QPE histograms of the 12,346 classes at n=8 take 0.96 s.
 SURVEY_MAX_VERTICES = 8
 
 CACHE_VERSION = 1

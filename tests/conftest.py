@@ -7,11 +7,18 @@ import os
 import random
 from itertools import combinations, permutations
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from qgi import Graph
+from qgi.graphs import _edge_counts
 from qgi.survey import CACHE_VERSION, _report_digest
+
+# pyproject.toml puts src on this process's path; a test that starts
+# `python -m qgi.cli` passes it on, so no install is needed there either.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 # Property tests replay the same examples on every run, so the suite stays
 # deterministic and bounded in time.
@@ -52,6 +59,17 @@ def slow_histogram(g: Graph) -> list[int]:
             have = sum(1 for pair in combinations(subset, 2) if pair in edge_set)
             counts[have] += 1
     return counts
+
+
+def swept_prop1_check(g1: Graph, g2: Graph, perm: tuple[int, ...]) -> bool:
+    """Reference Proposition 1 check: e_G1(s) == e_G2(perm(s)) compared
+    on all 2^n subsets s, slice by slice of both graphs' sweeps."""
+    # e_G2(perm(s)) is the count of s in G2 relabelled by perm's inverse.
+    inverse = [0] * g1.n
+    for i, p in enumerate(perm):
+        inverse[p] = i
+    pulled = _edge_counts(g2.permuted(tuple(inverse)))
+    return all(np.array_equal(a, b) for (_, a), (_, b) in zip(_edge_counts(g1), pulled))
 
 
 def slow_canonical_code(g: Graph) -> str:

@@ -14,6 +14,7 @@ from conftest import (
     random_permutation,
     slow_char_poly,
     slow_histogram,
+    swept_prop1_check,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,7 +45,7 @@ from qgi import (
     run,
     spectra_equal,
 )
-from qgi.graphs import _SLICE_BITS, _edge_counts
+from qgi.graphs import _SLICE_BITS, _edge_counts, _sweep_bytes
 
 FROZEN_COUNTS = {
     "c4": [7, 4, 4, 0, 1],
@@ -145,9 +146,9 @@ def test_edge_counts_across_slice_boundaries(n):
     bins=st.integers(0, qgi.graphs._TALLY_BINS.bit_length() - 1).map(lambda b: 1 << b),
 )
 def test_paired_tally_matches_per_mask_counts(g, slice_bits, bins):
-    # Small slices and key ranges, from 1 bin to the default 2^13, pair
-    # from none to all but one vertex, on odd and even grids, so the
-    # keyed slices and the fold all run.
+    # Small slices and key ranges, from 1 bin to the default _TALLY_BINS
+    # (2^15), pair from none to all but one vertex, on odd and even
+    # grids, so the keyed slices and the fold all run.
     counts = [0] * (g.m + 1)
     for mask in range(1 << g.n):
         counts[induced_edge_count(g, mask)] += 1
@@ -253,6 +254,22 @@ def test_sweeps_hold_no_multi_mib_temporaries(sweep):
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("k", [5, 16, 17, 24])
+def test_sweep_bytes_bounds_one_sweep(k):
+    # One slice alone, one full slice, the first high vertex and the most
+    # high vertices: the measured peak of a sweep consumed slice by slice
+    # stays within _sweep_bytes, which over-counts it by at most half.
+    g = random_graph(random.Random(311 + k), k, p=0.4)
+    tracemalloc.start()
+    try:
+        for _ in _edge_counts(g):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _sweep_bytes(k) <= 1.5 * peak
 
 
 # --- quantum histogram ---
@@ -532,7 +549,7 @@ def test_prop1_validation():
 
 
 def test_prop1_check_above_sixteen_vertices():
-    # The streamed sweep covers every order a Graph allows.
+    # Orders above one slice of the sweep answer like any other.
     rng = random.Random(20)
     g = random_graph(rng, 20, 0.3)
     perm = random_permutation(rng, 20)
@@ -542,9 +559,8 @@ def test_prop1_check_above_sixteen_vertices():
 
 def test_prop1_check_finds_a_mismatch_in_the_last_slice_alone():
     # The two graphs differ by the edge between the two high vertices,
-    # so only masks in the last slice count differently.  Each sweep
-    # writes its slices into its own buffer; were they shared, every
-    # slice would compare equal.
+    # so only masks in the last slice count differently: one edge alone
+    # decides the check.
     u, v = _SLICE_BITS, _SLICE_BITS + 1
     g = random_graph(random.Random(21), v + 1, 0.3)
     g1 = Graph.from_edges(g.n, [e for e in g.edges() if e != (u, v)])
@@ -553,6 +569,31 @@ def test_prop1_check_finds_a_mismatch_in_the_last_slice_alone():
     assert prop1_check(g1, g1, ident) and prop1_check(g2, g2, ident)
     assert not prop1_check(g1, g2, ident)
     assert not prop1_check(g2, g1, ident)
+
+
+@given(g1=graphs(), data=st.data())
+def test_prop1_check_matches_the_swept_reference(g1, data):
+    # g2 is g1 relabelled by q, so q is a witness and a random p mostly
+    # is not: both answers occur, each against the 2^n-subset sweep.
+    q = tuple(data.draw(st.permutations(range(g1.n))))
+    p = tuple(data.draw(st.permutations(range(g1.n))))
+    g2 = g1.permuted(q)
+    assert prop1_check(g1, g2, q) and swept_prop1_check(g1, g2, q)
+    assert prop1_check(g1, g2, p) == swept_prop1_check(g1, g2, p)
+
+
+def test_prop1_check_sweeps_no_subset(monkeypatch):
+    # The edges decide the check, so it answers with the kernel gone.
+    rng = random.Random(22)
+    g = random_graph(rng, 20, 0.3)
+    perm = random_permutation(rng, 20)
+
+    def refused(*tables):
+        raise AssertionError("prop1_check swept the subsets")
+
+    monkeypatch.setattr(qgi.graphs, "_slices", refused)
+    assert prop1_check(g, g.permuted(perm), perm)
+    assert not prop1_check(g, g.permuted(perm), tuple(range(20)))
 
 
 # --- independent sets ---
