@@ -49,7 +49,6 @@ from .invariant import (
     spectra_equal,
 )
 from .simulator import (
-    Statevector,
     apply_gate,
     dump_amplitudes,
     init_state,
@@ -83,7 +82,6 @@ __all__ = [
     "QgiError",
     "QpeOutcome",
     "ResourceLimitError",
-    "Statevector",
     "SurveyReport",
     "apply_gate",
     "are_isomorphic",

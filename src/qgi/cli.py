@@ -83,10 +83,10 @@ def cmd_invariant(args) -> int:
     if args.dump_state:
         # The one path that holds all 2^w amplitudes: `run` admits it.
         # It runs first, so a refusal costs nothing and leaves stdout empty.
-        state = run(build_qpe(g, fuse=True))
+        amps = run(build_qpe(g, fuse=True))
         with open(args.dump_state, "w", encoding="utf-8") as fh:
-            dump_amplitudes(state, fh)
-        del state
+            dump_amplitudes(amps, fh)
+        del amps
     if args.mode == "classical":
         hist = classical_histogram(g)
         counts = hist.counts

@@ -1,7 +1,9 @@
 """Dense statevector simulation of the circuits qgi builds.
 
-Amplitude indexing is little-endian: qubit i is bit i of the state
-index, so a graph-register basis state IS the vertex-subset mask.
+A state is its amplitude array, 1-D complex128 with 2^w entries for w
+qubits (`_width` checks it).  Amplitude indexing is little-endian:
+qubit i is bit i of the state index, so a graph-register basis state IS
+the vertex-subset mask.
 
 `run` and `_readout` take one path, a `_Program`.  `_compile` reads the
 graph off a circuit's phase gates and makes the program before any
@@ -60,39 +62,34 @@ HARD_MAX_QUBITS = 28
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-@dataclass
-class Statevector:
-    """2^n_qubits complex amplitudes, owned mutably by the simulator."""
-
-    n_qubits: int
-    amps: np.ndarray
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
-
-def init_state(n_qubits: int) -> Statevector:
+def init_state(n_qubits: int) -> np.ndarray:
     """|0...0> on n_qubits qubits, where the reference gate loop starts."""
     if not 1 <= n_qubits <= HARD_MAX_QUBITS:
-        raise ResourceLimitError(
-            f"qubit count {n_qubits} outside 1..{HARD_MAX_QUBITS}"
-        )
+        raise ResourceLimitError(f"qubit count {n_qubits} outside 1..{HARD_MAX_QUBITS}")
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
-    return Statevector(n_qubits, amps)
+    return amps
 
 
-def _check_qubit(state: Statevector, q: int) -> None:
-    if not 0 <= q < state.n_qubits:
-        raise InputError(f"qubit {q} out of range for {state.n_qubits}-qubit state")
+def _width(amps: np.ndarray, qubits: tuple[int, ...] = ()) -> int:
+    """The qubit count w of a state, the 1-D complex128 array of its
+    2^w >= 2 amplitudes; InputError for any other value, or for a qubit
+    of qubits outside 0..w-1."""
+    array = isinstance(amps, np.ndarray)
+    w = amps.size.bit_length() - 1 if array else 0
+    if not (w > 0 and amps.ndim == 1 and amps.dtype == np.complex128 and amps.size == 1 << w):
+        got = f"{amps.dtype} of shape {amps.shape}" if array else type(amps).__name__
+        raise InputError(f"a state is a 1-D complex128 array of 2^w >= 2 amplitudes, got {got}")
+    for q in qubits:
+        if not 0 <= q < w:
+            raise InputError(f"qubit {q} out of range for {w}-qubit state")
+    return w
 
 
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Apply one gate in place and return the same Statevector: one step
-    of the reference gate loop, which simulates any circuit."""
-    for q in gate.qubits:
-        _check_qubit(state, q)
-    amps = state.amps
+def apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply one gate in place and return the same amplitude array: one
+    step of the reference gate loop, which simulates any circuit."""
+    _width(amps, gate.qubits)
     kind = gate.kind
     if kind == "h":
         (q,) = gate.qubits
@@ -117,7 +114,7 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
         v[:, 1, :, 0, :] = tmp
     else:  # unreachable: Gate validates kind
         raise InputError(f"unknown gate kind {kind!r}")
-    return state
+    return amps
 
 
 # An oracle's turns have at most _PHASE_BITS bits, so a program's exp
@@ -131,14 +128,16 @@ _PHASE_ATOL = 1e-6
 
 # Bytes at the peak of `run` besides graphs._sweep_bytes: the complex128
 # amplitudes; per row element, the complex128 row and its int64 phase
-# index; per mask of a slice, two slices' intp row ids (one replaces the
-# other), less 6 B: by the first slice the kernel holds only 4 B of its
-# 10 per mask; per entry of the 2^bits exp table, its int64 exponents,
+# index; per mask of a slice, 10 B: 8 B of intp row ids, one buffer that
+# every slice reuses, and 2 B.  With the sweep's 10 B that is 20 B, where
+# run holds 10 to 12 B (the ids beside base, and above 16 graph qubits
+# the slice buffer): the sweep's own peak passes before the ids exist.
+# Per entry of the 2^bits exp table, its int64 exponents,
 # their complex multiple and the table; and the Python and numpy
 # objects, about 10 KiB at most.
 _AMP_BYTES = 16
 _ROW_BYTES = 16 + 8
-_ID_BYTES = 2 * 8 - 6
+_ID_BYTES = 8 + 2
 _TABLE_BYTES = 8 + 16 + 16
 _OBJECT_BYTES = 1 << 14
 
@@ -252,10 +251,10 @@ def _rows(program: _Program) -> np.ndarray:
     return rows
 
 
-def run(circuit: Circuit) -> Statevector:
-    """Simulate from |0...0>, returning the final statevector: the rows
-    are built once, then each slice of graph basis states gathers its
-    columns by the edge counts that graphs._edge_counts gives it.
+def run(circuit: Circuit) -> np.ndarray:
+    """Simulate from |0...0>, returning the final amplitude array: the
+    rows are built once, then each slice of graph basis states gathers
+    its columns by the edge counts that graphs._edge_counts gives it.
 
     Raises InputError unless circuit is one of the two that qgi builds
     (see `_compile`), and ResourceLimitError before allocating when the width exceeds
@@ -268,18 +267,21 @@ def run(circuit: Circuit) -> Statevector:
         )
     program = _compile(circuit)
     _admit(_peak_bytes(program), f"circuit width {circuit.width}")
-    state = Statevector(circuit.width, np.empty(1 << circuit.width, dtype=np.complex128))
-    block = state.amps.reshape(1 << circuit.n_est, -1)
+    amps = np.empty(1 << circuit.width, dtype=np.complex128)
+    block = amps.reshape(1 << circuit.n_est, -1)
     rows = _rows(program)
+    ids = None
     for start, e in graphs._edge_counts(program.graph):
-        ids = e.astype(np.intp)
+        # One intp buffer for every slice's ids, made after the kernel's peak.
+        ids = np.empty(len(e), dtype=np.intp) if ids is None else ids
+        np.copyto(ids, e)
         # Row by row, so each gather writes a contiguous run in place.
         for r in range(len(rows)):
             np.take(rows[r], ids, out=block[r, start : start + len(ids)], mode="clip")
-    norm = state.norm_sq()
+    norm = float(np.vdot(amps, amps).real)
     if abs(norm - 1.0) > 1e-9:
         raise InternalCheckError(f"norm drifted to {norm!r} after {len(circuit.gates)} gates")
-    return state
+    return amps
 
 
 def _readout(program: _Program) -> np.ndarray:
@@ -296,7 +298,7 @@ def _readout(program: _Program) -> np.ndarray:
     return probs
 
 
-def marginal(state: Statevector, register: tuple[int, ...]) -> np.ndarray:
+def marginal(amps: np.ndarray, register: tuple[int, ...]) -> np.ndarray:
     """Measurement distribution of the given qubits, all others traced
     out: probs[x] for outcome x, whose bit p comes from register[p].
     Probabilities below 1e-12 are clamped to zero.  The reference for
@@ -306,13 +308,11 @@ def marginal(state: Statevector, register: tuple[int, ...]) -> np.ndarray:
         raise InputError("empty measurement register")
     if len(set(register)) != k:
         raise InputError(f"duplicate qubits in register {register}")
-    for q in register:
-        _check_qubit(state, q)
-    n = state.n_qubits
+    n = _width(amps, register)
     # Axis n-1-q of the C-order cube is qubit q.  With register[k-1]
     # moved to the front and register[0] to axis k-1, the flat index of
     # what is left after summing out the other axes is the outcome.
-    cube = (np.abs(state.amps) ** 2).reshape((2,) * n)
+    cube = (np.abs(amps) ** 2).reshape((2,) * n)
     front = np.moveaxis(cube, [n - 1 - q for q in reversed(register)], range(k))
     probs = front.sum(axis=tuple(range(k, n))).reshape(-1)
     probs[probs < 1e-12] = 0.0
@@ -356,7 +356,7 @@ def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return counts
 
 
-def phase_table(state: Statevector, theta: float) -> dict[int, int]:
+def phase_table(amps: np.ndarray, theta: float) -> dict[int, int]:
     """Rotation counts of a diagonal-evolution state.
 
     For each nonzero amplitude, returns the integer k with
@@ -364,10 +364,11 @@ def phase_table(state: Statevector, theta: float) -> dict[int, int]:
     amplitude's phase is farther than _PHASE_ATOL from every such
     multiple.
     """
+    _width(amps)
     if theta <= 0:
         raise InputError(f"theta must be positive, got {theta}")
-    idx = np.nonzero(np.abs(state.amps) > 1e-12)[0]
-    angles = np.mod(np.angle(state.amps[idx]), math.tau)
+    idx = np.nonzero(np.abs(amps) > 1e-12)[0]
+    angles = np.mod(np.angle(amps[idx]), math.tau)
     # rint picks the nearest multiple, so the residual is <= theta/2;
     # k == 2*pi/theta is folded back to 0 below.
     ks = np.rint(angles / theta).astype(np.int64)
@@ -384,15 +385,15 @@ def phase_table(state: Statevector, theta: float) -> dict[int, int]:
     return dict(zip(idx.tolist(), ks.tolist()))
 
 
-def dump_amplitudes(state: Statevector, fh: TextIO) -> None:
+def dump_amplitudes(amps: np.ndarray, fh: TextIO) -> None:
     """Write the amplitudes with |amp| > 1e-12 to fh as the JSON
     {"qubits": w, "amplitudes": [[index, re, im], ...]}, in ascending
     index, 2^_BLOCK_BITS amplitudes at a time."""
-    fh.write(f'{{"qubits": {state.n_qubits}, "amplitudes": [')
+    fh.write(f'{{"qubits": {_width(amps)}, "amplitudes": [')
     sep = ""
     step = 1 << _BLOCK_BITS
-    for start in range(0, len(state.amps), step):
-        chunk = state.amps[start : start + step]
+    for start in range(0, len(amps), step):
+        chunk = amps[start : start + step]
         idx = np.flatnonzero(np.abs(chunk) > 1e-12)
         kept = chunk[idx]
         for i, re, im in zip((idx + start).tolist(), kept.real.tolist(), kept.imag.tolist()):

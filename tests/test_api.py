@@ -27,7 +27,6 @@ PUBLIC = {
     "QgiError",
     "QpeOutcome",
     "ResourceLimitError",
-    "Statevector",
     "SurveyReport",
     "apply_gate",
     "are_isomorphic",

@@ -38,10 +38,10 @@ from qgi.simulator import _compile, _readout, apply_gate, init_state
 def _apply_gates(n_qubits: int, gates, start=None):
     state = init_state(n_qubits)
     if start is not None:
-        state.amps[:] = start
+        state[:] = start
     for g in gates:
         apply_gate(state, g)
-    return state.amps
+    return state
 
 
 def _oracle(g: Graph, turns: Fraction) -> Circuit:

@@ -239,12 +239,17 @@ def test_max_independent_set_skips_slices_without_edgeless_subsets():
     assert induced_edge_count(g, mask) == 0
 
 
-@pytest.mark.parametrize("sweep", ["classical_histogram", "max_independent_set", "prop1_check"])
+@pytest.mark.parametrize(
+    "sweep", ["classical_histogram", "max_independent_set", "prop1_check", "quantum_histogram"]
+)
 def test_sweeps_hold_no_multi_mib_temporaries(sweep):
     # 2^24 masks in 256 slices of 2^16: a sweep holds the low vertices'
     # counts, the high vertices' tables, one reused slice buffer per
     # graph and its consumer's per-slice temporaries.  A fresh array per
     # slice of 2^18 masks, and its int64 copy, peaked at 4 to 6 MiB.
+    # quantum_histogram tallies the 2^24 masks for the QPE read-out.
+    # prop1_check sweeps no subset: its case checks that the edge check
+    # holds no multi-MiB temporaries either.
     g = random_graph(random.Random(309), 24, p=0.4)
     args = (g, g, tuple(range(24))) if sweep == "prop1_check" else (g,)
     tracemalloc.start()

@@ -28,7 +28,6 @@ from qgi import (
 from qgi.circuit import Circuit, Gate, ccp, cp, h, plan_precision, swap
 from qgi.errors import InputError, InternalCheckError, ResourceLimitError
 from qgi.simulator import (
-    Statevector,
     _compile,
     _peak_bytes,
     _readout,
@@ -47,17 +46,17 @@ from conftest import graphs, random_graph
 C4_EDGE_COUNTS = [0, 0, 0, 1, 0, 0, 1, 2, 0, 1, 0, 2, 1, 2, 2, 4]
 
 
-def _basis(n: int, idx: int) -> Statevector:
+def _basis(n: int, idx: int) -> np.ndarray:
     state = init_state(n)
-    state.amps[0] = 0.0
-    state.amps[idx] = 1.0
+    state[0] = 0.0
+    state[idx] = 1.0
     return state
 
 
-def _random_state(rng: np.random.Generator, n: int) -> Statevector:
+def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
-    return Statevector(n, amps.astype(np.complex128))
+    return amps.astype(np.complex128)
 
 
 def _slow_apply(amps: np.ndarray, gate) -> np.ndarray:
@@ -84,10 +83,38 @@ def _slow_apply(amps: np.ndarray, gate) -> np.ndarray:
 
 def test_init_state():
     state = init_state(3)
-    assert state.n_qubits == 3
-    assert state.amps.shape == (8,)
-    assert state.amps[0] == 1.0 and np.count_nonzero(state.amps) == 1
-    assert state.norm_sq() == pytest.approx(1.0)
+    assert len(state).bit_length() - 1 == 3
+    assert state.shape == (8,)
+    assert state[0] == 1.0 and np.count_nonzero(state) == 1
+    assert np.vdot(state, state).real == pytest.approx(1.0)
+
+
+def test_state_is_its_amplitude_array():
+    # init_state and run return the 1-D complex128 array of the 2^w
+    # amplitudes, and each call that takes a state reads w from its
+    # length, so any other array is refused before it is read.
+    c4 = build_qpe(named_graph("c4"))
+    for state, w in ((init_state(3), 3), (run(c4), c4.width)):
+        assert type(state) is np.ndarray
+        assert state.shape == (1 << w,) and state.dtype == np.complex128
+    bad = [
+        np.zeros((2, 4), dtype=np.complex128),
+        np.zeros(6, dtype=np.complex128),
+        np.zeros(8),
+        np.ones(1, dtype=np.complex128),
+        np.zeros(0, dtype=np.complex128),
+    ]
+    for amps in bad:
+        fh = io.StringIO()
+        for call in (
+            lambda: apply_gate(amps, h(0)),
+            lambda: marginal(amps, (0,)),
+            lambda: phase_table(amps, math.pi / 4),
+            lambda: dump_amplitudes(amps, fh),
+        ):
+            with pytest.raises(InputError, match="1-D complex128"):
+                call()
+        assert fh.getvalue() == ""
 
 
 def test_init_state_caps():
@@ -121,45 +148,45 @@ def test_gates_match_reference_action():
             ]
             + ([ccp(*qubits[:3], turns)] if n >= 3 else [])
         )
-        expect = _slow_apply(state.amps, gate)
-        got = apply_gate(state, gate).amps
+        expect = _slow_apply(state, gate)
+        got = apply_gate(state, gate)
         assert np.allclose(got, expect, atol=1e-12), gate
 
 
 def test_h_is_self_inverse():
     rng = np.random.default_rng(5)
     state = _random_state(rng, 4)
-    before = state.amps.copy()
+    before = state.copy()
     apply_gate(apply_gate(state, h(2)), h(2))
-    assert np.allclose(state.amps, before, atol=1e-12)
+    assert np.allclose(state, before, atol=1e-12)
 
 
 def test_phase_gate_inverses():
     rng = np.random.default_rng(6)
     state = _random_state(rng, 4)
-    before = state.amps.copy()
+    before = state.copy()
     for gate, inv in [
         (cp(0, 3, Fraction(1, 4)), cp(3, 0, Fraction(-1, 4))),
         (ccp(0, 1, 2, Fraction(5, 16)), ccp(2, 1, 0, Fraction(-5, 16))),
         (swap(1, 3), swap(1, 3)),
     ]:
         apply_gate(apply_gate(state, gate), inv)
-        assert np.allclose(state.amps, before, atol=1e-12), gate.kind
+        assert np.allclose(state, before, atol=1e-12), gate.kind
 
 
 def test_cp_only_touches_both_bits_set():
     state = _basis(3, 0b101)
     apply_gate(state, cp(0, 1, Fraction(1, 4)))
-    assert state.amps[0b101] == 1.0  # bit 1 clear: untouched
+    assert state[0b101] == 1.0  # bit 1 clear: untouched
     apply_gate(state, cp(0, 2, Fraction(1, 4)))
-    assert state.amps[0b101] == pytest.approx(np.exp(1j * math.pi / 2))
+    assert state[0b101] == pytest.approx(np.exp(1j * math.pi / 2))
 
 
 def test_swap_on_basis_state():
     state = _basis(3, 0b001)
     apply_gate(state, swap(0, 2))
-    assert state.amps[0b100] == 1.0
-    assert state.amps[0b001] == 0.0
+    assert state[0b100] == 1.0
+    assert state[0b001] == 0.0
 
 
 def test_norm_preserved_by_random_circuits():
@@ -173,7 +200,7 @@ def test_norm_preserved_by_random_circuits():
              ccp(a, b, c, Fraction(3, 4)), swap(a, b)]
         )
         apply_gate(state, gate)
-        assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(state, state).real == pytest.approx(1.0, abs=1e-12)
 
 
 # --- full runs ---
@@ -181,7 +208,7 @@ def test_norm_preserved_by_random_circuits():
 def test_run_uniform_superposition():
     circuit = Circuit(n_graph=3, n_est=0, gates=tuple(h(q) for q in range(3)))
     state = run(circuit)
-    assert np.allclose(state.amps, np.full(8, 1 / math.sqrt(8)), atol=1e-12)
+    assert np.allclose(state, np.full(8, 1 / math.sqrt(8)), atol=1e-12)
 
 
 def test_run_respects_qubit_budget():
@@ -202,7 +229,7 @@ def test_run_respects_qubit_budget():
     assert peak < 1 << 20
     counts = _readout(_compile(wide))[: g.m + 1] * (1 << g.n)
     np.testing.assert_allclose(counts, classical_histogram(g).counts, rtol=0, atol=1e-6)
-    assert run(build_qpe(named_graph("c4"))).n_qubits == 7
+    assert len(run(build_qpe(named_graph("c4")))).bit_length() - 1 == 7
 
 
 def test_run_refuses_graph_registers_beyond_a_graph():
@@ -231,21 +258,17 @@ def test_oracle_on_superposition_carries_edge_counts():
     state = run(circuit)
     for s, k in enumerate(C4_EDGE_COUNTS):
         expect = np.exp(1j * k * math.pi / 4) / 4.0
-        assert abs(state.amps[s] - expect) < 1e-12, s
+        assert abs(state[s] - expect) < 1e-12, s
 
 
 # --- compiled run against the gate loop ---
 
-def _gate_loop_state(circuit: Circuit) -> Statevector:
+def _gate_loop(circuit: Circuit) -> np.ndarray:
     """The reference: |0...0> and apply_gate for every gate, in order."""
     state = init_state(circuit.width)
     for gate in circuit.gates:
         apply_gate(state, gate)
     return state
-
-
-def _gate_loop(circuit: Circuit) -> np.ndarray:
-    return _gate_loop_state(circuit).amps
 
 
 def _oracle_circuit(g: Graph, turns: Fraction) -> Circuit:
@@ -277,7 +300,7 @@ def test_compiled_run_matches_gate_loop(slice_bits, built):
     _, circuit, _ = built
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
-        amps = run(circuit).amps
+        amps = run(circuit)
     np.testing.assert_allclose(amps, _gate_loop(circuit), rtol=0, atol=1e-12)
 
 
@@ -290,7 +313,7 @@ def test_readout_matches_marginal_of_run(slice_bits, built):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
         probs = _readout(_compile(circuit))
-    expect = marginal(_gate_loop_state(circuit), tuple(range(circuit.n_graph, circuit.width)))
+    expect = marginal(_gate_loop(circuit), tuple(range(circuit.n_graph, circuit.width)))
     np.testing.assert_allclose(probs, expect, rtol=0, atol=1e-12)
 
 
@@ -387,7 +410,7 @@ def test_near_misses_are_refused():
 def test_compiled_run_matches_gate_loop_at_width_18():
     circuit = build_qpe(random_graph(random.Random(413), 13, 0.3), fuse=True)
     assert circuit.width == 18
-    np.testing.assert_allclose(run(circuit).amps, _gate_loop(circuit), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run(circuit), _gate_loop(circuit), rtol=0, atol=1e-12)
 
 
 def test_fused_and_unfused_qpe_compile_alike():
@@ -395,8 +418,8 @@ def test_fused_and_unfused_qpe_compile_alike():
     for g in (named_graph("petersen"), random_graph(rng, 7), random_graph(rng, 8)):
         fused = build_qpe(g, fuse=True)
         unfused = build_qpe(g, fuse=False)
-        amps = run(fused).amps
-        np.testing.assert_allclose(run(unfused).amps, amps, rtol=0, atol=1e-12)
+        amps = run(fused)
+        np.testing.assert_allclose(run(unfused), amps, rtol=0, atol=1e-12)
         np.testing.assert_allclose(_gate_loop(fused), amps, rtol=0, atol=1e-12)
         np.testing.assert_allclose(_gate_loop(unfused), amps, rtol=0, atol=1e-12)
 
@@ -471,7 +494,7 @@ def test_edgeless_readout_is_exact(n):
     assert probs[0] == pytest.approx(1.0, abs=1e-12) and not probs[1:].any()
     assert sample(probs, 1000, 7).tolist() == [1000] + [0] * (len(probs) - 1)
     if n <= 8:
-        expect = marginal(_gate_loop_state(circuit), tuple(range(n, circuit.width)))
+        expect = marginal(_gate_loop(circuit), tuple(range(n, circuit.width)))
         np.testing.assert_allclose(probs, expect, rtol=0, atol=1e-12)
 
 
@@ -558,6 +581,21 @@ def test_run_peak_stays_within_peak_bytes():
         assert (16 << circuit.width) < peak <= _peak_bytes(_compile(circuit)) <= 1.5 * peak
 
 
+def test_run_holds_one_slice_of_row_ids():
+    # 17 graph qubits, two slices of 2^16: every slice's intp row ids
+    # go into one buffer, so beyond the amplitudes run holds 12 B per
+    # mask (ids, base and the slice buffer), not a second slice's ids.
+    circuit = build_qpe(Graph.from_edges(17, [(0, 16), (3, 9), (5, 12)]), fuse=True)
+    assert circuit.width == 19
+    tracemalloc.start()
+    try:
+        run(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - (16 << circuit.width) < 16 << 16
+
+
 def test_readout_memory_is_one_slice():
     # A 22-vertex graph at width 28: the read-out holds one slice of
     # 2^16 graph basis states and the rows, never the 2^28 amplitudes
@@ -583,10 +621,10 @@ def test_run_refuses_beyond_available_memory(monkeypatch):
     with pytest.raises(ResourceLimitError, match="MiB available"):
         run(qpe)
     monkeypatch.setattr(qgi.simulator, "_mem_available", lambda: need)
-    assert run(qpe).n_qubits == 14
+    assert len(run(qpe)).bit_length() - 1 == 14
     # Where the available memory cannot be read, nothing is refused.
     monkeypatch.setattr(qgi.simulator, "_mem_available", lambda: None)
-    assert run(qpe).n_qubits == 14
+    assert len(run(qpe)).bit_length() - 1 == 14
 
 
 # --- marginals ---
@@ -779,14 +817,14 @@ def test_phase_table_c4_oracle():
 
 def test_phase_table_folds_full_turn():
     state = init_state(1)
-    state.amps[0] = 0.0
-    state.amps[1] = np.exp(1j * (math.tau - 1e-8))
+    state[0] = 0.0
+    state[1] = np.exp(1j * (math.tau - 1e-8))
     assert phase_table(state, math.pi / 4) == {1: 0}
 
 
 def test_phase_table_rejects_off_grid_phase():
     state = init_state(1)
-    state.amps[1] = np.exp(1j * 0.1)
+    state[1] = np.exp(1j * 0.1)
     with pytest.raises(InternalCheckError, match="amplitude 1"):
         phase_table(state, math.pi / 4)
     with pytest.raises(InputError):
@@ -803,8 +841,8 @@ def test_phase_table_ignores_zero_amplitudes():
 def test_dump_amplitudes(monkeypatch):
     state = init_state(3)
     apply_gate(state, h(0))
-    state.amps[5] = complex(0.0, -0.25)
-    state.amps[6] = 1e-13  # rounding residue, not data
+    state[5] = complex(0.0, -0.25)
+    state[6] = 1e-13  # rounding residue, not data
     r = 1 / math.sqrt(2)
     expect = {"qubits": 3, "amplitudes": [[0, r, 0.0], [1, r, 0.0], [5, 0.0, -0.25]]}
     # Chunks of 2 amplitudes write the same text as one chunk.
