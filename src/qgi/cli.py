@@ -81,10 +81,15 @@ def _print_table(header: str, rows: list[tuple[int, float, int]]) -> None:
 def cmd_invariant(args) -> int:
     g = load_graph(args.graph, args.format)
     if args.dump_state:
-        # The one path that holds all 2^w amplitudes: `run` admits it.
-        # It runs first, so a refusal costs nothing and leaves stdout empty.
-        amps = run(build_qpe(g, fuse=True))
+        # The one path that holds all 2^w amplitudes: `run` admits it
+        # after the path opens and before any output is written.
         with open(args.dump_state, "w", encoding="utf-8") as fh:
+            try:
+                amps = run(build_qpe(g, fuse=True))
+            except BaseException:
+                if os.path.isfile(args.dump_state):
+                    os.remove(args.dump_state)
+                raise
             dump_amplitudes(amps, fh)
         del amps
     if args.mode == "classical":

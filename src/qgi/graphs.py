@@ -8,15 +8,15 @@ Graph.
 
 _slice_tables and _slices are the one edge-count kernel: every subset
 sweep and the QPE simulator read induced edge counts from its slices,
-through _edge_counts, and _edge_tally is their histogram, which tallies
-keyed slices of the same kernel when it pairs its lowest-degree vertices.
+through _edge_counts, and _edge_tally is their histogram, whose keyed
+slices (scaled edge counts plus vertex weights) the kernel also builds.
 _pair_weights is the one labelling table: canonical codes
 and _extension_codes, the survey's class enumeration, sum its rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations
@@ -38,8 +38,9 @@ ISOMORPHISM_MAX_VERTICES = 10
 # The edge-count kernel yields 2^_SLICE_BITS masks at a time.
 _SLICE_BITS = 16
 # _edge_tally pairs low-degree vertices while (m + 1) * prod(deg v + 1),
-# its key range, stays within this: keys fit in uint16, each int64
-# bincount of a slice in 256 KiB.
+# its key range, stays within this, so each int64 bincount of a slice
+# fits in 256 KiB.  Every doubling step, table entry and partial sum of
+# a keyed slice is at most the key of some subset, so uint16 holds them.
 _TALLY_BINS = 1 << 15
 
 # A vertex subset is a plain bitmask: bit i set <=> vertex i included.
@@ -287,27 +288,40 @@ def induced_edge_count(g: Graph, subset: VertexSubset) -> int:
 
 
 def _slice_tables(
-    adj: tuple[int, ...], k: int
+    adj: tuple[int, ...], k: int, scale: int = 1, weights: Sequence[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The slice decomposition (base, a, b) of the induced edge counts of
-    every subset mask of vertices 0..k-1 of the graph with rows adj.
+    """The slice decomposition (base, a, b) of the keys scale * e(S) +
+    sum(weights[i] for i in S) of every subset mask S of vertices 0..k-1
+    of the graph with rows adj: by default the induced edge counts e(S).
 
-    The low _SLICE_BITS vertices' counts are built once by subset
-    doubling, e(S + {i}) = e(S) + |adj[i] & S| for S below i: base
-    (uint16), the counts of slice 0.  Above it, base is viewed as a
-    grid: rows are the upper half of the low vertices, columns the lower
-    half.  For a set H of high vertices, subset doubling over H builds
-      a[H][c] = |edges from H into column subset c| + |edges inside H|,
-      b[H][r] = |edges from H into row subset r|,
+    A key grows by scale * |adj[i] & S| + weights[i] when vertex i joins
+    S, so the low _SLICE_BITS vertices' keys are built once by subset
+    doubling over the S below i: base (uint16), the keys of slice 0.
+    Above it, base is viewed as a grid: rows are the upper half of the
+    low vertices, columns the lower half.  For a set H of high vertices,
+    subset doubling over H builds
+      a[H][c] = scale * (|edges from H into column subset c| +
+                |edges inside H|) + sum(weights[v] for v in H),
+      b[H][r] = scale * |edges from H into row subset r|,
     so slice H is grid + b[H][:, None] + a[H] (_slices).  a and b are
     None when k is at most _SLICE_BITS: base is the one slice.
     """
+    weights = weights or (0,) * k
+
+    def step(masks: np.ndarray, row: int, weight: int = 0) -> np.ndarray:
+        # The plain edge counts step by the uint8 counts themselves.
+        counts = np.bitwise_count(masks & row)
+        if scale == 1 and not weight:
+            return counts
+        return counts * np.uint16(scale) + np.uint16(weight)
+
     bits = min(k, _SLICE_BITS)
     low = np.arange(1 << bits, dtype=np.uint32)
     base = np.zeros(1 << bits, dtype=np.uint16)
+    base[1] = weights[0]
     for i in range(1, bits):
         half = 1 << i
-        base[half : 2 * half] = base[:half] + np.bitwise_count(low[:half] & adj[i])
+        base[half : 2 * half] = base[:half] + step(low[:half], adj[i], weights[i])
     high = k - bits
     if not high:
         return base, None, None
@@ -320,11 +334,11 @@ def _slice_tables(
     for j in range(high):
         half = 1 << j
         row = adj[bits + j]
-        np.add(a[:half], np.bitwise_count(cols & row), out=a[half : 2 * half])
-        np.add(b[:half], np.bitwise_count(rows & row), out=b[half : 2 * half])
+        np.add(a[:half], step(cols, row), out=a[half : 2 * half])
+        np.add(b[:half], step(rows, row), out=b[half : 2 * half])
         np.add(
             inside[:half],
-            np.bitwise_count(subsets[:half] & (row >> bits)),
+            step(subsets[:half], row >> bits, weights[bits + j]),
             out=inside[half : 2 * half],
         )
     a += inside[:, None]
@@ -384,11 +398,11 @@ def _edge_tally(g: Graph) -> np.ndarray:
     paired to n-1 and the last to k, the others keeping their order in
     0..k-1, and the masks S run over those with the key e(S) * P +
     sum(stride[v] * |adj[v] & S|), the flat index of an array of shape
-    (m + 1, deg k + 1, ..., deg n-1 + 1).  Keys are linear in S like
-    edge counts, so their slices are those of P * base plus the subset
-    sums of each low vertex's strides, P * a plus those of the high
-    vertices, and P * b: 2^(n-k) times fewer slices.  _fold then adds
-    the paired vertices back.  The tally is invariant under relabelling.
+    (m + 1, deg k + 1, ..., deg n-1 + 1).  Vertex i joining S adds P *
+    |adj[i] & S| plus the strides of its paired neighbours, its weight,
+    so the kernel's slices are the keys themselves: 2^(n-k) times fewer
+    slices.  _fold then adds the paired vertices back.  The tally is
+    invariant under relabelling.
     """
     adj, k, bins = g.adj, g.n, g.m + 1
     if g.n > _SLICE_BITS:
@@ -400,32 +414,18 @@ def _edge_tally(g: Graph) -> np.ndarray:
                 break
             paired.append(v)
             bins *= degrees[v] + 1
-        if paired:
-            k -= len(paired)
-            order = [v for v in range(g.n) if v not in paired] + paired[::-1]
-            p = [0] * g.n
-            for i, v in enumerate(order):
-                p[v] = i
-            adj = _relabel(adj, p)
+        k -= len(paired)
+        order = [v for v in range(g.n) if v not in paired] + paired[::-1]
+        adj = _relabel(adj, [order.index(v) for v in range(g.n)])
     sizes = [adj[v].bit_count() + 1 for v in range(k, g.n)]
-    base, a, b = _slice_tables(adj, k)
-    if sizes:
-        strides = [prod(sizes[i + 1 :]) for i in range(len(sizes))]
-        # weights[i]: the key's step when vertex i < k joins S.
-        weights = [
-            sum(s for v, s in zip(range(k, g.n), strides) if adj[v] >> i & 1)
-            for i in range(k)
-        ]
-        scale = prod(sizes)
-        base = base * scale + _subset_sums(weights[:_SLICE_BITS])
-        if a is not None:
-            a = a * scale + _subset_sums(weights[_SLICE_BITS:])[:, None]
-            b = b * scale
-    slices = _slices(base, a, b)
-    tally = np.bincount(next(slices)[1], minlength=bins)
-    for _, key in slices:
+    weights = [
+        sum(prod(sizes[v - k + 1 :]) for v in range(k, g.n) if adj[v] >> i & 1)
+        for i in range(k)
+    ]
+    tally = np.zeros(bins, dtype=np.int64)
+    for _, key in _slices(*_slice_tables(adj, k, prod(sizes), weights)):
         tally += np.bincount(key, minlength=bins)
-    return _fold(adj, k, tally.reshape(g.m + 1, *sizes)) if sizes else tally
+    return _fold(adj, k, tally.reshape(g.m + 1, *sizes))
 
 
 def _relabel(adj: tuple[int, ...], p: Permutation) -> tuple[int, ...]:
@@ -441,14 +441,6 @@ def _relabel(adj: tuple[int, ...], p: Permutation) -> tuple[int, ...]:
             row ^= low
         rows[p[i]] = new
     return tuple(rows)
-
-
-def _subset_sums(weights: list[int]) -> np.ndarray:
-    """sums[S] (uint16) is the total weight of the bits set in S."""
-    sums = np.zeros(1 << len(weights), dtype=np.uint16)
-    for i, w in enumerate(weights):
-        np.add(sums[: 1 << i], w, out=sums[1 << i : 2 << i])
-    return sums
 
 
 def _fold(adj: tuple[int, ...], k: int, tally: np.ndarray) -> np.ndarray:

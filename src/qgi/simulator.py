@@ -90,6 +90,8 @@ def apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply one gate in place and return the same amplitude array: one
     step of the reference gate loop, which simulates any circuit."""
     _width(amps, gate.qubits)
+    if not amps.flags.writeable:
+        raise InputError("apply_gate writes the state in place, got a read-only array")
     kind = gate.kind
     if kind == "h":
         (q,) = gate.qubits

@@ -242,6 +242,20 @@ def test_invariant_memory_refusal_exit_3(capsys, monkeypatch, tmp_path):
     assert code == 0 and out == C4_TABLE
 
 
+def test_invariant_dump_state_checks_its_path_before_running(capsys, monkeypatch, tmp_path):
+    # A destination that cannot be opened fails before the statevector
+    # is allocated.
+    def refuse(*args, **kwargs):
+        raise AssertionError("run allocated the state before the path was checked")
+
+    monkeypatch.setattr(qgi.cli, "run", refuse)
+    path = tmp_path / "missing" / "state.json"
+    code, out, err = run_cli(capsys, "invariant", "c4", "--mode", "qpe", "--dump-state", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "missing" in err
+    assert not path.parent.exists()
+
+
 def test_invariant_dump_state_in_classical_mode(capsys, monkeypatch, tmp_path):
     # --dump-state writes the QPE circuit's amplitudes in every mode.
     qpe, classical = tmp_path / "qpe.json", tmp_path / "classical.json"

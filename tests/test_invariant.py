@@ -124,6 +124,37 @@ def test_edge_counts_match_per_mask_counts_in_small_slices(g, slice_bits):
     assert swept == [induced_edge_count(g, mask) for mask in range(1 << g.n)]
 
 
+@st.composite
+def keyed_tables(draw) -> tuple[Graph, int, list[int]]:
+    """A graph on at most 20 vertices, a key scale and per-vertex
+    weights whose largest key, the whole vertex set's, is below 2^15."""
+    g = draw(graphs(max_n=20))
+    scale = draw(st.integers(1, (1 << 15) // (g.m + 1)))
+    room = ((1 << 15) - 1 - scale * g.m) // g.n
+    return g, scale, draw(st.lists(st.integers(0, room), min_size=g.n, max_size=g.n))
+
+
+@settings(max_examples=30)
+@given(keyed=keyed_tables(), slice_bits=st.integers(2, 4))
+def test_keyed_slices_match_per_mask_keys(keyed, slice_bits):
+    # Each mask S's key is scale * e(S) + the weights of S, counted per
+    # mask from e(S) = sum(|adj[i] & S| for i in S) / 2; small slices
+    # put up to 18 vertices in the high tables.
+    g, scale, weights = keyed
+    masks = np.arange(1 << g.n, dtype=np.uint32)
+    twice = np.zeros(1 << g.n, dtype=np.int64)
+    for i in range(g.n):
+        inside = np.bitwise_count(masks & g.adj[i]).astype(np.int64)
+        twice += (masks >> i & 1) * (scale * inside + 2 * weights[i])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qgi.graphs, "_SLICE_BITS", slice_bits)
+        tables = qgi.graphs._slice_tables(g.adj, g.n, scale, weights)
+        slices = [(start, e.copy()) for start, e in qgi.graphs._slices(*tables)]
+    assert [start for start, _ in slices] == list(range(0, 1 << g.n, 1 << min(g.n, slice_bits)))
+    assert all(e.dtype == np.uint16 for _, e in slices)
+    assert np.array_equal(np.concatenate([e for _, e in slices]), twice // 2)
+
+
 @pytest.mark.parametrize("n", [19, 21, 24])
 def test_edge_counts_across_slice_boundaries(n):
     rng = random.Random(308 + n)

@@ -130,6 +130,19 @@ def test_apply_gate_range_check():
         apply_gate(state, h(2))
 
 
+def test_apply_gate_refuses_a_read_only_state():
+    # apply_gate writes in place, so a read-only state is refused before
+    # any write; the calls that only read a state still take it.
+    state = run(build_qpe(named_graph("m3")))
+    state.flags.writeable = False
+    before = state.copy()
+    for gate in (h(0), cp(0, 1, 0.5), ccp(0, 1, 2, 0.5), swap(0, 1)):
+        with pytest.raises(InputError, match="read-only"):
+            apply_gate(state, gate)
+        assert np.array_equal(state, before)
+    assert marginal(state, (0,)).sum() == pytest.approx(1.0)
+
+
 # --- single-gate semantics against the per-index reference ---
 
 def test_gates_match_reference_action():
@@ -471,9 +484,9 @@ def test_qpe_readout_sweeps_its_graph_once(monkeypatch):
     swept = []
     tables = qgi.graphs._slice_tables
 
-    def recorded(adj, k):
+    def recorded(adj, k, *keys):
         swept.append(adj)
-        return tables(adj, k)
+        return tables(adj, k, *keys)
 
     monkeypatch.setattr(qgi.graphs, "_slice_tables", recorded)
     for g in (named_graph("c4"), named_graph("petersen"), random_graph(random.Random(424), 9)):
